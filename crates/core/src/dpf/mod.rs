@@ -44,43 +44,25 @@ pub use phase1::ZFrame;
 /// invariants (which would indicate a bug upstream, not a legal input).
 pub fn act(a: &Analysis, rs: usize) -> Result<(Decision, PhaseKind), ComputeError> {
     let plan = TargetPlan::new(a, rs)?;
-    let dbg = std::env::var_os("APF_DEBUG").is_some();
 
     // Phase 1: establish the global coordinate system.
     match phase1::ensure_frame(a, rs, &plan)? {
-        phase1::FrameStatus::Acting(decision) => {
-            if dbg {
-                eprintln!("[dpf me={} rs={rs}] phase1 acting: {decision:?}", a.me);
-            }
-            Ok((decision, PhaseKind::DpfFrame))
-        }
+        phase1::FrameStatus::Acting(decision) => Ok((decision, PhaseKind::DpfFrame)),
         phase1::FrameStatus::Ready(zf) => {
             // Pre-phase: no robot other than r_max may sit on the zero ray.
             if let Some(d) = phase2::clear_zero_ray(a, rs, &zf, &plan) {
-                if dbg {
-                    eprintln!("[dpf me={} rs={rs}] clear_zero_ray: {d:?}", a.me);
-                }
                 return Ok((d, PhaseKind::DpfPopulate));
             }
             // Special pre-phase when only two pattern points lie on C(F).
             if let Some(d) = phase2::fix_enclosing_circle(a, rs, &zf, &plan)? {
-                if dbg {
-                    eprintln!("[dpf me={} rs={rs}] fix_enclosing_circle: {d:?}", a.me);
-                }
                 return Ok((d, PhaseKind::DpfPopulate));
             }
             // Phase 2: populate the circles outside-in.
             if let Some(d) = phase2::populate_circles(a, rs, &zf, &plan)? {
-                if dbg {
-                    eprintln!("[dpf me={} rs={rs} rmax={}] populate: {d:?}", a.me, zf.rmax);
-                }
                 return Ok((d, PhaseKind::DpfPopulate));
             }
             // Phase 3: rotate robots to their final positions.
             if let Some(d) = phase3::rotate_to_targets(a, rs, &zf, &plan)? {
-                if dbg {
-                    eprintln!("[dpf me={} rs={rs} rmax={}] rotate: {d:?}", a.me, zf.rmax);
-                }
                 return Ok((d, PhaseKind::DpfRotate));
             }
             Ok((Decision::Stay, PhaseKind::DpfIdle))

@@ -137,12 +137,6 @@ pub fn ensure_frame(
         .filter(|&i| tol.eq(a.radius(i), min_r) && ang(i) <= ang_min_all + tol.angle_eps)
         .collect();
 
-    if std::env::var_os("APF_DEBUG").is_some() {
-        eprintln!(
-            "  [phase1 me={} rs={rs}] rs_r={rs_r:.5} min_r={min_r:.5} ang_min_all={ang_min_all:.6} cands={candidates:?} clearance={clearance:.6}",
-            a.me
-        );
-    }
     // Robots stacked on a multiplicity point tie in both radius and angle;
     // they are anonymous and interchangeable, so a fully co-located
     // candidate set is as good as a unique robot.

@@ -153,14 +153,6 @@ pub fn fix_enclosing_circle(
     let Some(my_idx) = on_c1.iter().position(|&i| i == a.me) else {
         return Ok(Some(Decision::Stay));
     };
-    if std::env::var_os("APF_DEBUG").is_some() {
-        let angs: Vec<(usize, f64)> =
-            on_c1.iter().map(|&i| (i, zf.angle_of(a.config.point(i)))).collect();
-        eprintln!(
-            "  [fix me={} on_c1 angles={angs:?} dests={dest:?} t=({t_lo:.4},{t_hi:.4})]",
-            a.me
-        );
-    }
     Ok(Some(move_on_circle(a, zf, rs, dest[my_idx], &on_c1, true, false)))
 }
 
@@ -174,7 +166,6 @@ pub fn populate_circles(
     plan: &TargetPlan,
 ) -> Result<Option<Decision>, ComputeError> {
     let tol = &a.tol;
-    let dbg = std::env::var_os("APF_DEBUG").is_some();
     let fmax_circle = plan
         .circle_of_radius(plan.fmax_radius, tol)
         .ok_or_else(|| ComputeError::new("f_max not on any target circle"))?;
@@ -202,9 +193,6 @@ pub fn populate_circles(
 
         let on_ci: Vec<usize> =
             prime_robots(a, rs).into_iter().filter(|&r| tol.eq(a.radius(r), ci)).collect();
-        if dbg {
-            eprintln!("  [populate i={i} ci={ci:.9}] on_ci={on_ci:?} count={}", plan.counts[i]);
-        }
 
         // --- locateEnoughRobots(i) ---
         if on_ci.len() < plan.counts[i] {

@@ -42,11 +42,6 @@ pub fn rotate_to_targets(
             return Err(ComputeError::new("phase 3 invoked before circles were populated"));
         }
 
-        if std::env::var_os("APF_DEBUG").is_some() && !robots.is_empty() {
-            let angs: Vec<(usize, f64)> =
-                robots.iter().map(|&i| (i, zf.angle_of(a.config.point(i)))).collect();
-            eprintln!("  [rotate ci={ci:.4} robots={angs:?} targets={targets:?}]");
-        }
         for (pos, &r) in robots.iter().enumerate() {
             let my_z = zf.angle_of(a.config.point(r));
             let dest = targets[pos];

@@ -86,12 +86,6 @@ fn act_shifted(a: &Analysis, sh: &apf_geometry::symmetry::ShiftedRegularSet) -> 
         .collect();
 
     let eps_is = |target: f64| (sh.epsilon - target).abs() <= 1e-3;
-    if std::env::var_os("APF_DEBUG").is_some() {
-        eprintln!(
-            "[rsb me={} re={re}] eps={:.6} min_r={:.6} S={s:?} l_f={:.4}",
-            a.me, sh.epsilon, sh.min_radius, a.l_f
-        );
-    }
 
     if !s.is_empty() && !eps_is(0.125) {
         // Stage 1: the shifted robot tunes its shift to exactly 1/8.

@@ -30,7 +30,8 @@ pub const SHIFTED_RADIUS_BAND: f64 = 1.25;
 /// Loose pre-filter for the equiangular completion in
 /// [`super::shifted::find_shifted_regular`]: under an approximate center,
 /// each angular gap must be within this fraction of the equiangular gap
-/// `alpha_eq` of its target before the exact fit is attempted.
+/// `alpha_eq` of its target (with the merged gap at the insertion or the
+/// one after it) before the Gauss–Newton slot fit is attempted.
 pub const EQUIANGULAR_LOOSE_GAP_FRAC: f64 = 0.45;
 
 /// Loose band for the biangular completion in

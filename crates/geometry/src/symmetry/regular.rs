@@ -440,11 +440,13 @@ pub(crate) fn fit_slot_model(
     };
     let mut phi = init_polar[order[0]].angle - slot_angle(slots[0], m, alpha, biangular);
 
+    // Unknowns (cx, cy, φ[, α]) in fixed-size arrays: the equiangular fit
+    // uses the leading 3×3 block only.
     let unknowns = if biangular { 4 } else { 3 };
     for _ in 0..80 {
         // Build normal equations J^T J x = J^T r.
-        let mut ata = vec![vec![0.0; unknowns]; unknowns];
-        let mut atb = vec![0.0; unknowns];
+        let mut ata = [[0.0; 4]; 4];
+        let mut atb = [0.0; 4];
         let mut max_resid: f64 = 0.0;
         for (pos, &pi) in order.iter().enumerate() {
             let slot = slots[pos];
@@ -460,10 +462,8 @@ pub(crate) fn fit_slot_model(
             max_resid = max_resid.max(resid.abs());
             // d(theta)/d(cx) = sin(theta)/r ; d(theta)/d(cy) = -cos(theta)/r
             // residual = theta - model, so d(resid)/d(param):
-            let mut jrow = vec![theta.sin() / r, -theta.cos() / r, -1.0];
-            if biangular {
-                jrow.push(-slot_alpha_derivative(slot, m));
-            }
+            let d_alpha = if biangular { -slot_alpha_derivative(slot, m) } else { 0.0 };
+            let jrow = [theta.sin() / r, -theta.cos() / r, -1.0, d_alpha];
             for a in 0..unknowns {
                 for b in 0..unknowns {
                     ata[a][b] += jrow[a] * jrow[b];
@@ -471,7 +471,7 @@ pub(crate) fn fit_slot_model(
                 atb[a] += jrow[a] * resid;
             }
         }
-        let dx = solve_linear(&mut ata, &mut atb)?;
+        let dx = solve_linear(&mut ata, &mut atb, unknowns)?;
         c = Point::new(c.x - dx[0], c.y - dx[1]);
         phi -= dx[2];
         if biangular {
@@ -480,7 +480,7 @@ pub(crate) fn fit_slot_model(
                 return None;
             }
         }
-        let step = (dx.iter().map(|d| d * d).sum::<f64>()).sqrt();
+        let step = (dx[..unknowns].iter().map(|d| d * d).sum::<f64>()).sqrt();
         if step < 1e-14 && max_resid < 1e-10 {
             break;
         }
@@ -506,10 +506,10 @@ fn slot_alpha_derivative(i: usize, _m: usize) -> f64 {
     a_count - b_count
 }
 
-/// Solves a small dense linear system in place by Gaussian elimination with
-/// partial pivoting. Returns `None` for (near-)singular systems.
-fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
-    let n = b.len();
+/// Solves the leading `n × n` block (`n ≤ 4`) of a small dense linear system
+/// in place by Gaussian elimination with partial pivoting. Returns `None` for
+/// (near-)singular systems; entries of the solution past `n` are zero.
+fn solve_linear(a: &mut [[f64; 4]; 4], b: &mut [f64; 4], n: usize) -> Option<[f64; 4]> {
     for col in 0..n {
         // Pivot.
         let mut piv = col;
@@ -535,7 +535,7 @@ fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
             b[row] -= f * b[col];
         }
     }
-    let mut x = vec![0.0; n];
+    let mut x = [0.0; 4];
     for col in (0..n).rev() {
         let mut s = b[col];
         for k in (col + 1)..n {
@@ -809,17 +809,18 @@ mod tests {
 
     #[test]
     fn solve_linear_small_system() {
-        let mut a = vec![vec![2.0, 1.0], vec![1.0, 3.0]];
-        let mut b = vec![5.0, 10.0];
-        let x = solve_linear(&mut a, &mut b).unwrap();
+        // Entries outside the leading 2×2 block must be ignored.
+        let mut a = [[2.0, 1.0, 9.0, 9.0], [1.0, 3.0, 9.0, 9.0], [9.0; 4], [9.0; 4]];
+        let mut b = [5.0, 10.0, 9.0, 9.0];
+        let x = solve_linear(&mut a, &mut b, 2).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn solve_linear_singular_is_none() {
-        let mut a = vec![vec![1.0, 2.0], vec![2.0, 4.0]];
-        let mut b = vec![1.0, 2.0];
-        assert!(solve_linear(&mut a, &mut b).is_none());
+        let mut a = [[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0], [0.0; 4], [0.0; 4]];
+        let mut b = [1.0, 2.0, 0.0, 0.0];
+        assert!(solve_linear(&mut a, &mut b, 2).is_none());
     }
 }

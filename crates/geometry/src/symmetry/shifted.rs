@@ -102,7 +102,7 @@ fn find_shifted_subset(config: &Configuration, tol: &Tol) -> Option<ShiftedRegul
                 continue;
             }
             let members = &others[..j];
-            if let Some(found) = try_complete(config, c, r_idx, members, min_r, false, tol) {
+            if let Some(found) = try_complete(config, c, r_idx, members, false, tol) {
                 return Some(found);
             }
         }
@@ -127,7 +127,7 @@ fn find_shifted_whole(config: &Configuration, tol: &Tol) -> Option<ShiftedRegula
 
     for &r_idx in &candidates {
         let members: Vec<usize> = (0..n).filter(|&i| i != r_idx).collect();
-        if let Some(found) = try_complete(config, c0, r_idx, &members, min_r, true, tol) {
+        if let Some(found) = try_complete(config, c0, r_idx, &members, true, tol) {
             return Some(found);
         }
     }
@@ -140,12 +140,32 @@ fn find_shifted_whole(config: &Configuration, tol: &Tol) -> Option<ShiftedRegula
 /// `members` never contains `r_idx`. When `fit_center` is true, the center
 /// is re-estimated with the slot model (whole-configuration case); otherwise
 /// `center` is exact (`c(P)`).
+///
+/// # Candidate filters
+///
+/// Insertion angles are tried in a fixed order and the first one that
+/// verifies is the result. The filters below only drop insertions that
+/// cannot verify, and keep the order of the rest, so the result is the same
+/// bit for bit as trying every insertion.
+///
+/// * Exact center: an equiangular completion leaves exactly one gap off `α`
+///   (the merged one), and a bi-angled completion leaves the gaps in at most
+///   three clusters (`a`, `b` and the merged gap). Both are checked (in
+///   `O(k)` and `O(k log k)`) before the `O(k²)` insertion loops.
+/// * Approximate center: equiangular insertion `t` is fitted only when the
+///   loose gap model ([`EQUIANGULAR_LOOSE_GAP_FRAC`]) holds with the merged
+///   gap at `t` *or at `t + 1`*. The second arm keeps insertion `t* − 1` of
+///   the true merged gap `t*`: its hint `θ_{t*−1} + α` lands at the start of
+///   the merged gap, and since it is tried before `t*`, it is often the one
+///   that verifies first (most visibly when the merged gap straddles angle
+///   0, so the hole takes a different slot). That fit's floats differ from
+///   the fit for `t*` by a few ulps, so filtering on `t` alone would change
+///   the detected center and `ε` in their last bits.
 fn try_complete(
     config: &Configuration,
     center: Point,
     r_idx: usize,
     members: &[usize],
-    _min_r_hint: f64,
     fit_center: bool,
     tol: &Tol,
 ) -> Option<ShiftedRegularSet> {
@@ -181,27 +201,27 @@ fn try_complete(
         // Equiangular completion: every gap but one ≈ α = 2π/q, the merged
         // gap ≈ 2α.
         let alpha_eq = TAU / q as f64;
-        for (t, &angle_t) in angles.iter().enumerate().take(k) {
-            let ok = (0..k).all(|i| {
-                if i == t {
-                    tol.ang_eq(gaps[i], 2.0 * alpha_eq) || fit_center
-                } else {
-                    tol.ang_eq(gaps[i], alpha_eq) || fit_center
-                }
-            });
+        if fit_center {
             // Under an approximate center (whole-config case) the gaps are
-            // only approximately right; use a loose pre-filter instead.
-            let loose_ok = fit_center
-                && (0..k).all(|i| {
-                    let target = if i == t { 2.0 * alpha_eq } else { alpha_eq };
-                    (gaps[i] - target).abs() < alpha_eq * EQUIANGULAR_LOOSE_GAP_FRAC
-                });
-            if ok || loose_ok {
-                insertions.push((normalize_angle(angle_t + alpha_eq), false));
+            // only approximately right: a loose test gates the slot fit.
+            let loose =
+                |g: f64, target: f64| (g - target).abs() < alpha_eq * EQUIANGULAR_LOOSE_GAP_FRAC;
+            for (t, &angle_t) in angles.iter().enumerate() {
+                if merged_at(&gaps, t, alpha_eq, loose)
+                    || merged_at(&gaps, (t + 1) % k, alpha_eq, loose)
+                {
+                    insertions.push((normalize_angle(angle_t + alpha_eq), false));
+                }
+            }
+        } else if gaps.iter().filter(|&&g| !tol.ang_eq(g, alpha_eq)).count() <= 1 {
+            for (t, &angle_t) in angles.iter().enumerate() {
+                if merged_at(&gaps, t, alpha_eq, |g, target| tol.ang_eq(g, target)) {
+                    insertions.push((normalize_angle(angle_t + alpha_eq), false));
+                }
             }
         }
         // Bi-angled completion: gaps alternate a, b with one merged (a + b).
-        if q >= 4 && q.is_multiple_of(2) {
+        if q >= 4 && q.is_multiple_of(2) && (fit_center || in_three_clusters(&gaps, tol)) {
             for t in 0..k {
                 for first_sub_is_even in [true, false] {
                     if let Some(theta) = biangular_insertion(
@@ -244,6 +264,37 @@ fn try_complete(
         }
     }
     None
+}
+
+/// Whether the gaps fit the equiangular completion with the merged gap at
+/// `t`: `close(gap, target)` holds for gap `t` against `2α` and for every
+/// other gap against `α`.
+fn merged_at(gaps: &[f64], t: usize, alpha: f64, close: impl Fn(f64, f64) -> bool) -> bool {
+    gaps.iter().enumerate().all(|(i, &g)| close(g, if i == t { 2.0 * alpha } else { alpha }))
+}
+
+/// Whether the gaps fit in at most three clusters of width `2·angle_eps`,
+/// which an exact-center bi-angled completion needs: [`biangular_insertion`]
+/// keeps every unsplit gap within `angle_eps` of its class mean `a` or `b`,
+/// and the merged gap is the third cluster. The width carries a few ulps of
+/// margin for the rounding of the class means, so this never rejects a
+/// completion that would pass.
+fn in_three_clusters(gaps: &[f64], tol: &Tol) -> bool {
+    let width = 2.0 * tol.angle_eps + 8.0 * f64::EPSILON * TAU;
+    let mut sorted = gaps.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mut clusters = 0;
+    let mut start = f64::NEG_INFINITY;
+    for g in sorted {
+        if g - start > width {
+            clusters += 1;
+            if clusters > 3 {
+                return false;
+            }
+            start = g;
+        }
+    }
+    true
 }
 
 /// Splits merged gap `t` under the bi-angled model and returns the insertion
@@ -339,6 +390,9 @@ fn refine_center(
 }
 
 /// Final verification of all Definition 3 conditions for a concrete `r'`.
+///
+/// Every check is a pure rejection, so their order cannot change a result;
+/// the cheap angular ones run before the `reg(P')` rebuild.
 fn verify_shifted(
     config: &Configuration,
     center: Point,
@@ -359,22 +413,8 @@ fn verify_shifted(
     full_pts.push(r_prime);
     let kind = check_regular_around(&full_pts, center, tol)?;
 
-    // Build P' and let the Definition 2 machinery confirm the regular set.
-    let p_prime = config.with_point_moved(r_idx, r_prime);
-    let reg = regular_set_of(&p_prime, tol)?;
-    // The regular set of P' must be exactly the completed set (same size and
-    // members: all `members` plus the moved robot).
-    if reg.len() != members.len() + 1 {
-        return None;
-    }
-    if !reg.indices.contains(&r_idx) {
-        return None;
-    }
-    if !members.iter().all(|i| reg.indices.contains(i)) {
-        return None;
-    }
-
     // ε = angmin(r, c, r') / α_min(P'), must be in (0, 1/4].
+    let p_prime = config.with_point_moved(r_idx, r_prime);
     let alpha_min = alpha_min_config(&p_prime, center, tol)?;
     let epsilon = shift_angle / alpha_min;
     if epsilon <= 0.0 || epsilon > epsilon_cap(tol) {
@@ -384,6 +424,20 @@ fn verify_shifted(
     let amin_r = alpha_min_of_point(config, center, r_pos, r_idx, tol)?;
     let amin_rp = alpha_min_of_point(&p_prime, center, r_prime, r_idx, tol)?;
     if amin_r >= amin_rp {
+        return None;
+    }
+
+    // Let the Definition 2 machinery confirm the regular set: reg(P') must
+    // be exactly the completed set (same size and members: all `members`
+    // plus the moved robot).
+    let reg = regular_set_of(&p_prime, tol)?;
+    if reg.len() != members.len() + 1 {
+        return None;
+    }
+    if !reg.indices.contains(&r_idx) {
+        return None;
+    }
+    if !members.iter().all(|i| reg.indices.contains(i)) {
         return None;
     }
 

@@ -284,7 +284,8 @@ echo "==> profile smoke: collapsed stacks + digest identity with spans on"
 # the profiler installed must reproduce `job-digest --report` byte for byte.
 # The folded output must be non-empty, well-formed collapsed stacks
 # (`frame;frame;... self_ns`), and on the kernel workload the heaviest
-# frame must be the known-dominant kernel: shifted-pattern matching.
+# leaf frame must be one of the five instrumented geometry kernels (which
+# one leads is a perf fact that moves between releases, not a smoke check).
 ./target/release/apf-cli profile --spec "$SERVE_DIR/spec.json" --jobs 2 \
     --fold "$SERVE_DIR/prof.folded" \
     --report-out "$SERVE_DIR/prof_report.json" > /dev/null
@@ -301,9 +302,11 @@ fi
     --fold "$SERVE_DIR/kern.folded" > /dev/null
 TOP_STACK="$(sort -t' ' -k2 -rn "$SERVE_DIR/kern.folded" | head -1 \
     | cut -d' ' -f1)"
-[ "${TOP_STACK##*;}" = "shifted" ] \
-    || { echo "hottest kernel frame is '${TOP_STACK##*;}', expected shifted"
-         exit 1; }
+case "${TOP_STACK##*;}" in
+    sec|views|rho|regular|shifted) ;;
+    *) echo "hottest kernel frame is '${TOP_STACK##*;}', expected a geometry kernel"
+       exit 1 ;;
+esac
 
 echo "==> perf snapshot vs committed BENCH_*.json (tolerance band)"
 # Regenerate the fixed perf workload and compare campaign throughput against
