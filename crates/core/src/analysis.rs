@@ -10,8 +10,11 @@
 use apf_geometry::symmetry::{
     find_shifted_regular, regular_set_of, RegularSet, ShiftedRegularSet, ViewAnalysis,
 };
-use apf_geometry::{circle::holds_sec, Configuration, Path, PathSegment, Point, PolarPoint, Tol};
+use apf_geometry::{
+    smallest_enclosing_circle, Configuration, Path, PathSegment, Point, PolarPoint, Tol,
+};
 use apf_sim::{ComputeError, Snapshot};
+use std::cell::OnceCell;
 
 /// Everything a robot derives from one Look, in normalized coordinates.
 #[derive(Debug)]
@@ -20,7 +23,9 @@ pub struct Analysis {
     pub config: Configuration,
     /// The observer's index into [`Self::config`].
     pub me: usize,
-    /// Normalized pattern `F`: `C(F)` = unit circle at origin.
+    /// Normalized pattern `F`: `C(F)` = unit circle at origin. Replace it
+    /// only through [`Self::override_pattern`], which resets what is derived
+    /// from it.
     pub pattern: Vec<Point>,
     /// `l_F`: distance from the center of the second-closest point of `F`.
     pub l_f: f64,
@@ -33,11 +38,14 @@ pub struct Analysis {
     norm_center: Point,
     norm_scale: f64,
     /// Lazily computed view analysis around the origin.
-    views: std::cell::OnceCell<ViewAnalysis>,
+    views: OnceCell<ViewAnalysis>,
     /// Lazily computed regular set.
-    regular: std::cell::OnceCell<Option<RegularSet>>,
+    regular: OnceCell<Option<RegularSet>>,
     /// Lazily computed shifted regular set.
-    shifted: std::cell::OnceCell<Option<ShiftedRegularSet>>,
+    shifted: OnceCell<Option<ShiftedRegularSet>>,
+    /// Lazily computed candidates `f_s` of the working pattern; reset by
+    /// [`Self::override_pattern`].
+    pattern_candidates: OnceCell<Vec<usize>>,
 }
 
 impl Analysis {
@@ -54,8 +62,7 @@ impl Analysis {
         if raw.len() < 2 {
             return Err(ComputeError::new("need at least two robots"));
         }
-        let cfg_raw = Configuration::new(raw.to_vec());
-        let sec = cfg_raw.sec();
+        let sec = smallest_enclosing_circle(raw);
         if tol.is_zero(sec.radius) {
             return Err(ComputeError::new("all robots coincide; configuration unnormalizable"));
         }
@@ -66,8 +73,7 @@ impl Analysis {
         if pat_raw.len() < 4 {
             return Err(ComputeError::new("pattern needs at least four points"));
         }
-        let pat_cfg = Configuration::new(pat_raw.to_vec());
-        let pat_sec = pat_cfg.sec();
+        let pat_sec = smallest_enclosing_circle(pat_raw);
         if tol.is_zero(pat_sec.radius) {
             return Err(ComputeError::new("degenerate pattern (single location)"));
         }
@@ -84,9 +90,10 @@ impl Analysis {
             multiplicity_detection: snapshot.multiplicity_detection(),
             norm_center: sec.center,
             norm_scale: sec.radius,
-            views: std::cell::OnceCell::new(),
-            regular: std::cell::OnceCell::new(),
-            shifted: std::cell::OnceCell::new(),
+            views: OnceCell::new(),
+            regular: OnceCell::new(),
+            shifted: OnceCell::new(),
+            pattern_candidates: OnceCell::new(),
         })
     }
 
@@ -152,31 +159,20 @@ impl Analysis {
     }
 
     /// Indices of pattern points with maximal view that do not hold `C(F)`
-    /// (the candidate destinations `f_s` of the selected robot).
-    pub fn pattern_max_view_nonholders(&self) -> Vec<usize> {
-        let cfg = Configuration::new(self.pattern.clone());
-        let va = ViewAnalysis::compute(&cfg, Point::ORIGIN, &self.tol);
-        let mut best: Option<usize> = None;
-        for i in 0..self.pattern.len() {
-            if holds_sec(&self.pattern, i, &self.tol) {
-                continue;
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    if va.view(i) > va.view(b) {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        let Some(b) = best else { return vec![] };
-        let cfg_va = va;
-        (0..self.pattern.len())
-            .filter(|&i| {
-                !holds_sec(&self.pattern, i, &self.tol) && cfg_va.view(i) == cfg_va.view(b)
-            })
-            .collect()
+    /// (the candidate destinations `f_s` of the selected robot), computed
+    /// once per pattern.
+    pub fn pattern_max_view_nonholders(&self) -> &[usize] {
+        self.pattern_candidates.get_or_init(|| {
+            let cfg = Configuration::new(self.pattern.clone());
+            let va = ViewAnalysis::compute(&cfg, Point::ORIGIN, &self.tol);
+            let holders = cfg.sec_holders(&self.tol);
+            let nonholders = (0..self.pattern.len()).filter(|&i| !holders[i]);
+            // The first non-holder of maximal view.
+            let best =
+                nonholders.clone().reduce(|b, i| if va.view(i) > va.view(b) { i } else { b });
+            let Some(b) = best else { return vec![] };
+            nonholders.filter(|&i| va.view(i) == va.view(b)).collect()
+        })
     }
 
     /// Maps a normalized-coordinates path back into the robot's local
@@ -216,11 +212,13 @@ impl Analysis {
 
     /// Replaces the working pattern (used by the multiplicity extension to
     /// swap in `F̃`). The replacement must already be normalized (unit
-    /// enclosing circle at the origin); `l_F` is recomputed.
+    /// enclosing circle at the origin); `l_F` and the pattern candidates are
+    /// recomputed.
     pub fn override_pattern(&mut self, pattern: Vec<Point>) {
         assert!(pattern.len() >= 2, "pattern too small");
         self.l_f = Configuration::new(pattern.clone()).second_closest_distance(Point::ORIGIN);
         self.pattern = pattern;
+        self.pattern_candidates = OnceCell::new();
     }
 }
 
@@ -314,6 +312,23 @@ mod tests {
         let a = Analysis::new(&snap).unwrap();
         let cands = a.pattern_max_view_nonholders();
         assert!(!cands.is_empty());
+    }
+
+    #[test]
+    fn override_pattern_resets_the_pattern_candidates() {
+        let mut pattern = ring(6, 1.0, 0.0, Point::ORIGIN);
+        pattern.push(Point::new(0.3, 0.2));
+        let robots = ring(7, 1.0, 0.0, Point::ORIGIN);
+        let local: Vec<Point> = robots.iter().map(|&p| (p - robots[0]).to_point()).collect();
+        let mut a = Analysis::new(&snapshot_of(local, pattern)).unwrap();
+        assert_eq!(a.pattern_max_view_nonholders(), [1]);
+
+        // F̃: the same normalized points with points 1 and 6 swapped, so the
+        // candidate moves to index 6. A stale cache would still answer [1].
+        let mut f_tilde = a.pattern.clone();
+        f_tilde.swap(1, 6);
+        a.override_pattern(f_tilde);
+        assert_eq!(a.pattern_max_view_nonholders(), [6]);
     }
 
     #[test]

@@ -23,8 +23,8 @@ mod phase3;
 
 use crate::analysis::Analysis;
 use apf_geometry::angle::normalize_angle;
-use apf_geometry::symmetry::ViewAnalysis;
-use apf_geometry::{Configuration, Point, PolarPoint, Tol};
+use apf_geometry::symmetry::LazyViews;
+use apf_geometry::{Point, PolarPoint, Tol};
 use apf_sim::{ComputeError, Decision, PhaseKind};
 
 pub use phase1::ZFrame;
@@ -118,8 +118,9 @@ impl TargetPlan {
         // final slot, which the view-maximal choice does not guarantee (a
         // view-maximal f_max on C(F) would force the frame anchor onto the
         // enclosing circle mid-formation). See DESIGN.md.
-        let fp_cfg = Configuration::new(f_prime.clone());
-        let va = ViewAnalysis::compute(&fp_cfg, Point::ORIGIN, tol);
+        // Views of F' are compared only among the innermost points, so only
+        // those are computed.
+        let views = LazyViews::new(&f_prime, Point::ORIGIN, tol);
         let min_radius = f_prime
             .iter()
             .map(|p| p.dist(Point::ORIGIN))
@@ -135,7 +136,7 @@ impl TargetPlan {
             .max_by(|&x, &y| {
                 multiplicity_of(y)
                     .cmp(&multiplicity_of(x)) // fewer duplicates wins
-                    .then(va.view(x).cmp(va.view(y)))
+                    .then(views.view(x).cmp(views.view(y)))
             })
             // apf-lint: allow(panic-policy) — caller checked F' non-empty (plan precondition)
             .expect("F' is non-empty");
@@ -150,11 +151,11 @@ impl TargetPlan {
         // distance zero by construction, not by accident.
         let mut theta_f = std::f64::consts::PI;
         for (i, &fp) in f_prime.iter().enumerate() {
-            if i == fmax || va.view(i) != va.view(fmax) {
+            if i == fmax {
                 continue;
             }
             let p = PolarPoint::from_cartesian(fp, Point::ORIGIN);
-            if !tol.eq(p.radius, fmax_polar.radius) {
+            if !tol.eq(p.radius, fmax_polar.radius) || views.view(i) != views.view(fmax) {
                 continue;
             }
             let ang = apf_geometry::angle::angle_dist(p.angle, fmax_polar.angle);
@@ -167,7 +168,7 @@ impl TargetPlan {
         // of the pattern are both acceptable outcomes (the similarity
         // relation ≈ includes reflections), so either flag works when both
         // orientations tie.
-        let orient = if va.robots()[fmax].ccw_max { 1.0 } else { -1.0 };
+        let orient = if views.robot(fmax).ccw_max { 1.0 } else { -1.0 };
         let targets: Vec<PolarPoint> = f_prime
             .iter()
             .map(|&p| {

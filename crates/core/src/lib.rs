@@ -48,7 +48,7 @@ pub mod rsb;
 pub use analysis::Analysis;
 pub use builder::{validate_instance, BuildError, SimulationBuilder};
 
-use apf_geometry::{are_similar, match_up_to_similarity, Path, Point};
+use apf_geometry::{are_similar, match_up_to_similarity, Path, Point, SimilarityTarget};
 use apf_sim::{BitSource, ComputeError, Decision, PhaseKind, RobotAlgorithm, Snapshot};
 
 /// The paper's algorithm as an oblivious robot algorithm.
@@ -103,11 +103,13 @@ impl RobotAlgorithm for FormPattern {
         //    final gather step when its condition holds.
         match multiplicity::preprocess(&mut a)? {
             multiplicity::MultiStep::Gather(d) => return Ok((d, PhaseKind::Gather)),
-            multiplicity::MultiStep::Proceed | multiplicity::MultiStep::Transformed => {}
-        }
-        // With F̃ swapped in, the terminal check applies to F̃ as well.
-        if are_similar(a.config.points(), &a.pattern, &a.tol) {
-            return Ok((Decision::Stay, PhaseKind::Terminal));
+            multiplicity::MultiStep::Proceed => {}
+            multiplicity::MultiStep::Transformed => {
+                // With F̃ swapped in, the terminal check applies to F̃ as well.
+                if are_similar(a.config.points(), &a.pattern, &a.tol) {
+                    return Ok((Decision::Stay, PhaseKind::Terminal));
+                }
+            }
         }
 
         // 3. Completion move: one robot is one move away from finishing.
@@ -138,15 +140,15 @@ impl RobotAlgorithm for FormPattern {
 /// Returns [`ComputeError`] when the similarity witness cannot be
 /// reconstructed (cannot happen for configurations the check accepted).
 pub fn completion_move(a: &Analysis) -> Result<Option<Decision>, ComputeError> {
-    let f_candidates = a.pattern_max_view_nonholders();
-    let Some(&f_idx) = f_candidates.first() else {
+    let Some(&f_idx) = a.pattern_max_view_nonholders().first() else {
         return Ok(None);
     };
     let f_rest: Vec<Point> =
         a.pattern.iter().enumerate().filter(|&(i, _)| i != f_idx).map(|(_, &p)| p).collect();
 
+    let target = SimilarityTarget::new(&f_rest, &a.tol);
     let finalists: Vec<usize> =
-        (0..a.n()).filter(|&r| are_similar(&a.config.without(r), &f_rest, &a.tol)).collect();
+        (0..a.n()).filter(|&r| target.match_set(&a.config.without(r)).is_some()).collect();
     if finalists.is_empty() {
         return Ok(None);
     }

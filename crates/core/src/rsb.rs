@@ -251,8 +251,7 @@ fn create_shift(a: &Analysis, c: Point) -> Decision {
 fn act_asymmetric(a: &Analysis) -> Result<Decision, ComputeError> {
     let views = a.views();
     // Maximal view among robots that do not hold C(P).
-    let holders: Vec<bool> =
-        (0..a.n()).map(|i| apf_geometry::circle::holds_sec(a.config.points(), i, &a.tol)).collect();
+    let holders = a.config.sec_holders(&a.tol);
     let eligible: Vec<usize> = (0..a.n()).filter(|&i| !holders[i]).collect();
     if eligible.is_empty() {
         return Err(ComputeError::new(

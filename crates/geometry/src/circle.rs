@@ -85,28 +85,6 @@ pub fn smallest_enclosing_circle(points: &[Point]) -> Circle {
     c
 }
 
-/// Whether removing the point at `index` changes the smallest enclosing
-/// circle — the paper's "`r` holds `C(P)`" predicate for a single robot.
-///
-/// A point strictly inside `C(P)` never holds it; a point on the circumference
-/// holds it iff the circle of the remaining points differs.
-///
-/// # Panics
-///
-/// Panics if `points` has fewer than two elements or `index` is out of range.
-pub fn holds_sec(points: &[Point], index: usize, tol: &Tol) -> bool {
-    assert!(points.len() >= 2, "holds_sec needs at least two points");
-    assert!(index < points.len(), "index out of range");
-    let full = smallest_enclosing_circle(points);
-    if full.strictly_contains(points[index], tol) {
-        return false;
-    }
-    let rest: Vec<Point> =
-        points.iter().enumerate().filter(|&(i, _)| i != index).map(|(_, &p)| p).collect();
-    let reduced = smallest_enclosing_circle(&rest);
-    !reduced.approx_eq(&full, tol)
-}
-
 /// Circle through exactly two points (as diameter).
 pub fn circle_from_two(a: Point, b: Point) -> Circle {
     Circle::new(a.midpoint(b), a.dist(b) / 2.0)
@@ -283,51 +261,6 @@ mod tests {
         let c = smallest_enclosing_circle(&pts);
         assert!(c.center.approx_eq(Point::new(2.0, 0.0), &T));
         assert!(T.eq(c.radius, 2.0));
-    }
-
-    #[test]
-    fn holds_sec_detects_critical_points() {
-        // A square plus center: corner points hold the SEC only if removing
-        // them changes it. Removing one corner of a square leaves the same
-        // circumcircle (the opposite diagonal still spans it)... actually the
-        // SEC of 3 corners of a unit square is the circumcircle of the right
-        // triangle = same circle. So no single corner holds it.
-        let square = [
-            Point::new(1.0, 0.0),
-            Point::new(0.0, 1.0),
-            Point::new(-1.0, 0.0),
-            Point::new(0.0, -1.0),
-        ];
-        for i in 0..4 {
-            assert!(!holds_sec(&square, i, &T), "square corner {i}");
-        }
-        // Two antipodal points: each holds the SEC.
-        let pair = [Point::new(-1.0, 0.0), Point::new(1.0, 0.0)];
-        assert!(holds_sec(&pair, 0, &T));
-        assert!(holds_sec(&pair, 1, &T));
-        // Interior point never holds.
-        let with_inner = [
-            Point::new(-1.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(0.0, 1.0),
-            Point::new(0.2, 0.1),
-        ];
-        assert!(!holds_sec(&with_inner, 3, &T));
-    }
-
-    #[test]
-    fn holds_sec_triangle_vertices_hold() {
-        // Acute triangle: every vertex is on the SEC and removing it shrinks
-        // the circle.
-        let pts: Vec<Point> = (0..3)
-            .map(|i| {
-                let a = TAU * i as f64 / 3.0;
-                Point::new(a.cos(), a.sin())
-            })
-            .collect();
-        for i in 0..3 {
-            assert!(holds_sec(&pts, i, &T));
-        }
     }
 
     #[test]

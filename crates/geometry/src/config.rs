@@ -4,13 +4,16 @@ use crate::circle::{smallest_enclosing_circle, Circle};
 use crate::point::Point;
 use crate::polar::{to_polar, PolarPoint};
 use crate::tol::Tol;
+use std::sync::OnceLock;
 
 /// A configuration `P`: the positions of the robots at some instant, in one
 /// common (global or local) coordinate system.
 ///
-/// The smallest enclosing circle `C(P)` is computed once at construction.
-/// Multiplicity points (several robots at one position) are representable —
-/// the vector may contain (approximately) duplicate points.
+/// The smallest enclosing circle `C(P)` is computed on first use and cached,
+/// so configurations that only need views, `ρ` or multiplicity groups never
+/// run Welzl; equality compares the positions only. Multiplicity points
+/// (several robots at one position) are representable — the vector may
+/// contain (approximately) duplicate points.
 ///
 /// # Example
 ///
@@ -24,10 +27,16 @@ use crate::tol::Tol;
 /// assert_eq!(cfg.len(), 3);
 /// assert!(Tol::default().eq(cfg.sec().radius, 1.0));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Configuration {
     points: Vec<Point>,
-    sec: Circle,
+    sec: OnceLock<Circle>,
+}
+
+impl PartialEq for Configuration {
+    fn eq(&self, other: &Self) -> bool {
+        self.points == other.points
+    }
 }
 
 impl Configuration {
@@ -38,8 +47,7 @@ impl Configuration {
     /// Panics if `points` is empty.
     pub fn new(points: Vec<Point>) -> Self {
         assert!(!points.is_empty(), "a configuration needs at least one robot");
-        let sec = smallest_enclosing_circle(&points);
-        Configuration { points, sec }
+        Configuration { points, sec: OnceLock::new() }
     }
 
     /// The robot positions.
@@ -58,9 +66,30 @@ impl Configuration {
         self.points.is_empty()
     }
 
-    /// The smallest enclosing circle `C(P)`.
+    /// The smallest enclosing circle `C(P)` (computed on first use).
     pub fn sec(&self) -> Circle {
-        self.sec
+        *self.sec.get_or_init(|| smallest_enclosing_circle(&self.points))
+    }
+
+    /// For every robot, whether it *holds* `C(P)`: whether removing it
+    /// changes the smallest enclosing circle (the paper's "`r` holds `C(P)`").
+    ///
+    /// A robot strictly inside `C(P)` never holds it; for a robot on the
+    /// circumference the circle of the remaining robots is computed and
+    /// compared with `C(P)` within tolerance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has a single robot.
+    pub fn sec_holders(&self, tol: &Tol) -> Vec<bool> {
+        assert!(self.len() >= 2, "holding C(P) needs at least two robots");
+        let full = self.sec();
+        (0..self.len())
+            .map(|i| {
+                !full.strictly_contains(self.points[i], tol)
+                    && !smallest_enclosing_circle(&self.without(i)).approx_eq(&full, tol)
+            })
+            .collect()
     }
 
     /// Position of robot `i`.
@@ -155,9 +184,10 @@ impl Configuration {
     ///
     /// Panics if all robots coincide (`C(P)` has zero radius).
     pub fn normalized(&self) -> Configuration {
-        assert!(self.sec.radius > 0.0, "cannot normalize a single-location configuration");
-        let c = self.sec.center;
-        let s = 1.0 / self.sec.radius;
+        let sec = self.sec();
+        assert!(sec.radius > 0.0, "cannot normalize a single-location configuration");
+        let c = sec.center;
+        let s = 1.0 / sec.radius;
         Configuration::new(self.points.iter().map(|&p| ((p - c) * s).to_point()).collect())
     }
 }
@@ -170,13 +200,8 @@ impl From<Vec<Point>> for Configuration {
 
 impl std::fmt::Display for Configuration {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Configuration[{} robots, C(P) = {} r {:.4}]",
-            self.len(),
-            self.sec.center,
-            self.sec.radius
-        )
+        let sec = self.sec();
+        write!(f, "Configuration[{} robots, C(P) = {} r {:.4}]", self.len(), sec.center, sec.radius)
     }
 }
 
@@ -203,6 +228,28 @@ mod tests {
         let cfg = Configuration::new(ring(8, 2.0));
         assert!(cfg.sec().center.approx_eq(Point::ORIGIN, &tol()));
         assert!(tol().eq(cfg.sec().radius, 2.0));
+    }
+
+    #[test]
+    fn sec_holders_detects_critical_points() {
+        // No single corner of a square holds its circle: the three others
+        // still span the same circumcircle.
+        let square = Configuration::new(ring(4, 1.0));
+        assert_eq!(square.sec_holders(&tol()), vec![false; 4]);
+        // Two antipodal points: each holds the circle.
+        let pair = Configuration::new(vec![Point::new(-1.0, 0.0), Point::new(1.0, 0.0)]);
+        assert_eq!(pair.sec_holders(&tol()), vec![true, true]);
+        // An interior point never holds, nor does a boundary point whose
+        // removal leaves an antipodal pair spanning the same circle.
+        let with_inner = Configuration::new(vec![
+            Point::new(-1.0, 0.0),
+            Point::new(1.0, 0.0),
+            Point::new(0.0, 1.0),
+            Point::new(0.2, 0.1),
+        ]);
+        assert_eq!(with_inner.sec_holders(&tol()), vec![true, true, false, false]);
+        // Acute triangle: removing any vertex shrinks the circle.
+        assert_eq!(Configuration::new(ring(3, 1.0)).sec_holders(&tol()), vec![true; 3]);
     }
 
     #[test]

@@ -61,6 +61,6 @@ pub use frame::Frame;
 pub use path::{Path, PathSegment};
 pub use point::{Point, Vector};
 pub use polar::PolarPoint;
-pub use similarity::{are_similar, match_up_to_similarity};
+pub use similarity::{are_similar, match_up_to_similarity, SimilarityTarget};
 pub use tol::Tol;
 pub use weber::weber_point;

@@ -5,7 +5,7 @@
 //! formation problem is exactly "reach a configuration similar to `F`".
 
 use crate::angle::{angle_dist, normalize_angle};
-use crate::circle::smallest_enclosing_circle;
+use crate::circle::{smallest_enclosing_circle, Circle};
 use crate::point::Point;
 use crate::polar::PolarPoint;
 use crate::tol::Tol;
@@ -65,82 +65,146 @@ pub fn match_up_to_similarity(a: &[Point], b: &[Point], tol: &Tol) -> Option<Sim
     if a.len() != b.len() {
         return None;
     }
-    if a.is_empty() {
-        return Some(SimilarityMap {
-            src_center: Point::ORIGIN,
-            dst_center: Point::ORIGIN,
-            rotation: 0.0,
-            scale: 1.0,
-            mirrored: false,
-        });
+    SimilarityTarget::new(b, tol).match_set(a)
+}
+
+/// A destination set `b` prepared once for [`match_up_to_similarity`]
+/// against many source sets: its smallest enclosing circle, its polar form
+/// normalized to unit enclosing radius, and its sorted normalized radii.
+///
+/// `SimilarityTarget::new(b, tol).match_set(a)` equals
+/// `match_up_to_similarity(a, b, tol)` bit for bit; the completion move
+/// prepares `F − {f}` once and matches `P − {r}` for every robot `r`.
+#[derive(Debug, Clone)]
+pub struct SimilarityTarget {
+    len: usize,
+    sec: Circle,
+    tol: Tol,
+    /// Normalized polar coordinates; empty when all points coincide.
+    polar: Vec<PolarPoint>,
+    /// The normalized radii, ascending.
+    sorted_radii: Vec<f64>,
+}
+
+impl SimilarityTarget {
+    /// Prepares `b` as the destination of similarity matches under `tol`.
+    pub fn new(b: &[Point], tol: &Tol) -> Self {
+        let sec = if b.is_empty() {
+            Circle { center: Point::ORIGIN, radius: 0.0 }
+        } else {
+            smallest_enclosing_circle(b)
+        };
+        let polar = if tol.is_zero(sec.radius) {
+            Vec::new()
+        } else {
+            b.iter()
+                .map(|&p| {
+                    let pp = PolarPoint::from_cartesian(p, sec.center);
+                    PolarPoint { radius: pp.radius / sec.radius, angle: pp.angle }
+                })
+                .collect()
+        };
+        let mut sorted_radii: Vec<f64> = polar.iter().map(|pp| pp.radius).collect();
+        sorted_radii.sort_by(f64::total_cmp);
+        SimilarityTarget { len: b.len(), sec, tol: *tol, polar, sorted_radii }
     }
 
-    let ca = smallest_enclosing_circle(a);
-    let cb = smallest_enclosing_circle(b);
-
-    // Degenerate: all points coincide.
-    if tol.is_zero(ca.radius) || tol.is_zero(cb.radius) {
-        if tol.is_zero(ca.radius) && tol.is_zero(cb.radius) {
+    /// The similarity transform mapping `a` onto the target, if one exists
+    /// (see [`match_up_to_similarity`]).
+    ///
+    /// Before any angular work, `a` is rejected when its sorted normalized
+    /// radii differ from the target's by more than `eps` at some rank. The
+    /// reject is exact: an accepted match pairs every radius of `a` with one
+    /// of the target within `eps`, and because floating-point subtraction is
+    /// monotone, uncrossing such a pairing keeps every pair within `eps` —
+    /// so the sorted pairing is within `eps` too.
+    pub fn match_set(&self, a: &[Point]) -> Option<SimilarityMap> {
+        let tol = &self.tol;
+        if a.len() != self.len {
+            return None;
+        }
+        if a.is_empty() {
             return Some(SimilarityMap {
-                src_center: ca.center,
-                dst_center: cb.center,
+                src_center: Point::ORIGIN,
+                dst_center: Point::ORIGIN,
                 rotation: 0.0,
                 scale: 1.0,
                 mirrored: false,
             });
         }
-        return None;
-    }
 
-    let scale = cb.radius / ca.radius;
+        let ca = smallest_enclosing_circle(a);
+        let cb = self.sec;
 
-    // Normalized polar coordinates (unit enclosing radius).
-    let pa: Vec<PolarPoint> = a
-        .iter()
-        .map(|&p| {
-            let pp = PolarPoint::from_cartesian(p, ca.center);
-            PolarPoint { radius: pp.radius / ca.radius, angle: pp.angle }
-        })
-        .collect();
-    let pb: Vec<PolarPoint> = b
-        .iter()
-        .map(|&p| {
-            let pp = PolarPoint::from_cartesian(p, cb.center);
-            PolarPoint { radius: pp.radius / cb.radius, angle: pp.angle }
-        })
-        .collect();
-
-    // Anchor: a point of `a` with maximal radius (on the unit circle).
-    let anchor =
-        pa.iter().enumerate().max_by(|x, y| x.1.radius.total_cmp(&y.1.radius)).map(|(i, _)| i)?;
-    let ra = pa[anchor].radius;
-
-    for mirrored in [false, true] {
-        let pa_m: Vec<PolarPoint> = pa
-            .iter()
-            .map(|pp| {
-                if mirrored {
-                    PolarPoint { radius: pp.radius, angle: normalize_angle(-pp.angle) }
-                } else {
-                    *pp
-                }
-            })
-            .collect();
-        // Try aligning the anchor with every point of b of matching radius.
-        for target in pb.iter().filter(|pp| tol.eq(pp.radius, ra)) {
-            let rot = normalize_angle(target.angle - pa_m[anchor].angle);
-            if polar_multisets_match(&pa_m, &pb, rot, tol) {
+        // Degenerate: all points coincide.
+        if tol.is_zero(ca.radius) || tol.is_zero(cb.radius) {
+            if tol.is_zero(ca.radius) && tol.is_zero(cb.radius) {
                 return Some(SimilarityMap {
                     src_center: ca.center,
                     dst_center: cb.center,
-                    rotation: rot,
-                    scale,
-                    mirrored,
+                    rotation: 0.0,
+                    scale: 1.0,
+                    mirrored: false,
                 });
             }
+            return None;
         }
+
+        let scale = cb.radius / ca.radius;
+
+        // Normalized radii (unit enclosing radius), as `PolarPoint` computes
+        // them, and the exact reject on their sorted sequences.
+        let radii: Vec<f64> = a.iter().map(|&p| p.dist(ca.center) / ca.radius).collect();
+        let mut sorted = radii.clone();
+        sorted.sort_by(f64::total_cmp);
+        if sorted.iter().enumerate().any(|(k, &r)| !tol.eq(r, self.sorted_radii[k])) {
+            return None;
+        }
+
+        // Normalized polar coordinates.
+        let pa: Vec<PolarPoint> = (0..a.len())
+            .map(|i| PolarPoint {
+                radius: radii[i],
+                angle: PolarPoint::from_cartesian(a[i], ca.center).angle,
+            })
+            .collect();
+        let pb = &self.polar;
+
+        // Anchor: a point of `a` with maximal radius (on the unit circle).
+        let anchor = pa
+            .iter()
+            .enumerate()
+            .max_by(|x, y| x.1.radius.total_cmp(&y.1.radius))
+            .map(|(i, _)| i)?;
+        let ra = pa[anchor].radius;
+
+        for mirrored in [false, true] {
+            let pa_m: Vec<PolarPoint> = pa
+                .iter()
+                .map(|pp| {
+                    if mirrored {
+                        PolarPoint { radius: pp.radius, angle: normalize_angle(-pp.angle) }
+                    } else {
+                        *pp
+                    }
+                })
+                .collect();
+            // Try aligning the anchor with every point of b of matching radius.
+            for target in pb.iter().filter(|pp| tol.eq(pp.radius, ra)) {
+                let rot = normalize_angle(target.angle - pa_m[anchor].angle);
+                if polar_multisets_match(&pa_m, pb, rot, tol) {
+                    return Some(SimilarityMap {
+                        src_center: ca.center,
+                        dst_center: cb.center,
+                        rotation: rot,
+                        scale,
+                        mirrored,
+                    });
+                }
+            }
+        }
+        None
     }
-    None
 }
 
 /// Whether rotating every point of `a` by `rot` yields the multiset `b`

@@ -25,4 +25,4 @@ pub use regular::{
 };
 pub use rho::{axes_of_symmetry, has_axis_of_symmetry, symmetricity};
 pub use shifted::{find_shifted_regular, ShiftedRegularSet};
-pub use views::{View, ViewAnalysis};
+pub use views::{LazyViews, View, ViewAnalysis};

@@ -15,7 +15,6 @@
 //! center is always a checked one.
 
 use crate::angle::{normalize_angle, signed_angle_diff};
-use crate::circle::holds_sec;
 use crate::config::Configuration;
 use crate::point::Point;
 use crate::polar::PolarPoint;
@@ -301,7 +300,7 @@ pub fn regular_set_of(config: &Configuration, tol: &Tol) -> Option<RegularSet> {
 
     // Family 2: the paper's view-prefix sequence.
     let va = ViewAnalysis::compute(config, c_sec, tol);
-    let holders: Vec<bool> = (0..n).map(|i| holds_sec(config.points(), i, tol)).collect();
+    let holders = config.sec_holders(tol);
     let eligible: Vec<usize> =
         va.indices_by_view_desc().into_iter().filter(|&i| !holders[i]).collect();
     let mut cuts: Vec<usize> = Vec::new();

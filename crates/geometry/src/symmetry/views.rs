@@ -19,8 +19,9 @@
 use crate::angle::{normalize_angle, Orientation};
 use crate::config::Configuration;
 use crate::point::Point;
-use crate::polar::PolarPoint;
+use crate::polar::{to_polar, PolarPoint};
 use crate::tol::Tol;
+use std::cell::OnceCell;
 use std::f64::consts::TAU;
 
 /// A quantized local view: the lexicographically comparable fingerprint of
@@ -181,6 +182,52 @@ impl ViewAnalysis {
         let mut vs: Vec<&View> = self.robots.iter().map(|r| &r.view).collect();
         vs.sort();
         vs.windows(2).all(|w| w[0] != w[1])
+    }
+}
+
+/// Robot views around a center, each computed on first use — for callers
+/// that compare only a few robots' views. A robot's view equals the one
+/// [`ViewAnalysis::compute`] gives it, and each computation opens the same
+/// `views` span.
+///
+/// # Example
+///
+/// ```
+/// use apf_geometry::{Point, Tol};
+/// use apf_geometry::symmetry::LazyViews;
+///
+/// let pts = [Point::new(1.0, 0.0), Point::new(0.0, 1.0), Point::new(-0.5, -0.5)];
+/// let views = LazyViews::new(&pts, Point::new(0.0, 0.0), &Tol::default());
+/// assert!(views.view(0) != views.view(2)); // only these two are computed
+/// ```
+#[derive(Debug)]
+pub struct LazyViews {
+    polar: Vec<PolarPoint>,
+    tol: Tol,
+    robots: Vec<OnceCell<RobotView>>,
+}
+
+impl LazyViews {
+    /// Prepares the views of `points` around `center`; computes none yet.
+    pub fn new(points: &[Point], center: Point, tol: &Tol) -> Self {
+        LazyViews {
+            polar: to_polar(points, center),
+            tol: *tol,
+            robots: points.iter().map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// Robot `i`'s view information.
+    pub fn robot(&self, i: usize) -> &RobotView {
+        self.robots[i].get_or_init(|| {
+            let _span = apf_trace::span::enter(apf_trace::SpanLabel::Views);
+            robot_view(&self.polar, i, &self.tol)
+        })
+    }
+
+    /// Robot `i`'s maximal view.
+    pub fn view(&self, i: usize) -> &View {
+        &self.robot(i).view
     }
 }
 
@@ -368,6 +415,23 @@ mod tests {
         // Same robots (by index) have the same view either way.
         for i in 0..a.len() {
             assert_eq!(va.view(i), vb.view(i), "robot {i}");
+        }
+    }
+
+    #[test]
+    fn lazy_views_equal_the_full_analysis() {
+        let mut pts = ring(5, 1.0, 0.3);
+        pts.push(Point::new(0.2, -0.1));
+        pts.push(Point::ORIGIN);
+        let cfg = Configuration::new(pts.clone());
+        let va = ViewAnalysis::compute(&cfg, Point::ORIGIN, &tol());
+        let lazy = LazyViews::new(&pts, Point::ORIGIN, &tol());
+        for i in (0..pts.len()).rev() {
+            let (full, one) = (&va.robots()[i], lazy.robot(i));
+            assert_eq!(
+                (&full.view, full.ccw_max, full.cw_max),
+                (&one.view, one.ccw_max, one.cw_max)
+            );
         }
     }
 

@@ -40,7 +40,7 @@ use crate::soak::{SoakOutcome, SoakSpec};
 use apf_bench::engine::{CancelToken, LiveStats, StreamingAggregate};
 use apf_bench::RunResult;
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// The header carrying the coordinator-generated request id to backends,
@@ -50,6 +50,9 @@ pub const REQUEST_ID_HEADER: &str = "X-Apf-Request-Id";
 /// Consecutive transport failures after which a backend is retired.
 const BACKEND_STRIKES: usize = 3;
 
+/// Shortest wait between two result polls of one shard.
+const MIN_POLL: Duration = Duration::from_millis(2);
+
 /// How the coordinator is shaped; every knob has a CLI flag.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
@@ -58,7 +61,9 @@ pub struct CoordinatorConfig {
     /// Shards created per backend (load-balancing granularity; the shard
     /// count is capped by the trial count).
     pub shards_per_backend: usize,
-    /// Backend status-poll interval.
+    /// Longest wait between two result polls of one shard (the wait is an
+    /// eighth of the shard's run time so far, at least 2 ms), and the
+    /// pause before a failed shard is dispatched again.
     pub poll_interval: Duration,
     /// Per-request timeout for backend calls.
     pub request_timeout: Duration,
@@ -128,6 +133,50 @@ impl<R> Dispatch<R> {
     }
 }
 
+/// A [`Dispatch`] behind its lock, with the condition variable an idle
+/// backend loop waits on. Every change an idle loop acts on — a slot
+/// filled, a shard requeued, the job aborted — notifies it, so the job
+/// ends as soon as its last shard lands.
+struct Board<R> {
+    dispatch: Mutex<Dispatch<R>>,
+    changed: Condvar,
+}
+
+impl<R> Board<R> {
+    fn new(shards: usize, backends: usize) -> Board<R> {
+        Board { dispatch: Mutex::new(Dispatch::new(shards, backends)), changed: Condvar::new() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Dispatch<R>> {
+        // apf-lint: allow(panic-policy, panic-reachability) — poisoning means a dispatch thread already panicked; propagating the crash is the intended semantics
+        self.dispatch.lock().expect("dispatch lock poisoned")
+    }
+
+    /// Applies `f` to the dispatch state and wakes the idle loops.
+    fn update<T>(&self, f: impl FnOnce(&mut Dispatch<R>) -> T) -> T {
+        let out = f(&mut self.lock());
+        self.changed.notify_all();
+        out
+    }
+
+    /// Releases `d` until the state changes or `timeout` passes; the
+    /// timeout bounds how late an idle loop sees a cancellation.
+    fn wait(&self, d: MutexGuard<'_, Dispatch<R>>, timeout: Duration) {
+        // apf-lint: allow(panic-policy, panic-reachability) — poisoning means a dispatch thread already panicked; propagating the crash is the intended semantics
+        drop(self.changed.wait_timeout(d, timeout).expect("dispatch lock poisoned"));
+    }
+}
+
+/// How long to wait before polling a shard again, given how long it has
+/// run: an eighth of that, at least [`MIN_POLL`] and at most
+/// `cfg.poll_interval`. A result that lands between two held polls is
+/// then seen within about an eighth of the shard's own run time, on a
+/// fast host or a slow one, and a long shard is polled only every
+/// `poll_interval` plus the hold.
+fn next_poll(cfg: &CoordinatorConfig, waited: Duration) -> Duration {
+    (waited / 8).clamp(MIN_POLL, cfg.poll_interval.max(MIN_POLL))
+}
+
 /// Runs `spec` by sharding it across `cfg.backends`.
 ///
 /// Progress folds into `live` per completed shard; `cancel` stops dispatch
@@ -155,21 +204,19 @@ pub fn run_job(
         .map(|s| Shard { lo: lo + s.lo, hi: lo + s.hi })
         .collect::<Vec<_>>();
 
-    let dispatch = Mutex::new(Dispatch::new(shards.len(), cfg.backends.len()));
+    let board = Board::new(shards.len(), cfg.backends.len());
 
     std::thread::scope(|scope| {
         for backend in &cfg.backends {
-            let dispatch = &dispatch;
+            let board = &board;
             let shards = &shards;
             scope.spawn(move || {
-                backend_loop(
-                    cfg, spec, request_id, backend, shards, dispatch, cancel, live, metrics,
-                )
+                backend_loop(cfg, spec, request_id, backend, shards, board, cancel, live, metrics)
             });
         }
     });
 
-    let mut d = lock(&dispatch);
+    let mut d = board.lock();
     let cancelled = cancel.is_cancelled();
     if let Some(why) = d.failure.take() {
         return Err(why);
@@ -221,11 +268,6 @@ pub fn run_job(
     Ok(CoordReport { outcome, cancelled })
 }
 
-fn lock<R>(dispatch: &Mutex<Dispatch<R>>) -> MutexGuard<'_, Dispatch<R>> {
-    // apf-lint: allow(panic-policy, panic-reachability) — poisoning means a dispatch thread already panicked; propagating the crash is the intended semantics
-    dispatch.lock().expect("dispatch lock poisoned")
-}
-
 #[allow(clippy::too_many_arguments)]
 fn backend_loop(
     cfg: &CoordinatorConfig,
@@ -233,7 +275,7 @@ fn backend_loop(
     request_id: &str,
     backend: &str,
     shards: &[Shard],
-    dispatch: &Mutex<Dispatch<ShardResult>>,
+    board: &Board<ShardResult>,
     cancel: &CancelToken,
     live: &LiveStats,
     metrics: &Metrics,
@@ -244,12 +286,14 @@ fn backend_loop(
             return;
         }
         let popped = {
-            let mut d = lock(dispatch);
+            let mut d = board.lock();
             match d.queue.pop_front() {
                 Some(k) => {
                     d.attempts[k] += 1;
                     if d.attempts[k] > cfg.max_attempts {
                         d.abort(format!("shard {k} failed {} dispatch attempts", cfg.max_attempts));
+                        drop(d);
+                        board.changed.notify_all();
                         return;
                     }
                     Some(k)
@@ -258,18 +302,16 @@ fn backend_loop(
                     // The queue is empty, but a shard in flight on another
                     // backend may yet fail and be requeued — exit only once
                     // every slot is filled or the job aborted; otherwise
-                    // stay alive to pick up requeued work.
+                    // wait to pick up requeued work.
                     if d.failure.is_some() || d.results.iter().all(Option::is_some) {
                         return;
                     }
+                    board.wait(d, cfg.poll_interval);
                     None
                 }
             }
         };
-        let Some(k) = popped else {
-            std::thread::sleep(cfg.poll_interval);
-            continue;
-        };
+        let Some(k) = popped else { continue };
         let shard = shards[k];
         metrics.shards_dispatched.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let shard_t0 = Instant::now();
@@ -283,7 +325,7 @@ fn backend_loop(
                     // honest (coordinator workers are not busy *executing*).
                     live.record(r, Duration::ZERO);
                 }
-                lock(dispatch).results[k] = Some(result);
+                board.update(|d| d.results[k] = Some(result));
             }
             Err(ShardError::Cancelled) => {
                 // Leave the shard unfinished; run_job merges the completed
@@ -291,28 +333,37 @@ fn backend_loop(
                 return;
             }
             Err(ShardError::Fatal(why)) => {
-                lock(dispatch).abort(format!("shard {k} on {backend}: {why}"));
+                board.update(|d| d.abort(format!("shard {k} on {backend}: {why}")));
                 return;
             }
             Err(ShardError::Transient(why)) => {
                 metrics.shard_retries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 strikes += 1;
-                let mut d = lock(dispatch);
-                d.queue.push_back(k);
-                if strikes >= BACKEND_STRIKES {
-                    // Retire this backend; the shard stays queued for the
-                    // survivors.
-                    d.live_backends -= 1;
-                    if d.live_backends == 0 {
-                        d.abort(format!("no live backends remain (last error: {why})"));
-                    }
+                if requeue(board, k, strikes, &why) {
                     return;
                 }
-                drop(d);
                 std::thread::sleep(cfg.poll_interval);
             }
         }
     }
+}
+
+/// Puts shard `k` back after a transient failure. On the backend's
+/// [`BACKEND_STRIKES`]th failure in a row it is retired instead (the shard
+/// stays queued for the survivors) and this returns true; the job aborts
+/// when no backend remains.
+fn requeue<R>(board: &Board<R>, k: usize, strikes: usize, why: &str) -> bool {
+    board.update(|d| {
+        d.queue.push_back(k);
+        if strikes < BACKEND_STRIKES {
+            return false;
+        }
+        d.live_backends -= 1;
+        if d.live_backends == 0 {
+            d.abort(format!("no live backends remain (last error: {why})"));
+        }
+        true
+    })
 }
 
 enum ShardError {
@@ -341,9 +392,8 @@ fn run_shard(
     };
     let body = shard_spec.to_json().render();
 
-    let transient = |why: String| ShardError::Transient(why);
-    let submit =
-        call(cfg, backend, request_id, "POST", "/v1/jobs", body.as_bytes()).map_err(transient)?;
+    let submit = call(cfg, backend, request_id, "POST", "/v1/jobs", body.as_bytes())
+        .map_err(ShardError::Transient)?;
     if submit.0 == 429 || submit.0 == 503 {
         return Err(ShardError::Transient(format!("backend busy ({})", submit.0)));
     }
@@ -357,46 +407,7 @@ fn run_shard(
         .get("id")
         .and_then(Json::as_u64)
         .ok_or_else(|| ShardError::Fatal("submit response missing id".to_string()))?;
-    let job_path = format!("/v1/jobs/{id}");
-
-    loop {
-        if cancel.is_cancelled() {
-            // Best effort: stop the backend's work too, then bail.
-            let headers = [(REQUEST_ID_HEADER, request_id)];
-            let _ =
-                client::request(backend, "DELETE", &job_path, &headers, b"", cfg.request_timeout);
-            return Err(ShardError::Cancelled);
-        }
-        let (status, v) =
-            call(cfg, backend, request_id, "GET", &job_path, b"").map_err(transient)?;
-        if status != 200 {
-            return Err(ShardError::Transient(format!("status poll returned {status}")));
-        }
-        match v.get("status").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("cancelled") => {
-                if cancel.is_cancelled() {
-                    break; // our own cancellation propagated; keep the prefix
-                }
-                // The backend cancelled unilaterally (it is shutting down):
-                // the shard must be re-run in full on a surviving backend.
-                return Err(ShardError::Transient(
-                    "backend cancelled the shard (backend shutting down?)".to_string(),
-                ));
-            }
-            Some("failed") => {
-                return Err(ShardError::Fatal("backend reports a failed job".to_string()))
-            }
-            Some(_) => std::thread::sleep(cfg.poll_interval),
-            None => return Err(ShardError::Transient("status poll missing status".to_string())),
-        }
-    }
-
-    let (status, v) = call(cfg, backend, request_id, "GET", &format!("{job_path}/result"), b"")
-        .map_err(transient)?;
-    if status != 200 {
-        return Err(ShardError::Transient(format!("result fetch returned {status}")));
-    }
+    let v = await_result(cfg, backend, request_id, id, cancel, "shard")?;
     let result = v
         .get("result")
         .ok_or_else(|| ShardError::Transient("result fetch missing result".to_string()))?;
@@ -491,19 +502,19 @@ fn run_soak_round(
         .into_iter()
         .map(|s| Shard { lo: first + s.lo, hi: first + s.hi })
         .collect::<Vec<_>>();
-    let dispatch = Mutex::new(Dispatch::new(shards.len(), cfg.backends.len()));
+    let board = Board::new(shards.len(), cfg.backends.len());
 
     std::thread::scope(|scope| {
         for backend in &cfg.backends {
-            let dispatch = &dispatch;
+            let board = &board;
             let shards = &shards;
             scope.spawn(move || {
-                soak_backend_loop(cfg, spec, request_id, backend, shards, dispatch, cancel, metrics)
+                soak_backend_loop(cfg, spec, request_id, backend, shards, board, cancel, metrics)
             });
         }
     });
 
-    let mut d = lock(&dispatch);
+    let mut d = board.lock();
     let cancelled = cancel.is_cancelled();
     if let Some(why) = d.failure.take() {
         return Err(why);
@@ -527,7 +538,7 @@ fn soak_backend_loop(
     request_id: &str,
     backend: &str,
     shards: &[Shard],
-    dispatch: &Mutex<Dispatch<SoakOutcome>>,
+    board: &Board<SoakOutcome>,
     cancel: &CancelToken,
     metrics: &Metrics,
 ) {
@@ -537,7 +548,7 @@ fn soak_backend_loop(
             return;
         }
         let popped = {
-            let mut d = lock(dispatch);
+            let mut d = board.lock();
             match d.queue.pop_front() {
                 Some(k) => {
                     d.attempts[k] += 1;
@@ -546,6 +557,8 @@ fn soak_backend_loop(
                             "soak shard {k} failed {} dispatch attempts",
                             cfg.max_attempts
                         ));
+                        drop(d);
+                        board.changed.notify_all();
                         return;
                     }
                     Some(k)
@@ -554,14 +567,12 @@ fn soak_backend_loop(
                     if d.failure.is_some() || d.results.iter().all(Option::is_some) {
                         return;
                     }
+                    board.wait(d, cfg.poll_interval);
                     None
                 }
             }
         };
-        let Some(k) = popped else {
-            std::thread::sleep(cfg.poll_interval);
-            continue;
-        };
+        let Some(k) = popped else { continue };
         let shard = shards[k];
         metrics.shards_dispatched.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let shard_t0 = Instant::now();
@@ -576,28 +587,21 @@ fn soak_backend_loop(
                 metrics
                     .soak_shrink_steps
                     .fetch_add(outcome.shrink_steps, std::sync::atomic::Ordering::Relaxed);
-                lock(dispatch).results[k] = Some(outcome);
+                board.update(|d| d.results[k] = Some(outcome));
             }
             Err(ShardError::Cancelled) => {
                 return;
             }
             Err(ShardError::Fatal(why)) => {
-                lock(dispatch).abort(format!("soak shard {k} on {backend}: {why}"));
+                board.update(|d| d.abort(format!("soak shard {k} on {backend}: {why}")));
                 return;
             }
             Err(ShardError::Transient(why)) => {
                 metrics.shard_retries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 strikes += 1;
-                let mut d = lock(dispatch);
-                d.queue.push_back(k);
-                if strikes >= BACKEND_STRIKES {
-                    d.live_backends -= 1;
-                    if d.live_backends == 0 {
-                        d.abort(format!("no live backends remain (last error: {why})"));
-                    }
+                if requeue(board, k, strikes, &why) {
                     return;
                 }
-                drop(d);
                 std::thread::sleep(cfg.poll_interval);
             }
         }
@@ -623,9 +627,8 @@ fn run_soak_shard(
     };
     let body = shard_spec.to_json().render();
 
-    let transient = |why: String| ShardError::Transient(why);
-    let submit =
-        call(cfg, backend, request_id, "POST", "/v1/soak", body.as_bytes()).map_err(transient)?;
+    let submit = call(cfg, backend, request_id, "POST", "/v1/soak", body.as_bytes())
+        .map_err(ShardError::Transient)?;
     if submit.0 == 429 || submit.0 == 503 {
         return Err(ShardError::Transient(format!("backend busy ({})", submit.0)));
     }
@@ -637,47 +640,7 @@ fn run_soak_shard(
         .get("id")
         .and_then(Json::as_u64)
         .ok_or_else(|| ShardError::Fatal("soak submit response missing id".to_string()))?;
-    let job_path = format!("/v1/jobs/{id}");
-
-    loop {
-        if cancel.is_cancelled() {
-            let headers = [(REQUEST_ID_HEADER, request_id)];
-            let _ =
-                client::request(backend, "DELETE", &job_path, &headers, b"", cfg.request_timeout);
-            return Err(ShardError::Cancelled);
-        }
-        let (status, v) =
-            call(cfg, backend, request_id, "GET", &job_path, b"").map_err(transient)?;
-        if status != 200 {
-            return Err(ShardError::Transient(format!("status poll returned {status}")));
-        }
-        match v.get("status").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("cancelled") => {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                // The backend cancelled unilaterally (it is shutting down):
-                // re-run the shard in full on a surviving backend. The
-                // partial counts are discarded, never merged — which is
-                // what keeps re-execution from double-counting.
-                return Err(ShardError::Transient(
-                    "backend cancelled the soak shard (backend shutting down?)".to_string(),
-                ));
-            }
-            Some("failed") => {
-                return Err(ShardError::Fatal("backend reports a failed soak job".to_string()))
-            }
-            Some(_) => std::thread::sleep(cfg.poll_interval),
-            None => return Err(ShardError::Transient("status poll missing status".to_string())),
-        }
-    }
-
-    let (status, v) = call(cfg, backend, request_id, "GET", &format!("{job_path}/result"), b"")
-        .map_err(transient)?;
-    if status != 200 {
-        return Err(ShardError::Transient(format!("result fetch returned {status}")));
-    }
+    let v = await_result(cfg, backend, request_id, id, cancel, "soak shard")?;
     let result = v
         .get("result")
         .ok_or_else(|| ShardError::Transient("result fetch missing result".to_string()))?;
@@ -691,6 +654,54 @@ fn run_soak_shard(
         )));
     }
     Ok(outcome)
+}
+
+/// Polls backend job `id`'s result until the job is terminal and returns
+/// the response, whose `result` field holds the outcome. The backend holds
+/// each poll until the job finishes or a short hold passes, answering 409
+/// in the latter case; between polls this waits per [`next_poll`]. `kind`
+/// names the job in error messages.
+fn await_result(
+    cfg: &CoordinatorConfig,
+    backend: &str,
+    request_id: &str,
+    id: u64,
+    cancel: &CancelToken,
+    kind: &str,
+) -> Result<Json, ShardError> {
+    let job_path = format!("/v1/jobs/{id}");
+    let result_path = format!("{job_path}/result");
+    let submitted = Instant::now();
+    loop {
+        if cancel.is_cancelled() {
+            // Best effort: stop the backend's work too, then bail.
+            let headers = [(REQUEST_ID_HEADER, request_id)];
+            let _ =
+                client::request(backend, "DELETE", &job_path, &headers, b"", cfg.request_timeout);
+            return Err(ShardError::Cancelled);
+        }
+        let (status, v) = call(cfg, backend, request_id, "GET", &result_path, b"")
+            .map_err(ShardError::Transient)?;
+        match (status, v.get("status").and_then(Json::as_str)) {
+            (409, _) => std::thread::sleep(next_poll(cfg, submitted.elapsed())),
+            (200, Some("done")) => return Ok(v),
+            // Our own cancellation propagated; keep the prefix.
+            (200, Some("cancelled")) if cancel.is_cancelled() => return Ok(v),
+            (200, Some("cancelled")) => {
+                // The backend cancelled unilaterally (it is shutting down):
+                // the shard must be re-run in full on a surviving backend.
+                // Its partial results are discarded, never merged — which
+                // is what keeps re-execution from double-counting.
+                return Err(ShardError::Transient(format!(
+                    "backend cancelled the {kind} (backend shutting down?)"
+                )));
+            }
+            (200, Some("failed")) => {
+                return Err(ShardError::Fatal(format!("backend reports a failed {kind}")))
+            }
+            _ => return Err(ShardError::Transient(format!("result poll returned {status}"))),
+        }
+    }
 }
 
 /// One backend call returning the parsed JSON body, tagged with the

@@ -3,13 +3,18 @@
 //!
 //! # Architecture
 //!
-//! One thread owns the (nonblocking) listener and handles connections
-//! inline — requests are tiny and every handler is lock-bounded, so a
-//! single HTTP lane plus [`crate::http::READ_TIMEOUT`] keeps the transport
-//! simple and starvation-free. Campaign execution happens on a separate
-//! pool of `workers` threads feeding from a bounded queue; the engine's
-//! determinism guarantees mean a job's digests are identical no matter
-//! which worker runs it or how the queue interleaved.
+//! One thread owns the listener, blocks in `accept`, and handles
+//! connections inline — requests are tiny and every handler is
+//! lock-bounded, so a single HTTP lane plus [`crate::http::READ_TIMEOUT`]
+//! keeps the transport simple and starvation-free, and a request waits for
+//! no timer before it is read. The one exception is a result poll of an
+//! unfinished job: the listener hands it to a timekeeper thread, which
+//! answers it when the job finishes or after 50 ms (409), so pollers learn
+//! of a result at once without polling in a tight loop. Campaign
+//! execution happens on a separate pool of `workers` threads feeding from
+//! a bounded queue; the engine's determinism guarantees mean a job's
+//! digests are identical no matter which worker runs it or how the queue
+//! interleaved.
 //!
 //! # API surface
 //!
@@ -34,11 +39,12 @@
 //! # Lifecycle
 //!
 //! Shutdown is cooperative: a SIGTERM/SIGINT (via [`crate::signal`]) or a
-//! [`ShutdownHandle`] raises a flag; the accept loop stops accepting, every
-//! job's [`apf_bench::engine::CancelToken`] fires, workers finish the trial
-//! in flight, record
-//! partial results, drain the queue as cancelled, and join. `run` then
-//! returns `Ok(())` so the process can exit 0.
+//! [`ShutdownHandle`] raises a flag; the timekeeper, which checks the flag
+//! every 10 ms, answers the held polls and connects to the listener to
+//! unblock `accept`, the accept loop stops accepting, every job's
+//! [`apf_bench::engine::CancelToken`] fires, workers finish the trial in
+//! flight, record partial results, drain the queue as cancelled, and join.
+//! `run` then returns `Ok(())` so the process can exit 0.
 
 use crate::cache::{CacheConfig, ClientQuotas, ResultCache};
 use crate::coordinator::{self, CoordinatorConfig};
@@ -48,11 +54,11 @@ use crate::json::Json;
 use crate::metrics::{LiveView, Metrics};
 use crate::signal;
 use crate::soak::SoakSpec;
-use apf_bench::engine::{CampaignReport, Engine};
+use apf_bench::engine::{CampaignReport, Engine, LiveSnapshot};
 use apf_trace::escape_json_str;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -69,8 +75,14 @@ pub struct ServerConfig {
     /// Engine threads per job (1 = sequential trials; digests are identical
     /// for any value).
     pub engine_jobs: usize,
-    /// Maximum jobs retained in memory (terminal jobs stay queryable);
-    /// reaching it rejects new submissions with 429.
+    /// Maximum jobs retained in memory. A submission that finds the table
+    /// full evicts the oldest finished (done, cancelled or failed) jobs,
+    /// lowest id first, so the newest `max_jobs` jobs stay queryable; an
+    /// evicted id answers 404, and its result can still be fetched by
+    /// resubmitting its spec, which the result cache answers. Only a table
+    /// full of queued or running jobs rejects with 429. A retained job
+    /// costs about 1 KB, so the default (64) keeps a busy server's memory
+    /// flat while still covering every job a polling client waits on.
     pub max_jobs: usize,
     /// Emit a JSONL request-log line to stderr per request.
     pub log_requests: bool,
@@ -95,7 +107,7 @@ impl Default for ServerConfig {
             workers: 1,
             queue_depth: 16,
             engine_jobs: 1,
-            max_jobs: 4096,
+            max_jobs: 64,
             log_requests: false,
             coordinator: CoordinatorConfig::default(),
             cache: CacheConfig::default(),
@@ -121,6 +133,29 @@ struct JobTable {
     next_id: u64,
     all: BTreeMap<u64, Arc<Job>>,
     queue: VecDeque<Arc<Job>>,
+    /// Live counters of evicted jobs, so the `/metrics` totals never
+    /// decrease.
+    retired: LiveSnapshot,
+}
+
+impl JobTable {
+    /// Evicts the oldest terminal jobs, lowest id first, until `extra` more
+    /// jobs fit under `max_jobs`. False when they cannot fit because every
+    /// retained job is queued or running.
+    fn make_room(&mut self, extra: usize, max_jobs: usize) -> bool {
+        while self.all.len() + extra > max_jobs {
+            let oldest = self.all.iter().find(|(_, job)| job.status().is_terminal());
+            let Some((&id, job)) = oldest else { return false };
+            let live = job.live.snapshot();
+            self.retired.trials += live.trials;
+            self.retired.formed += live.formed;
+            self.retired.cycles += live.cycles;
+            self.retired.bits += live.bits;
+            self.retired.busy += live.busy;
+            self.all.remove(&id);
+        }
+        true
+    }
 }
 
 struct Shared {
@@ -133,6 +168,21 @@ struct Shared {
     shutdown: Arc<AtomicBool>,
     running: AtomicUsize,
     started: Instant,
+    /// Result polls of unfinished jobs, answered by the timekeeper thread.
+    held: Mutex<Vec<HeldPoll>>,
+    /// Notified when a poll is held and when a job may have finished.
+    held_cv: Condvar,
+}
+
+/// A `GET /v1/jobs/{id}/result` of an unfinished job, held until the job
+/// finishes or [`HOLD`] passes, then answered like any other request.
+struct HeldPoll {
+    stream: TcpStream,
+    peer: SocketAddr,
+    req: Request,
+    job: Arc<Job>,
+    /// When the request started (its latency includes the hold).
+    t0: Instant,
 }
 
 impl Shared {
@@ -153,10 +203,21 @@ impl Shared {
         self.jobs.lock().expect("job table lock poisoned")
     }
 
+    fn lock_held(&self) -> MutexGuard<'_, Vec<HeldPoll>> {
+        // apf-lint: allow(panic-policy) — poisoning means a handler panicked; propagate the bug
+        self.held.lock().expect("held-poll lock poisoned")
+    }
+
+    /// Tells the timekeeper a job may have finished.
+    fn wake_held(&self) {
+        self.held_cv.notify_all();
+    }
+
     fn live_view(&self) -> LiveView {
         let (queued, snaps): (usize, Vec<_>) = {
             let t = self.lock_jobs();
-            (t.queue.len(), t.all.values().map(|j| j.live.snapshot()).collect())
+            let live = t.all.values().map(|j| j.live.snapshot());
+            (t.queue.len(), std::iter::once(t.retired).chain(live).collect())
         };
         let mut view = LiveView {
             queued,
@@ -195,7 +256,6 @@ impl Server {
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let cache = ResultCache::open(cfg.cache.clone())?;
         let quotas = ClientQuotas::new(cfg.quota_per_minute);
         Ok(Server {
@@ -208,6 +268,7 @@ impl Server {
                     next_id: 1,
                     all: BTreeMap::new(),
                     queue: VecDeque::new(),
+                    retired: LiveSnapshot::default(),
                 }),
                 queue_cv: Condvar::new(),
                 cache,
@@ -215,6 +276,8 @@ impl Server {
                 shutdown: Arc::new(AtomicBool::new(false)),
                 running: AtomicUsize::new(0),
                 started: Instant::now(),
+                held: Mutex::new(Vec::new()),
+                held_cv: Condvar::new(),
             }),
         })
     }
@@ -235,7 +298,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates listener errors other than `WouldBlock`.
+    /// Propagates listener errors other than `Interrupted`.
     pub fn run(self) -> std::io::Result<()> {
         let shared = &self.shared;
         std::thread::scope(|scope| {
@@ -259,21 +322,24 @@ impl Server {
                 shared.queue_cv.notify_one();
             }
 
+            let wake = wake_addr(self.local_addr);
+            scope.spawn(move || timekeeper(shared, wake));
+
             let result = loop {
+                let accepted = self.listener.accept();
                 if shared.is_shutdown() {
                     break Ok(());
                 }
-                match self.listener.accept() {
+                match accepted {
                     Ok((stream, peer)) => handle_connection(shared, stream, peer),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) => break Err(e),
                 }
             };
 
             // Drain: cancel everything, wake the workers, let them finish.
+            // (The flag also lets the timekeeper exit after a listener
+            // error.)
             shared.shutdown.store(true, Ordering::Release);
             {
                 let t = shared.lock_jobs();
@@ -288,6 +354,74 @@ impl Server {
             // scope joins the workers here
         })
     }
+}
+
+/// How long a result poll of an unfinished job is held before it is
+/// answered 409. A poller hears of the result as soon as the job finishes,
+/// without polling in a tight loop.
+const HOLD: Duration = Duration::from_millis(50);
+
+/// How often the timekeeper looks for a shutdown request.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
+
+/// Answers held result polls and wakes the listener on shutdown.
+///
+/// The listener blocks in `accept`, so a request is read as soon as it
+/// arrives; this thread turns a shutdown request (handle or signal) into
+/// one connection to the listener's address `wake`, which unblocks it.
+/// Until then it answers each held poll once its job is terminal or its
+/// [`HOLD`] has passed, sleeping until the next of those moments.
+fn timekeeper(shared: &Shared, wake: SocketAddr) {
+    let mut held = shared.lock_held();
+    loop {
+        let shutdown = shared.is_shutdown();
+        let now = Instant::now();
+        let (due, waiting): (Vec<HeldPoll>, Vec<HeldPoll>) = std::mem::take(&mut *held)
+            .into_iter()
+            .partition(|h| shutdown || now >= h.t0 + HOLD || h.job.status().is_terminal());
+        *held = waiting;
+        if !due.is_empty() {
+            drop(held);
+            for h in due {
+                // A handler bug fails this request, not the thread that
+                // answers every held poll and wakes the listener.
+                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    route(shared, &h.req, h.peer)
+                }))
+                .unwrap_or_else(|_| Response::error(500, "internal error"));
+                respond(shared, h.stream, h.t0, &h.req.method, &h.req.path, response);
+            }
+            held = shared.lock_held();
+            continue;
+        }
+        if shutdown {
+            drop(held);
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+            return;
+        }
+        let next = held.iter().map(|h| h.t0 + HOLD).min().map_or(SHUTDOWN_POLL, |deadline| {
+            deadline.saturating_duration_since(now).min(SHUTDOWN_POLL)
+        });
+        held = shared
+            .held_cv
+            .wait_timeout(held, next)
+            // apf-lint: allow(panic-policy) — poisoning means a handler panicked; propagate the bug
+            .expect("held-poll lock poisoned")
+            .0;
+    }
+}
+
+/// Where the timekeeper connects on shutdown: the listener's address,
+/// with an unspecified (wildcard) IP replaced by the loopback address.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let mut addr = local;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 fn worker_loop(shared: &Shared) {
@@ -313,12 +447,14 @@ fn worker_loop(shared: &Shared) {
 
         if !job.start() {
             shared.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+            shared.wake_held();
             continue;
         }
         shared.metrics.job_queue_wait_seconds.observe(job.submitted.elapsed());
 
         if let Some(soak) = job.soak.clone() {
             run_soak_worker(shared, &job, &soak);
+            shared.wake_held();
             continue;
         }
 
@@ -356,6 +492,7 @@ fn worker_loop(shared: &Shared) {
                 job.finish(JobStatus::Failed, None);
             }
         }
+        shared.wake_held();
     }
 }
 
@@ -513,10 +650,21 @@ fn outcome_of(report: &CampaignReport, detail: bool) -> JobOutcome {
 
 fn handle_connection(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
     let t0 = Instant::now();
-    let (response, method, path) = match read_request(&mut stream) {
+    match read_request(&mut stream) {
         Ok(req) => {
+            if let Some(job) = unfinished_result_poll(shared, &req) {
+                let mut held = shared.lock_held();
+                // Checked under the lock the timekeeper drains with on
+                // shutdown, so no poll is held after its last pass.
+                if !shared.is_shutdown() {
+                    held.push(HeldPoll { stream, peer, req, job, t0 });
+                    drop(held);
+                    shared.wake_held();
+                    return;
+                }
+            }
             let response = route(shared, &req, peer);
-            (response, req.method, req.path)
+            respond(shared, stream, t0, &req.method, &req.path, response);
         }
         Err(err) => {
             let response = match err {
@@ -528,9 +676,33 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
                 }
                 RecvError::Io(_) => Response::error(400, "read error"),
             };
-            (response, "-".to_string(), "-".to_string())
+            respond(shared, stream, t0, "-", "-", response);
         }
+    }
+}
+
+/// The job of a `GET /v1/jobs/{id}/result` whose job is not finished yet:
+/// such a poll is held, not answered.
+fn unfinished_result_poll(shared: &Shared, req: &Request) -> Option<Arc<Job>> {
+    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    let ("GET", ["v1", "jobs", id, "result"]) = (req.method.as_str(), segments.as_slice()) else {
+        return None;
     };
+    let id = id.parse::<u64>().ok()?;
+    let job = shared.lock_jobs().all.get(&id).cloned()?;
+    (!job.status().is_terminal()).then_some(job)
+}
+
+/// Sends `response`, counting and (optionally) logging the request that
+/// started at `t0`.
+fn respond(
+    shared: &Shared,
+    mut stream: TcpStream,
+    t0: Instant,
+    method: &str,
+    path: &str,
+    response: Response,
+) {
     shared.metrics.count_response(response.status);
     let took = t0.elapsed();
     shared.metrics.http_request_seconds.observe(took);
@@ -542,7 +714,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
             .iter()
             .find(|(n, _)| *n == coordinator::REQUEST_ID_HEADER)
             .map(|(_, v)| v.as_str());
-        log_request(&method, &path, response.status, took, request_id);
+        log_request(method, path, response.status, took, request_id);
     }
     // The client may already be gone; nothing useful to do with the error.
     let _ = response.send(&mut stream);
@@ -640,6 +812,7 @@ fn route(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
         }),
         ("DELETE", ["v1", "jobs", id]) => with_job(shared, id, |job| {
             let status = job.request_cancel();
+            shared.wake_held();
             Response::json(
                 200,
                 &Json::obj([("id", Json::u64(job.id)), ("status", Json::str(status.label()))]),
@@ -765,7 +938,12 @@ fn submit_job(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
             shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             let job = {
                 let mut t = shared.lock_jobs();
-                if t.all.len() >= shared.cfg.max_jobs {
+                // Opportunistic: replay only if the queue and the table have
+                // room for it next to the hit.
+                let verify = hit.verify
+                    && t.queue.len() < shared.cfg.queue_depth
+                    && t.make_room(2, shared.cfg.max_jobs);
+                if !verify && !t.make_room(1, shared.cfg.max_jobs) {
                     shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
                     return Response::error(429, "job table full")
                         .header("Retry-After", "1")
@@ -778,19 +956,16 @@ fn submit_job(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
                         .with_request_id(request_id.clone()),
                 );
                 t.all.insert(id, Arc::clone(&job));
-                if hit.verify {
-                    // Opportunistic: replay only if the queue has room.
-                    if t.queue.len() < shared.cfg.queue_depth && t.all.len() < shared.cfg.max_jobs {
-                        let vid = t.next_id;
-                        t.next_id += 1;
-                        let verify = Arc::new(
-                            Job::new_verify(vid, spec.clone(), digest)
-                                .with_request_id(request_id.clone()),
-                        );
-                        t.all.insert(vid, Arc::clone(&verify));
-                        t.queue.push_back(verify);
-                        shared.queue_cv.notify_one();
-                    }
+                if verify {
+                    let vid = t.next_id;
+                    t.next_id += 1;
+                    let verify = Arc::new(
+                        Job::new_verify(vid, spec.clone(), digest)
+                            .with_request_id(request_id.clone()),
+                    );
+                    t.all.insert(vid, Arc::clone(&verify));
+                    t.queue.push_back(verify);
+                    shared.queue_cv.notify_one();
                 }
                 job
             };
@@ -810,7 +985,7 @@ fn submit_job(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
 
     let job = {
         let mut t = shared.lock_jobs();
-        if t.queue.len() >= shared.cfg.queue_depth || t.all.len() >= shared.cfg.max_jobs {
+        if t.queue.len() >= shared.cfg.queue_depth || !t.make_room(1, shared.cfg.max_jobs) {
             shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             return Response::error(429, "queue full")
                 .header("Retry-After", "1")
@@ -853,7 +1028,7 @@ fn submit_soak(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
 
     let job = {
         let mut t = shared.lock_jobs();
-        if t.queue.len() >= shared.cfg.queue_depth || t.all.len() >= shared.cfg.max_jobs {
+        if t.queue.len() >= shared.cfg.queue_depth || !t.make_room(1, shared.cfg.max_jobs) {
             shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             return Response::error(429, "queue full")
                 .header("Retry-After", "1")

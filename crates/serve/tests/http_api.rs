@@ -3,7 +3,7 @@
 //! runs, backpressure, cancellation, metrics, and graceful shutdown.
 
 use apf_serve::json::{self, Json};
-use apf_serve::{Server, ServerConfig, ShutdownHandle};
+use apf_serve::{CacheConfig, Server, ServerConfig, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -227,6 +227,81 @@ fn queue_backpressure_and_cancellation() {
         assert_eq!(digests.len() as u64, trials, "digest vector matches executed prefix");
     }
 
+    ts.stop();
+}
+
+/// The `apf_trials_total` counter from a `/metrics` scrape.
+fn trials_total(addr: SocketAddr) -> u64 {
+    let (status, _, body) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    body.lines()
+        .find_map(|l| l.strip_prefix("apf_trials_total "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no apf_trials_total sample:\n{body}"))
+}
+
+#[test]
+fn full_job_table_evicts_the_oldest_finished_jobs() {
+    // Cache off, so every job executes and counts its trial.
+    let cache = CacheConfig { max_entries: 0, ..CacheConfig::default() };
+    let ts = start(ServerConfig { max_jobs: 3, cache, ..ServerConfig::default() });
+
+    let mut ids = Vec::new();
+    for k in 0..6u64 {
+        let body = format!(r#"{{"name":"evict","seed":{k},"trials":1,"budget":2000000}}"#);
+        let (status, v) = submit(ts.addr, &body);
+        assert_eq!(status, 202, "job {k} refused: {v:?}");
+        let id = v.get("id").and_then(Json::as_u64).expect("job id");
+        wait_for_status(ts.addr, id, terminal);
+        ids.push(id);
+        // Evicted jobs' counters are retired, not dropped: the total counts
+        // every finished trial.
+        assert_eq!(trials_total(ts.addr), k + 1, "after job {k}");
+    }
+
+    // The newest three stay queryable; the oldest answer 404.
+    for (k, id) in ids.iter().enumerate() {
+        let (status, _, _) = request(ts.addr, "GET", &format!("/v1/jobs/{id}"), "");
+        assert_eq!(status, if k < 3 { 404 } else { 200 }, "job {k} (id {id})");
+    }
+
+    ts.stop();
+}
+
+#[test]
+fn result_poll_of_an_unfinished_job_is_held_until_it_finishes() {
+    let ts = start(ServerConfig { workers: 1, queue_depth: 2, ..ServerConfig::default() });
+    // A long job occupies the single worker, so the second one stays queued.
+    let long = r#"{"name":"long","trials":800,"budget":2000000}"#;
+    let (_, a) = submit(ts.addr, long);
+    let id_a = a.get("id").and_then(Json::as_u64).expect("id");
+    wait_for_status(ts.addr, id_a, |s| s == "running");
+    let (_, b) = submit(ts.addr, long);
+    let id_b = b.get("id").and_then(Json::as_u64).expect("id");
+    let path_b = format!("/v1/jobs/{id_b}/result");
+
+    // A poll of the queued job is held before it is answered 409.
+    let t = Instant::now();
+    let (status, _, _) = request(ts.addr, "GET", &path_b, "");
+    assert_eq!(status, 409);
+    assert!(t.elapsed() >= Duration::from_millis(40), "answered after {:?}", t.elapsed());
+
+    // A poll held while the job is cancelled answers with its final state.
+    let addr = ts.addr;
+    let poller = std::thread::spawn(move || loop {
+        let (status, v) = get_json(addr, &path_b);
+        if status != 409 {
+            return (status, v);
+        }
+    });
+    std::thread::sleep(Duration::from_millis(10));
+    let (status, _, _) = request(ts.addr, "DELETE", &format!("/v1/jobs/{id_b}"), "");
+    assert_eq!(status, 200);
+    let (status, v) = poller.join().expect("poller thread");
+    assert_eq!(status, 200);
+    assert_eq!(v.get("status").and_then(Json::as_str), Some("cancelled"));
+
+    request(ts.addr, "DELETE", &format!("/v1/jobs/{id_a}"), "");
     ts.stop();
 }
 

@@ -213,6 +213,19 @@ SMOKE_PID="${SERVE_PIDS[0]}"
 kill -TERM "$SMOKE_PID"
 wait "$SMOKE_PID" || { echo "serve did not exit 0 on SIGTERM"; exit 1; }
 SERVE_PIDS=()
+# A full job table evicts its oldest finished jobs instead of refusing new
+# submissions: a --max-jobs 4 server accepts 8 sequential jobs.
+start_serve "$SERVE_DIR/evict.log" --jobs 1 --queue-depth 8 --max-jobs 4
+for k in $(seq 1 8); do
+    EID="$(curl -fsS -X POST "http://$ADDR/v1/jobs" \
+        -d "{\"name\":\"evict\",\"seed\":$k,\"trials\":1,\"budget\":2000000}" \
+        | sed -n 's/.*"id":\([0-9]*\).*/\1/p')" \
+        || { echo "--max-jobs 4 server refused sequential job $k"; exit 1; }
+    wait_job_done "$ADDR" "$EID"
+done
+kill -TERM "${SERVE_PIDS[0]}"
+wait "${SERVE_PIDS[0]}" || { echo "serve did not exit 0 on SIGTERM"; exit 1; }
+SERVE_PIDS=()
 
 echo "==> coordinator: sharded fan-out merges bit-identical to a direct run"
 # Two backend workers plus a coordinator fanning trial-range shards out to
