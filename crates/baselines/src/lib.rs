@@ -20,8 +20,8 @@
 #![forbid(unsafe_code)]
 
 use apf_core::analysis::Analysis;
-use apf_core::{dpf, FormPattern};
-use apf_geometry::{are_similar, Path, Point};
+use apf_core::{dpf, FormPattern, PatternMemo};
+use apf_geometry::{Path, Point};
 use apf_sim::{BitSource, ComputeError, Decision, PhaseKind, RobotAlgorithm, Snapshot};
 
 /// Yamauchi–Yamashita-style randomized formation (continuous randomness).
@@ -33,13 +33,15 @@ use apf_sim::{BitSource, ComputeError, Decision, PhaseKind, RobotAlgorithm, Snap
 /// center. Distinct draws break ties with probability 1; once one robot is
 /// strictly closest it descends to the selected radius and the shared
 /// deterministic phase finishes the pattern.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct YyStyleFormation;
+#[derive(Debug, Default)]
+pub struct YyStyleFormation {
+    memo: PatternMemo,
+}
 
 impl YyStyleFormation {
     /// Creates the baseline.
     pub fn new() -> Self {
-        YyStyleFormation
+        YyStyleFormation::default()
     }
 }
 
@@ -57,11 +59,11 @@ impl RobotAlgorithm for YyStyleFormation {
         snapshot: &Snapshot,
         bits: &mut dyn BitSource,
     ) -> Result<(Decision, PhaseKind), ComputeError> {
-        let a = Analysis::new(snapshot)?;
-        if a.n() != a.pattern.len() {
+        let a = Analysis::new(snapshot, &self.memo)?;
+        if a.n() != a.pattern.points().len() {
             return Err(ComputeError::new("robot/pattern size mismatch"));
         }
-        if are_similar(a.config.points(), &a.pattern, &a.tol) {
+        if a.pattern.is_formed_by(a.config.points()) {
             return Ok((Decision::Stay, PhaseKind::Terminal));
         }
         if let Some(d) = apf_core::completion_move(&a)? {
@@ -92,7 +94,7 @@ fn yy_select(a: &Analysis, bits: &mut dyn BitSource) -> Decision {
 
     if tol.lt(my_r, others_min) {
         // Unique closest: descend deterministically to the selected radius.
-        let target = 0.4 * a.l_f.min(others_min);
+        let target = 0.4 * a.pattern.l_f().min(others_min);
         if my_r <= target + tol.eps {
             return Decision::Stay;
         }
@@ -118,13 +120,17 @@ fn yy_select(a: &Analysis, bits: &mut dyn BitSource) -> Decision {
 /// the asymmetric-descent leader election, and *no* fallback for symmetric
 /// configurations — on those it stays put forever, exhibiting the
 /// deterministic impossibility.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeterministicFormation;
+#[derive(Debug, Default)]
+pub struct DeterministicFormation {
+    memo: PatternMemo,
+    /// The paper's algorithm, for the asymmetric branch.
+    fallback: FormPattern,
+}
 
 impl DeterministicFormation {
     /// Creates the baseline.
     pub fn new() -> Self {
-        DeterministicFormation
+        DeterministicFormation::default()
     }
 }
 
@@ -142,11 +148,11 @@ impl RobotAlgorithm for DeterministicFormation {
         snapshot: &Snapshot,
         _bits: &mut dyn BitSource,
     ) -> Result<(Decision, PhaseKind), ComputeError> {
-        let a = Analysis::new(snapshot)?;
-        if a.n() != a.pattern.len() {
+        let a = Analysis::new(snapshot, &self.memo)?;
+        if a.n() != a.pattern.points().len() {
             return Err(ComputeError::new("robot/pattern size mismatch"));
         }
-        if are_similar(a.config.points(), &a.pattern, &a.tol) {
+        if a.pattern.is_formed_by(a.config.points()) {
             return Ok((Decision::Stay, PhaseKind::Terminal));
         }
         // Symmetric configuration: a deterministic algorithm cannot break
@@ -168,7 +174,7 @@ impl RobotAlgorithm for DeterministicFormation {
                 // Reuse the paper's asymmetric branch through the public
                 // entry point (it draws no bits on the asymmetric path).
                 let mut null = apf_sim::NullBits;
-                FormPattern::new().compute_tagged(snapshot, &mut null)
+                self.fallback.compute_tagged(snapshot, &mut null)
             }
         }
     }

@@ -4,9 +4,11 @@
 //! translated and scaled so that `C(P)` is the unit circle at the origin
 //! (the paper's "robots can translate and scale their local coordinate
 //! system so that `C(P) = C(F)`"). The target pattern is normalized the same
-//! way. Decisions are made in normalized coordinates and the resulting paths
-//! are mapped back to the robot's local frame by [`Analysis::denormalize_path`].
+//! way, once per pattern, by [`PatternAnalysis`]. Decisions are made in
+//! normalized coordinates and the resulting paths are mapped back to the
+//! robot's local frame by [`Analysis::denormalize_path`].
 
+use crate::pattern::{PatternAnalysis, PatternMemo};
 use apf_geometry::symmetry::{
     find_shifted_regular, regular_set_of, RegularSet, ShiftedRegularSet, ViewAnalysis,
 };
@@ -15,6 +17,7 @@ use apf_geometry::{
 };
 use apf_sim::{ComputeError, Snapshot};
 use std::cell::OnceCell;
+use std::rc::Rc;
 
 /// Everything a robot derives from one Look, in normalized coordinates.
 #[derive(Debug)]
@@ -23,12 +26,9 @@ pub struct Analysis {
     pub config: Configuration,
     /// The observer's index into [`Self::config`].
     pub me: usize,
-    /// Normalized pattern `F`: `C(F)` = unit circle at origin. Replace it
-    /// only through [`Self::override_pattern`], which resets what is derived
-    /// from it.
-    pub pattern: Vec<Point>,
-    /// `l_F`: distance from the center of the second-closest point of `F`.
-    pub l_f: f64,
+    /// The working pattern: `F`, or Appendix C's `F̃` once the multiplicity
+    /// preprocessing has switched to it.
+    pub pattern: Rc<PatternAnalysis>,
     /// Simulation tolerance.
     pub tol: Tol,
     /// Whether the snapshot exposes multiplicities.
@@ -43,20 +43,19 @@ pub struct Analysis {
     regular: OnceCell<Option<RegularSet>>,
     /// Lazily computed shifted regular set.
     shifted: OnceCell<Option<ShiftedRegularSet>>,
-    /// Lazily computed candidates `f_s` of the working pattern; reset by
-    /// [`Self::override_pattern`].
-    pattern_candidates: OnceCell<Vec<usize>>,
 }
 
 impl Analysis {
-    /// Builds the analysis from a snapshot.
+    /// Builds the analysis from a snapshot, taking the pattern's analysis
+    /// from `memo`.
     ///
     /// # Errors
     ///
-    /// Returns [`ComputeError`] when the snapshot has fewer points than the
-    /// pattern requires context for, or all robots coincide (the gathered
-    /// configuration is unreachable by assumption and unnormalizable).
-    pub fn new(snapshot: &Snapshot) -> Result<Self, ComputeError> {
+    /// Returns [`ComputeError`] when the snapshot has fewer than two robots,
+    /// all robots coincide (the gathered configuration is unreachable by
+    /// assumption and unnormalizable), or [`PatternAnalysis::new`] rejects
+    /// the pattern — checked in that order.
+    pub fn new(snapshot: &Snapshot, memo: &PatternMemo) -> Result<Self, ComputeError> {
         let tol = *snapshot.tol();
         let raw = snapshot.robots();
         if raw.len() < 2 {
@@ -68,24 +67,12 @@ impl Analysis {
         }
         let norm = |p: Point| ((p - sec.center) / sec.radius).to_point();
         let config = Configuration::new(raw.iter().map(|&p| norm(p)).collect());
-
-        let pat_raw = snapshot.pattern();
-        if pat_raw.len() < 4 {
-            return Err(ComputeError::new("pattern needs at least four points"));
-        }
-        let pat_sec = smallest_enclosing_circle(pat_raw);
-        if tol.is_zero(pat_sec.radius) {
-            return Err(ComputeError::new("degenerate pattern (single location)"));
-        }
-        let pattern: Vec<Point> =
-            pat_raw.iter().map(|&p| ((p - pat_sec.center) / pat_sec.radius).to_point()).collect();
-        let l_f = Configuration::new(pattern.clone()).second_closest_distance(Point::ORIGIN);
+        let pattern = memo.analysis_of(snapshot.pattern(), &tol)?;
 
         Ok(Analysis {
             config,
             me: snapshot.self_index(),
             pattern,
-            l_f,
             tol,
             multiplicity_detection: snapshot.multiplicity_detection(),
             norm_center: sec.center,
@@ -93,7 +80,6 @@ impl Analysis {
             views: OnceCell::new(),
             regular: OnceCell::new(),
             shifted: OnceCell::new(),
-            pattern_candidates: OnceCell::new(),
         })
     }
 
@@ -146,7 +132,7 @@ impl Analysis {
         let hits: Vec<usize> = (0..self.n())
             .filter(|&i| {
                 let r = self.radius(i);
-                if !self.tol.lt(r, self.l_f / 2.0) {
+                if !self.tol.lt(r, self.pattern.l_f() / 2.0) {
                     return false;
                 }
                 (0..self.n()).all(|j| j == i || self.tol.ge(self.radius(j), 2.0 * r))
@@ -156,23 +142,6 @@ impl Analysis {
             [one] => Some(*one),
             _ => None,
         }
-    }
-
-    /// Indices of pattern points with maximal view that do not hold `C(F)`
-    /// (the candidate destinations `f_s` of the selected robot), computed
-    /// once per pattern.
-    pub fn pattern_max_view_nonholders(&self) -> &[usize] {
-        self.pattern_candidates.get_or_init(|| {
-            let cfg = Configuration::new(self.pattern.clone());
-            let va = ViewAnalysis::compute(&cfg, Point::ORIGIN, &self.tol);
-            let holders = cfg.sec_holders(&self.tol);
-            let nonholders = (0..self.pattern.len()).filter(|&i| !holders[i]);
-            // The first non-holder of maximal view.
-            let best =
-                nonholders.clone().reduce(|b, i| if va.view(i) > va.view(b) { i } else { b });
-            let Some(b) = best else { return vec![] };
-            nonholders.filter(|&i| va.view(i) == va.view(b)).collect()
-        })
     }
 
     /// Maps a normalized-coordinates path back into the robot's local
@@ -209,17 +178,6 @@ impl Analysis {
     pub fn straight_move(&self, to: Point) -> Path {
         self.denormalize_path(&Path::straight(self.my_pos(), to))
     }
-
-    /// Replaces the working pattern (used by the multiplicity extension to
-    /// swap in `F̃`). The replacement must already be normalized (unit
-    /// enclosing circle at the origin); `l_F` and the pattern candidates are
-    /// recomputed.
-    pub fn override_pattern(&mut self, pattern: Vec<Point>) {
-        assert!(pattern.len() >= 2, "pattern too small");
-        self.l_f = Configuration::new(pattern.clone()).second_closest_distance(Point::ORIGIN);
-        self.pattern = pattern;
-        self.pattern_candidates = OnceCell::new();
-    }
 }
 
 #[cfg(test)]
@@ -250,12 +208,11 @@ mod tests {
         robots_local[0] = Point::ORIGIN;
         let pattern = ring(7, 5.0, 0.0, Point::new(10.0, 10.0));
         let snap = snapshot_of(robots_local, pattern);
-        let a = Analysis::new(&snap).unwrap();
+        let a = Analysis::new(&snap, &PatternMemo::default()).unwrap();
         assert!(a.tol.eq(a.config.sec().radius, 1.0));
         assert!(a.config.sec().center.approx_eq(Point::ORIGIN, &a.tol));
         // Pattern normalized too.
-        let pc = Configuration::new(a.pattern.clone());
-        assert!(a.tol.eq(pc.sec().radius, 1.0));
+        assert!(a.tol.eq(smallest_enclosing_circle(a.pattern.points()).radius, 1.0));
     }
 
     #[test]
@@ -270,7 +227,7 @@ mod tests {
         let off = robots[6];
         let local: Vec<Point> = robots.iter().map(|&p| (p - off).to_point()).collect();
         let snap = snapshot_of(local, pattern);
-        let a = Analysis::new(&snap).unwrap();
+        let a = Analysis::new(&snap, &PatternMemo::default()).unwrap();
         // normalized: SEC ~ unit, robot 6 at ~0.05 from center, others at 1.
         // l_F here is the 2nd closest of the pattern = 1.0 (one point at 0.5,
         // six at 1.0). Selected requires |r| < 0.5 and alone in D(2|r|).
@@ -284,7 +241,7 @@ mod tests {
         let local: Vec<Point> = robots.iter().map(|&p| (p - robots[0]).to_point()).collect();
         let pattern = ring(8, 1.0, 0.3, Point::ORIGIN);
         let snap = snapshot_of(local, pattern);
-        let a = Analysis::new(&snap).unwrap();
+        let a = Analysis::new(&snap, &PatternMemo::default()).unwrap();
         assert_eq!(a.selected(), None);
     }
 
@@ -295,7 +252,7 @@ mod tests {
         let local: Vec<Point> = robots.iter().map(|&p| (p - robots[0]).to_point()).collect();
         let pattern = ring(7, 1.0, 0.0, Point::ORIGIN);
         let snap = snapshot_of(local, pattern);
-        let a = Analysis::new(&snap).unwrap();
+        let a = Analysis::new(&snap, &PatternMemo::default()).unwrap();
         // The observer's normalized position denormalizes back to its local
         // position (the local origin).
         let back = a.denorm_point(a.my_pos());
@@ -303,38 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn pattern_max_view_nonholders_nonempty() {
-        let mut pattern = ring(6, 1.0, 0.0, Point::ORIGIN);
-        pattern.push(Point::new(0.3, 0.2));
-        let robots = ring(7, 1.0, 0.0, Point::ORIGIN);
-        let local: Vec<Point> = robots.iter().map(|&p| (p - robots[0]).to_point()).collect();
-        let snap = snapshot_of(local, pattern);
-        let a = Analysis::new(&snap).unwrap();
-        let cands = a.pattern_max_view_nonholders();
-        assert!(!cands.is_empty());
-    }
-
-    #[test]
-    fn override_pattern_resets_the_pattern_candidates() {
-        let mut pattern = ring(6, 1.0, 0.0, Point::ORIGIN);
-        pattern.push(Point::new(0.3, 0.2));
-        let robots = ring(7, 1.0, 0.0, Point::ORIGIN);
-        let local: Vec<Point> = robots.iter().map(|&p| (p - robots[0]).to_point()).collect();
-        let mut a = Analysis::new(&snapshot_of(local, pattern)).unwrap();
-        assert_eq!(a.pattern_max_view_nonholders(), [1]);
-
-        // F̃: the same normalized points with points 1 and 6 swapped, so the
-        // candidate moves to index 6. A stale cache would still answer [1].
-        let mut f_tilde = a.pattern.clone();
-        f_tilde.swap(1, 6);
-        a.override_pattern(f_tilde);
-        assert_eq!(a.pattern_max_view_nonholders(), [6]);
-    }
-
-    #[test]
     fn too_small_pattern_is_rejected() {
         let robots = vec![Point::ORIGIN, Point::new(1.0, 0.0)];
         let snap = snapshot_of(robots, vec![Point::ORIGIN; 2]);
-        assert!(Analysis::new(&snap).is_err());
+        assert!(Analysis::new(&snap, &PatternMemo::default()).is_err());
     }
 }

@@ -119,7 +119,7 @@ pub fn ensure_frame(
     // parked robot a few ulps off the exact origin, so compare against the
     // configuration scale instead of the absolute tolerance.
     let others_min_r = others.iter().map(|&i| a.radius(i)).fold(f64::INFINITY, f64::min);
-    if rs_r <= 0.01 * others_min_r.min(a.l_f) {
+    if rs_r <= 0.01 * others_min_r.min(a.pattern.l_f()) {
         // r_s is at the center: re-emerge next to the closest robot.
         if a.me != rs {
             return Ok(FrameStatus::Acting(Decision::Stay));
@@ -226,7 +226,7 @@ fn emerge_from_center(a: &Analysis, others: &[usize], clearance: f64) -> Decisio
         }
     }
     let dtheta = (clearance.min(gap) / (2.0 * WEDGE_FACTOR)).max(tol.angle_eps * 16.0);
-    let dist = SELECTED_RADIUS_FACTOR * a.l_f.min(rstar_polar.radius);
+    let dist = SELECTED_RADIUS_FACTOR * a.pattern.l_f().min(rstar_polar.radius);
     let dest_angle = rstar_polar.angle - dtheta;
     let dest = Point::new(dist * dest_angle.cos(), dist * dest_angle.sin());
     let p = Path::straight(a.my_pos(), dest);
@@ -236,6 +236,7 @@ fn emerge_from_center(a: &Analysis, others: &[usize], clearance: f64) -> Decisio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::PatternMemo;
     use apf_geometry::Tol;
     use apf_sim::Snapshot;
     use std::f64::consts::TAU;
@@ -244,7 +245,7 @@ mod tests {
         let off = points[me];
         let local: Vec<Point> = points.iter().map(|&p| (p - off).to_point()).collect();
         let snap = Snapshot::new(local, pattern, false, Tol::default());
-        Analysis::new(&snap).unwrap()
+        Analysis::new(&snap, &PatternMemo::default()).unwrap()
     }
 
     fn ring(n: usize, r: f64, phase: f64) -> Vec<Point> {
@@ -263,7 +264,7 @@ mod tests {
         // Probe the plan with a throwaway configuration to learn |f_max|.
         let probe = ring(8, 1.0, 0.0);
         let a = analysis(&probe, 0, pattern8());
-        let plan = TargetPlan::new(&a, 0).unwrap();
+        let plan = TargetPlan::new(&a.pattern).unwrap();
         let rmax_r = plan.fmax_radius * 0.9;
 
         let mut pts = ring(6, 1.0, 0.4);
@@ -290,7 +291,7 @@ mod tests {
         let (pts, rs, rmax) = good_frame_config();
         let a = analysis(&pts, 0, pattern8());
         assert_eq!(a.selected(), Some(rs));
-        match ensure_frame(&a, rs, &TargetPlan::new(&a, rs).unwrap()).unwrap() {
+        match ensure_frame(&a, rs, &TargetPlan::new(&a.pattern).unwrap()).unwrap() {
             FrameStatus::Ready(zf) => {
                 assert_eq!(zf.rmax, rmax);
                 // r_s's Z-angle is in the upper half (orientation maximizes it).
@@ -307,7 +308,7 @@ mod tests {
     fn z_frame_roundtrip() {
         let (pts, rs, _) = good_frame_config();
         let a = analysis(&pts, 0, pattern8());
-        let plan = TargetPlan::new(&a, rs).unwrap();
+        let plan = TargetPlan::new(&a.pattern).unwrap();
         let FrameStatus::Ready(zf) = ensure_frame(&a, rs, &plan).unwrap() else {
             panic!("frame expected")
         };
@@ -330,7 +331,7 @@ mod tests {
         let rs = 7;
         let a = analysis(&pts, rs, pattern8());
         assert_eq!(a.selected(), Some(rs));
-        let plan = TargetPlan::new(&a, rs).unwrap();
+        let plan = TargetPlan::new(&a.pattern).unwrap();
         match ensure_frame(&a, rs, &plan).unwrap() {
             FrameStatus::Acting(Decision::Move(p)) => {
                 // Destination is the center (local frame: center of C(P)).
@@ -349,7 +350,7 @@ mod tests {
         pts.push(Point::ORIGIN); // rs at the center
         let rs = 7;
         let a = analysis(&pts, rs, pattern8());
-        let plan = TargetPlan::new(&a, rs).unwrap();
+        let plan = TargetPlan::new(&a.pattern).unwrap();
         match ensure_frame(&a, rs, &plan).unwrap() {
             FrameStatus::Acting(Decision::Move(p)) => {
                 let dest = p.destination();
@@ -370,7 +371,7 @@ mod tests {
         let rs = 7;
         // Observer = a ring robot: must Stay while rs repairs the frame.
         let a = analysis(&pts, 2, pattern8());
-        let plan = TargetPlan::new(&a, rs).unwrap();
+        let plan = TargetPlan::new(&a.pattern).unwrap();
         match ensure_frame(&a, rs, &plan).unwrap() {
             FrameStatus::Acting(d) => assert_eq!(d, Decision::Stay),
             FrameStatus::Ready(_) => panic!("frame should not be ready"),
@@ -387,7 +388,7 @@ mod tests {
         let rmax = 6;
         let a = analysis(&pts, rmax, pattern8());
         assert_eq!(a.selected(), Some(rs));
-        let plan = TargetPlan::new(&a, rs).unwrap();
+        let plan = TargetPlan::new(&a.pattern).unwrap();
         assert!(plan.fmax_radius < 0.9, "fmax radius {}", plan.fmax_radius);
         match ensure_frame(&a, rs, &plan).unwrap() {
             FrameStatus::Acting(Decision::Move(p)) => {

@@ -117,7 +117,7 @@ fn act_shifted(a: &Analysis, sh: &apf_geometry::symmetry::ShiftedRegularSet) -> 
             .filter(|&i| i != re)
             .map(|i| a.config.point(i).dist(c))
             .fold(f64::INFINITY, f64::min);
-        let target = SELECTED_RADIUS_FACTOR * a.l_f.min(others_min);
+        let target = SELECTED_RADIUS_FACTOR * a.pattern.l_f().min(others_min);
         let my_r = my_pos.dist(c);
         if my_r > target + tol.eps {
             let p = path::radial_to(c, my_pos, target);
@@ -277,7 +277,7 @@ fn act_asymmetric(a: &Analysis) -> Result<Decision, ComputeError> {
     let my_r = my_pos.dist(Point::ORIGIN);
     let others_min =
         (0..a.n()).filter(|&i| i != a.me).map(|i| a.radius(i)).fold(f64::INFINITY, f64::min);
-    let target = SELECTED_RADIUS_FACTOR * a.l_f.min(others_min);
+    let target = SELECTED_RADIUS_FACTOR * a.pattern.l_f().min(others_min);
     if my_r <= target + a.tol.eps {
         return Ok(Decision::Stay);
     }
@@ -288,6 +288,7 @@ fn act_asymmetric(a: &Analysis) -> Result<Decision, ComputeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::PatternMemo;
     use apf_geometry::Tol;
     use apf_sim::{CountingBits, NullBits, Snapshot};
     use std::f64::consts::TAU;
@@ -307,7 +308,7 @@ mod tests {
         let off = points[me];
         let local: Vec<Point> = points.iter().map(|&p| (p - off).to_point()).collect();
         let snap = Snapshot::new(local, pattern, false, Tol::default());
-        let a = Analysis::new(&snap).unwrap();
+        let a = Analysis::new(&snap, &PatternMemo::default()).unwrap();
         assert_eq!(a.me, me);
         a
     }

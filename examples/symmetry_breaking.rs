@@ -8,6 +8,7 @@
 //! ```
 
 use apf::core::analysis::Analysis;
+use apf::core::PatternMemo;
 use apf::geometry::{Point, Tol};
 use apf::prelude::*;
 use apf::sim::Snapshot;
@@ -37,10 +38,11 @@ fn main() {
     // Post-hoc: find the first configuration of the trace with a selected
     // robot (the election's finish line).
     let mut selected_at = None;
+    let memo = PatternMemo::default();
     for (t, cfg) in world.trace().iter().enumerate() {
         let local: Vec<Point> = cfg.iter().map(|&p| (p - cfg[0]).to_point()).collect();
         let snap = Snapshot::new(local, target.clone(), false, Tol::default());
-        if let Ok(a) = Analysis::new(&snap) {
+        if let Ok(a) = Analysis::new(&snap, &memo) {
             if a.selected().is_some() {
                 selected_at = Some(t);
                 break;
