@@ -228,18 +228,8 @@ impl CanonicalSpec {
     /// Equal digests ⇒ equal canonical forms ⇒ (by engine determinism)
     /// bit-identical campaign results.
     pub fn digest(&self) -> u64 {
-        fnv1a_64(self.canonical_json().as_bytes())
+        apf_trace::fnv1a_64(self.canonical_json().as_bytes())
     }
-}
-
-/// FNV-1a 64 over a byte string (same parameters as the trace digest sink).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -308,13 +298,5 @@ mod tests {
             assert!(spec.validate().is_err(), "accepted {why}");
         }
         assert!(CanonicalSpec::default().validate().is_ok());
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -40,8 +40,8 @@ pub mod fuzz;
 pub mod geometry_fuzz;
 
 pub use corpus::{
-    cases, default_corpus_dir, event_diff, fnv1a, read_manifest, regenerate, verify,
-    write_manifest, CaseReport, CorpusCase, ManifestEntry,
+    cases, default_corpus_dir, event_diff, read_manifest, regenerate, verify, write_manifest,
+    CaseReport, CorpusCase, ManifestEntry,
 };
 pub use fuzz::{
     dump_counterexample, fuzz_campaign, replay_violates, script_from_text, script_to_text, shrink,

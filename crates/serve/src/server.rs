@@ -900,14 +900,11 @@ fn next_request_id() -> String {
     let count = COUNTER.fetch_add(1, Ordering::Relaxed);
     let now =
         std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap_or_default();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for word in [now.as_secs(), u64::from(now.subsec_nanos()), count] {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
+    let bytes: Vec<u8> = [now.as_secs(), u64::from(now.subsec_nanos()), count]
+        .iter()
+        .flat_map(|word| word.to_le_bytes())
+        .collect();
+    format!("{:016x}", apf_trace::fnv1a_64(&bytes))
 }
 
 fn submit_job(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {

@@ -49,7 +49,7 @@ pub use event::{PhaseKind, TraceEvent};
 pub use inspect::{describe, PhaseTally, RobotTally, TraceSummary};
 pub use jsonl::{escape_json_str, parse_line, to_json_line, ParseError};
 pub use sink::{
-    CountingSink, CrashDumpSink, HashProbe, HashSink, JsonlSink, NullSink, RingSink, TeeSink,
-    TraceSink, VecSink,
+    fnv1a_64, CountingSink, CrashDumpSink, HashProbe, HashSink, JsonlSink, NullSink, RingSink,
+    TeeSink, TraceSink, VecSink,
 };
 pub use span::{NullSpanSink, Span, SpanGuard, SpanLabel, SpanSink, SpanStack, VecSpanSink};

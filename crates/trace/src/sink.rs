@@ -176,6 +176,22 @@ impl HashProbe {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// FNV-1a 64 over a byte string: the fold [`HashSink`] applies to the
+/// serialized event stream, so hashing a golden file's bytes reproduces the
+/// digest of the run that wrote it.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// Continues the FNV-1a 64 digest `h` over `bytes`.
+fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// Order-sensitive FNV-1a digest over the serialized (JSONL) event stream.
 ///
 /// Two runs have equal digests iff their serialized traces are byte-equal —
@@ -221,14 +237,8 @@ impl HashSink {
 impl TraceSink for HashSink {
     fn record(&mut self, event: &TraceEvent) {
         write_json_line(event, &mut self.line);
-        let mut h = self.state;
-        for b in self.line.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
         // The newline separates events, matching the on-disk format.
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(FNV_PRIME);
+        let h = fnv1a_fold(fnv1a_fold(self.state, self.line.as_bytes()), b"\n");
         self.state = h;
         self.shared.store(h, Ordering::Release);
     }
@@ -625,6 +635,14 @@ mod tests {
             s.record(&ev(i));
         }
         assert_eq!(s.count(), 5);
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Standard FNV-1a 64 test vectors.
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]
