@@ -1,5 +1,10 @@
 //! Criterion benchmark of one full Compute call: the entire per-Look
 //! analysis pipeline of the paper's algorithm (analysis + dispatch).
+//!
+//! One `FormPattern` serves every iteration, so its pattern memo is filled
+//! by the first call and the benchmark measures a warm Compute: the
+//! per-Look work, without the once-per-pattern analysis a robot's first
+//! Look pays.
 
 use apf_core::FormPattern;
 use apf_geometry::{Point, Tol};

@@ -117,7 +117,10 @@ impl BitSource for NullBits {
 ///
 /// * **oblivious** — the decision may depend only on `snapshot` (and
 ///   randomness); the `&self` receiver carries configuration (e.g. the
-///   target pattern, tolerances), never execution state;
+///   target pattern, tolerances), never execution state. It may memoize
+///   pure functions of the snapshot's pattern — the algorithm's input —
+///   keyed by the pattern's exact bits, since a memo hit returns exactly
+///   what recomputation would;
 /// * **frame-agnostic** — the snapshot is in an arbitrary local frame whose
 ///   rotation, scale and handedness vary per robot; a correct algorithm's
 ///   *global* behavior is invariant under these (the simulator's
