@@ -9,7 +9,8 @@
 //!   cannot handle unless `ρ(I) | ρ(F)`;
 //! * regular polygons, bi-angled configurations, lines, grids, stars — the
 //!   structured workloads of the experiment harness;
-//! * patterns with multiplicity points (Section 5 extension).
+//! * patterns with multiplicity points (Section 5 extension), including a
+//!   multiplicity point at the pattern's center (Appendix C).
 //!
 //! All generators are deterministic in their `seed` so every experiment is
 //! reproducible.
@@ -209,6 +210,25 @@ pub fn pattern_with_multiplicity(n: usize, distinct: usize, seed: u64) -> Vec<Po
     while pts.len() < n {
         pts.push(base[i % distinct]);
         i += 1;
+    }
+    pts
+}
+
+/// A random `n`-point pattern whose `m` innermost points are moved onto
+/// `c(F)`, the center of its smallest enclosing circle: a multiplicity
+/// point at the center, formed through Appendix C's `F̃` and gather step.
+///
+/// # Panics
+///
+/// Panics if `m > n`.
+pub fn pattern_with_center_points(n: usize, m: usize, seed: u64) -> Vec<Point> {
+    assert!(m <= n, "cannot move more points than the pattern has");
+    let mut pts = random_pattern(n, seed);
+    let c = Configuration::new(pts.clone()).sec().center;
+    let mut by_radius: Vec<usize> = (0..n).collect();
+    by_radius.sort_by(|&x, &y| pts[x].dist(c).total_cmp(&pts[y].dist(c)));
+    for &i in &by_radius[..m] {
+        pts[i] = c;
     }
     pts
 }

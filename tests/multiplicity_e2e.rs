@@ -30,12 +30,7 @@ fn forms_pattern_with_doubled_points() {
 fn forms_pattern_with_center_multiplicity() {
     // Two pattern points at c(F): exercised via the F̃ detour + gather step.
     let n = 8;
-    let mut target = apf::patterns::random_pattern(n, 23);
-    let c = Configuration::new(target.clone()).sec().center;
-    let mut by_r: Vec<usize> = (0..n).collect();
-    by_r.sort_by(|&a, &b| target[a].dist(c).partial_cmp(&target[b].dist(c)).unwrap());
-    target[by_r[0]] = c;
-    target[by_r[1]] = c;
+    let target = apf::patterns::pattern_with_center_points(n, 2, 23);
     let initial = apf::patterns::asymmetric_configuration(n, 5);
 
     for_each_scheduler(|kind| {
