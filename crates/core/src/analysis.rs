@@ -37,6 +37,8 @@ pub struct Analysis {
     /// denormalization back into the robot's local frame).
     norm_center: Point,
     norm_scale: f64,
+    /// Distance of every robot from the origin, indexed like `config`.
+    radii: Vec<f64>,
     /// Lazily computed view analysis around the origin.
     views: OnceCell<ViewAnalysis>,
     /// Lazily computed regular set.
@@ -67,6 +69,7 @@ impl Analysis {
         }
         let norm = |p: Point| ((p - sec.center) / sec.radius).to_point();
         let config = Configuration::new(raw.iter().map(|&p| norm(p)).collect());
+        let radii = config.points().iter().map(|p| p.dist(Point::ORIGIN)).collect();
         let pattern = memo.analysis_of(snapshot.pattern(), &tol)?;
 
         Ok(Analysis {
@@ -77,6 +80,7 @@ impl Analysis {
             multiplicity_detection: snapshot.multiplicity_detection(),
             norm_center: sec.center,
             norm_scale: sec.radius,
+            radii,
             views: OnceCell::new(),
             regular: OnceCell::new(),
             shifted: OnceCell::new(),
@@ -95,7 +99,7 @@ impl Analysis {
 
     /// Distance of robot `i` from the origin (= `c(P)` = center of `C(P)`).
     pub fn radius(&self, i: usize) -> f64 {
-        self.config.point(i).dist(Point::ORIGIN)
+        self.radii[i]
     }
 
     /// Polar coordinates of robot `i` around the origin.

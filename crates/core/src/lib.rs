@@ -41,6 +41,7 @@
 
 pub mod analysis;
 pub mod builder;
+mod completion;
 pub mod dpf;
 pub mod multiplicity;
 pub mod pattern;
@@ -48,9 +49,9 @@ pub mod rsb;
 
 pub use analysis::Analysis;
 pub use builder::{validate_instance, BuildError, SimulationBuilder};
+pub use completion::completion_move;
 pub use pattern::{PatternAnalysis, PatternMemo};
 
-use apf_geometry::{match_up_to_similarity, Path};
 use apf_sim::{BitSource, ComputeError, Decision, PhaseKind, RobotAlgorithm, Snapshot};
 
 /// The paper's algorithm as an oblivious robot algorithm.
@@ -133,53 +134,4 @@ impl RobotAlgorithm for FormPattern {
     fn name(&self) -> &'static str {
         "bramas-tixeuil-apf"
     }
-}
-
-/// The main algorithm's completion check (lines 1–4): if removing one agreed
-/// robot leaves exactly `F` minus one maximal-view point, that robot walks
-/// to the free point.
-///
-/// Exposed for the baseline algorithms, which share the deterministic tail.
-///
-/// # Errors
-///
-/// Returns [`ComputeError`] when the similarity witness cannot be
-/// reconstructed (cannot happen for configurations the check accepted).
-pub fn completion_move(a: &Analysis) -> Result<Option<Decision>, ComputeError> {
-    let Some(f_prime) = a.pattern.f_prime() else {
-        return Ok(None);
-    };
-    let finalists: Vec<usize> =
-        (0..a.n()).filter(|&r| f_prime.target.match_set(&a.config.without(r)).is_some()).collect();
-    if finalists.is_empty() {
-        return Ok(None);
-    }
-    // Agree on the mover: a unique finalist, else the selected robot, else
-    // the unique maximal-view robot.
-    let mover = if finalists.len() == 1 {
-        finalists[0]
-    } else if let Some(rs) = a.selected().filter(|rs| finalists.contains(rs)) {
-        rs
-    } else {
-        let maxi = a.views().max_view_indices();
-        match maxi.as_slice() {
-            [r] if finalists.contains(r) => *r,
-            _ => return Ok(None),
-        }
-    };
-
-    if a.me != mover {
-        return Ok(Some(Decision::Stay));
-    }
-    // Map the free pattern point into configuration coordinates via the
-    // similarity witness.
-    let p_rest = a.config.without(mover);
-    let map = match_up_to_similarity(&f_prime.points, &p_rest, &a.tol)
-        .ok_or_else(|| ComputeError::new("similarity witness vanished"))?;
-    let target = map.apply(a.pattern.points()[f_prime.fs]);
-    let path = Path::straight(a.my_pos(), target);
-    if path.length() <= a.tol.eps {
-        return Ok(Some(Decision::Stay));
-    }
-    Ok(Some(Decision::Move(a.denormalize_path(&path))))
 }

@@ -61,11 +61,15 @@ impl Circle {
     }
 }
 
-/// Computes the smallest enclosing circle of a non-empty set of points using
-/// Welzl's move-to-front algorithm (expected linear time).
+/// Computes the smallest enclosing circle of a non-empty set of points with
+/// the randomized incremental form of Welzl's algorithm: three nested loops
+/// that grow the circle with zero, one, then two boundary points fixed
+/// (expected linear time).
 ///
-/// The algorithm is made deterministic by a fixed internal permutation so that
-/// simulations are reproducible run-to-run.
+/// The points are visited in a fixed xorshift-driven permutation, so the
+/// result is reproducible run to run. A point counts as enclosed when it lies
+/// within a relative and absolute slack of `1e-12` of the current circle,
+/// which keeps the loops stable when many points lie on the circle.
 ///
 /// # Panics
 ///

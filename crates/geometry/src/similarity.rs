@@ -74,7 +74,8 @@ pub fn match_up_to_similarity(a: &[Point], b: &[Point], tol: &Tol) -> Option<Sim
 ///
 /// `SimilarityTarget::new(b, tol).match_set(a)` equals
 /// `match_up_to_similarity(a, b, tol)` bit for bit; the completion move
-/// prepares `F − {f}` once and matches `P − {r}` for every robot `r`.
+/// prepares `F − {f}` once and matches `P − {r}` for every robot `r` that
+/// its radius screen keeps.
 #[derive(Debug, Clone)]
 pub struct SimilarityTarget {
     len: usize,
@@ -107,6 +108,14 @@ impl SimilarityTarget {
         let mut sorted_radii: Vec<f64> = polar.iter().map(|pp| pp.radius).collect();
         sorted_radii.sort_by(f64::total_cmp);
         SimilarityTarget { len: b.len(), sec, tol: *tol, polar, sorted_radii }
+    }
+
+    /// The target's distances from the center of its enclosing circle, in
+    /// units of that circle's radius, ascending — the sequence
+    /// [`Self::match_set`] compares rank by rank. Empty when all points
+    /// coincide.
+    pub fn sorted_radii(&self) -> &[f64] {
+        &self.sorted_radii
     }
 
     /// The similarity transform mapping `a` onto the target, if one exists

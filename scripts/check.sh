@@ -321,6 +321,15 @@ case "${TOP_STACK##*;}" in
        exit 1 ;;
 esac
 
+echo "==> repo benchmark smoke: every workload at ~1/20 scale, correctness only"
+# The benchmark in BENCHMARK.json, untraced then traced. It exits nonzero
+# when a run's own checks fail (re-runs must reproduce their digests, a
+# replay of a re-run's results must reproduce its aggregate, elections must
+# keep Theorem 1's bit budget), when traced and untraced runs disagree on
+# output_digest, or when the metric names and units it prints differ from
+# BENCHMARK.json. See examples/apf_benchmark/README.md for the checks.
+cargo run -q --offline --release --manifest-path examples/apf_benchmark/Cargo.toml -- --smoke
+
 echo "==> perf snapshot vs committed BENCH_*.json (tolerance band)"
 # Regenerate the fixed perf workload and compare campaign throughput against
 # the newest committed snapshot. Wall-clock numbers are machine- and
