@@ -39,6 +39,8 @@ pub struct Analysis {
     norm_scale: f64,
     /// Distance of every robot from the origin, indexed like `config`.
     radii: Vec<f64>,
+    /// Lazily computed `atan2` direction of every robot from the origin.
+    directions: OnceCell<Vec<f64>>,
     /// Lazily computed view analysis around the origin.
     views: OnceCell<ViewAnalysis>,
     /// Lazily computed regular set.
@@ -81,6 +83,7 @@ impl Analysis {
             norm_center: sec.center,
             norm_scale: sec.radius,
             radii,
+            directions: OnceCell::new(),
             views: OnceCell::new(),
             regular: OnceCell::new(),
             shifted: OnceCell::new(),
@@ -102,9 +105,18 @@ impl Analysis {
         self.radii[i]
     }
 
-    /// Polar coordinates of robot `i` around the origin.
+    /// Polar coordinates of robot `i` around the origin; equal to
+    /// `PolarPoint::from_cartesian(self.config.point(i), Point::ORIGIN)`.
     pub fn polar(&self, i: usize) -> PolarPoint {
-        PolarPoint::from_cartesian(self.config.point(i), Point::ORIGIN)
+        PolarPoint::from_norm_and_direction(self.radii[i], self.direction(i))
+    }
+
+    /// The raw `atan2` direction of robot `i` from the origin, in
+    /// `[-π, π]` (cached for every robot on first use).
+    pub(crate) fn direction(&self, i: usize) -> f64 {
+        self.directions.get_or_init(|| {
+            self.config.points().iter().map(|&p| (p - Point::ORIGIN).angle()).collect()
+        })[i]
     }
 
     /// View analysis around the origin (cached).

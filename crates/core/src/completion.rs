@@ -84,10 +84,17 @@ pub fn completion_move(a: &Analysis) -> Result<Option<Decision>, ComputeError> {
 fn finalists(a: &Analysis, f_prime: &FPrime) -> Vec<usize> {
     let bound = a.tol.eps + SEC_SLACK;
     let fits = radius_fits(a, f_prime.target.sorted_radii(), bound);
+    let points = a.config.points();
+    let mut rest = Vec::with_capacity(points.len());
     // Robots on or near `C(P)` may hold it: the scan does not apply.
     (0..a.n())
         .filter(|&r| 1.0 - a.radius(r) <= bound || fits[r])
-        .filter(|&r| f_prime.target.match_set(&a.config.without(r)).is_some())
+        .filter(|&r| {
+            rest.clear();
+            rest.extend_from_slice(&points[..r]);
+            rest.extend_from_slice(&points[r + 1..]);
+            f_prime.target.match_set(&rest).is_some()
+        })
         .collect()
 }
 

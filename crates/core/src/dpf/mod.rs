@@ -17,6 +17,7 @@
 //! robots and rotate them into the exact pattern positions, all while
 //! preserving `C(P)` and the robots' `Z`-order (no two robots ever swap).
 
+mod index;
 mod phase1;
 mod phase2;
 mod phase3;
@@ -25,8 +26,9 @@ use crate::analysis::Analysis;
 use crate::pattern::PatternAnalysis;
 use apf_geometry::angle::normalize_angle;
 use apf_geometry::symmetry::LazyViews;
-use apf_geometry::{Point, PolarPoint, Tol};
+use apf_geometry::{Point, PolarPoint};
 use apf_sim::{ComputeError, Decision, PhaseKind};
+use index::Index;
 
 pub use phase1::ZFrame;
 
@@ -50,20 +52,21 @@ pub fn act(a: &Analysis, rs: usize) -> Result<(Decision, PhaseKind), ComputeErro
     match phase1::ensure_frame(a, rs, plan)? {
         phase1::FrameStatus::Acting(decision) => Ok((decision, PhaseKind::DpfFrame)),
         phase1::FrameStatus::Ready(zf) => {
+            let ix = Index::new(a, rs, &zf, &plan.circles);
             // Pre-phase: no robot other than r_max may sit on the zero ray.
-            if let Some(d) = phase2::clear_zero_ray(a, rs, &zf, plan) {
+            if let Some(d) = phase2::clear_zero_ray(a, &ix, rs, &zf, plan) {
                 return Ok((d, PhaseKind::DpfPopulate));
             }
             // Special pre-phase when only two pattern points lie on C(F).
-            if let Some(d) = phase2::fix_enclosing_circle(a, rs, &zf, plan)? {
+            if let Some(d) = phase2::fix_enclosing_circle(a, &ix, rs, &zf, plan)? {
                 return Ok((d, PhaseKind::DpfPopulate));
             }
             // Phase 2: populate the circles outside-in.
-            if let Some(d) = phase2::populate_circles(a, rs, &zf, plan)? {
+            if let Some(d) = phase2::populate_circles(a, &ix, rs, &zf, plan)? {
                 return Ok((d, PhaseKind::DpfPopulate));
             }
             // Phase 3: rotate robots to their final positions.
-            if let Some(d) = phase3::rotate_to_targets(a, rs, &zf, plan)? {
+            if let Some(d) = phase3::rotate_to_targets(a, &ix, rs, &zf, plan)? {
                 return Ok((d, PhaseKind::DpfRotate));
             }
             Ok((Decision::Stay, PhaseKind::DpfIdle))
@@ -73,8 +76,9 @@ pub fn act(a: &Analysis, rs: usize) -> Result<(Decision, PhaseKind), ComputeErro
 
 /// The pattern decomposition used by every phase: `f_s` (the selected
 /// robot's final destination), `F' = F − {f_s}`, `f_max` (the view-maximal
-/// point of `F'`), the target circles, and `θ_F'`. It depends on the
-/// pattern alone, so the pattern's [`PatternAnalysis`] builds it once.
+/// point of `F'`), the target circles with their targets, and Phase 1's
+/// clearance. It depends on the pattern alone, so the pattern's
+/// [`PatternAnalysis`] builds it once.
 #[derive(Debug)]
 pub struct TargetPlan {
     /// Index (into the normalized pattern) of `f_s`.
@@ -85,12 +89,18 @@ pub struct TargetPlan {
     pub fmax: usize,
     /// `|f_max|`.
     pub fmax_radius: f64,
-    /// `θ_F'`: angular clearance around `f_max` (Phase 1 condition iv).
-    pub theta_f: f64,
+    /// Index into [`Self::circles`] of `f_max`'s circle.
+    pub fmax_circle: usize,
+    /// `min(θ_F', θ_safe)`: the angular clearance around the zero ray that
+    /// Phase 1's condition (iv) compares the wedge with. `θ_F'` is the
+    /// clearance around `f_max`; `θ_safe` is the angular distance from the
+    /// zero ray to the nearest off-ray target.
+    pub clearance: f64,
     /// Target circle radii, strictly decreasing; `circles[0]` is `C(F)`.
     pub circles: Vec<f64>,
-    /// Number of `F'` points on each circle.
-    pub counts: Vec<usize>,
+    /// The `Z`-angles of the targets on each circle, ascending; their
+    /// number is the number of robots the circle must receive.
+    pub circle_targets: Vec<Vec<f64>>,
     /// `F'` in polar form relative to `f_max` (angle measured in `F'`'s
     /// view-maximizing orientation): the Z-coordinates of every target.
     pub targets: Vec<PolarPoint>,
@@ -201,26 +211,44 @@ impl TargetPlan {
                 circles.push(r);
             }
         }
-        let counts: Vec<usize> = circles
+        let circle_targets: Vec<Vec<f64>> = circles
             .iter()
-            .map(|&c| targets.iter().filter(|t| tol.eq(t.radius, c)).count())
+            .map(|&c| {
+                let mut on_c: Vec<f64> =
+                    targets.iter().filter(|t| tol.eq(t.radius, c)).map(|t| t.angle).collect();
+                on_c.sort_by(f64::total_cmp);
+                on_c
+            })
             .collect();
+        let fmax_circle = circles
+            .iter()
+            .position(|&c| tol.eq(c, fmax_polar.radius))
+            .ok_or_else(|| ComputeError::new("f_max not on any target circle"))?;
+
+        // θ_safe: no off-ray target may sit inside the clearance either.
+        let mut clearance = theta_f;
+        for (i, t) in targets.iter().enumerate() {
+            if i == fmax || tol.is_zero(t.radius) {
+                continue;
+            }
+            // Distance of the target's ray to the zero ray (in [0, π]).
+            let d = apf_geometry::angle::angle_dist(t.angle, 0.0);
+            if d > tol.angle_eps && d < clearance {
+                clearance = d;
+            }
+        }
 
         Ok(TargetPlan {
             fs,
             f_prime,
             fmax,
             fmax_radius: fmax_polar.radius,
-            theta_f,
+            fmax_circle,
+            clearance,
             circles,
-            counts,
+            circle_targets,
             targets,
         })
-    }
-
-    /// Index of the circle whose radius matches `r`, if any.
-    pub fn circle_of_radius(&self, r: f64, tol: &Tol) -> Option<usize> {
-        self.circles.iter().position(|&c| tol.eq(c, r))
     }
 }
 
@@ -228,6 +256,7 @@ impl TargetPlan {
 mod tests {
     use super::*;
     use crate::pattern::PatternMemo;
+    use apf_geometry::Tol;
     use apf_sim::Snapshot;
     use std::f64::consts::TAU;
 
@@ -260,7 +289,7 @@ mod tests {
         assert_eq!(plan.f_prime.len(), 6);
         assert_eq!(plan.circles.len(), 2);
         assert!(plan.circles[0] > plan.circles[1]);
-        assert_eq!(plan.counts.iter().sum::<usize>(), 6);
+        assert_eq!(plan.circle_targets.iter().map(Vec::len).sum::<usize>(), 6);
     }
 
     #[test]
@@ -274,7 +303,7 @@ mod tests {
         let t = &plan.targets[plan.fmax];
         assert!(t.angle.abs() < 1e-9 || (TAU - t.angle) < 1e-9);
         assert!((t.radius - plan.fmax_radius).abs() < 1e-9);
-        assert!(plan.theta_f > 0.0 && plan.theta_f <= std::f64::consts::PI);
+        assert!(plan.clearance > 0.0 && plan.clearance <= std::f64::consts::PI);
     }
 
     #[test]

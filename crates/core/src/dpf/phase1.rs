@@ -23,7 +23,7 @@
 
 use crate::analysis::Analysis;
 use crate::dpf::TargetPlan;
-use apf_geometry::angle::{ang_min, normalize_angle, signed_angle_diff};
+use apf_geometry::angle::{normalize_angle, signed_angle_diff};
 use apf_geometry::{path, Path, Point, PolarPoint};
 use apf_sim::{ComputeError, Decision};
 
@@ -48,14 +48,29 @@ pub struct ZFrame {
 }
 
 impl ZFrame {
+    /// The frame with zero ray through `r_max`, oriented so that the
+    /// selected robot `r_s` has the greater `Z`-angle, with wedge
+    /// half-width `delta`.
+    pub(super) fn new(a: &Analysis, rmax: usize, rs: usize, delta: f64) -> Self {
+        let base_angle = a.polar(rmax).angle;
+        let rs_raw = normalize_angle(a.polar(rs).angle - base_angle);
+        let orient = if rs_raw >= std::f64::consts::PI { 1.0 } else { -1.0 };
+        let rs_angle = if orient > 0.0 { rs_raw } else { normalize_angle(-rs_raw) };
+        ZFrame { rmax, base_angle, orient, rs_angle, delta }
+    }
+
     /// `Z`-angle of a normalized point, in `[0, 2π)`.
+    pub fn angle_of(&self, p: Point) -> f64 {
+        self.z_angle(PolarPoint::from_cartesian(p, Point::ORIGIN).angle)
+    }
+
+    /// `Z`-angle, in `[0, 2π)`, of the normalized direction `angle`.
     ///
     /// Values within numerical noise of `2π` snap to `0`: a robot standing
     /// exactly on the zero ray must sort *first*, not last, or assignment
     /// and blocking logic splits at the wraparound.
-    pub fn angle_of(&self, p: Point) -> f64 {
-        let pp = PolarPoint::from_cartesian(p, Point::ORIGIN);
-        let z = normalize_angle(self.orient * (pp.angle - self.base_angle));
+    pub(super) fn z_angle(&self, angle: f64) -> f64 {
+        let z = normalize_angle(self.orient * (angle - self.base_angle));
         // The band is deliberately wider than the placement tolerance
         // (robots arrive at zero-ray targets within ~1e-6): a robot parked
         // on the ray must snap under *every* observer's frame noise, or
@@ -107,29 +122,30 @@ pub fn ensure_frame(
 ) -> Result<FrameStatus, ComputeError> {
     let tol = &a.tol;
     let rs_pos = a.config.point(rs);
-    let rs_r = rs_pos.dist(Point::ORIGIN);
     let others: Vec<usize> = (0..a.n()).filter(|&i| i != rs).collect();
     if others.is_empty() {
         return Err(ComputeError::new("pattern formation needs more than one robot"));
     }
 
-    let clearance = theta_clearance(plan, tol);
-
     // "At the center" is a relative notion: normalization noise keeps a
     // parked robot a few ulps off the exact origin, so compare against the
     // configuration scale instead of the absolute tolerance.
-    let others_min_r = others.iter().map(|&i| a.radius(i)).fold(f64::INFINITY, f64::min);
-    if rs_r <= 0.01 * others_min_r.min(a.pattern.l_f()) {
+    let min_r = others.iter().map(|&i| a.radius(i)).fold(f64::INFINITY, f64::min);
+    if a.radius(rs) <= 0.01 * min_r.min(a.pattern.l_f()) {
         // r_s is at the center: re-emerge next to the closest robot.
         if a.me != rs {
             return Ok(FrameStatus::Acting(Decision::Stay));
         }
-        return Ok(FrameStatus::Acting(emerge_from_center(a, &others, clearance)));
+        return Ok(FrameStatus::Acting(emerge_from_center(a, &others, plan.clearance)));
     }
 
     // Identify the candidate r_max: radially minimal AND angularly closest.
-    let min_r = others.iter().map(|&i| a.radius(i)).fold(f64::INFINITY, f64::min);
-    let ang = |i: usize| ang_min(rs_pos, Point::ORIGIN, a.config.point(i));
+    // `angmin(r_s, c(P), r_i)`, by `ang_min`'s float operations on the
+    // cached directions.
+    let ang = |i: usize| {
+        let x = normalize_angle(a.direction(i) - a.direction(rs));
+        x.min(std::f64::consts::TAU - x)
+    };
     let ang_min_all = others.iter().map(|&i| ang(i)).fold(f64::INFINITY, f64::min);
     let candidates: Vec<usize> = others
         .iter()
@@ -146,23 +162,9 @@ pub fn ensure_frame(
         let rmax = candidates[0];
         let delta = ang(rmax);
         // Strengthened condition (iv): the wedge is narrow enough.
-        if WEDGE_FACTOR * delta < clearance && delta > tol.angle_eps {
+        if WEDGE_FACTOR * delta < plan.clearance && delta > tol.angle_eps {
             if tol.le(a.radius(rmax), plan.fmax_radius) {
-                // Frame ready.
-                let base_angle =
-                    PolarPoint::from_cartesian(a.config.point(rmax), Point::ORIGIN).angle;
-                let rs_raw = normalize_angle(
-                    PolarPoint::from_cartesian(rs_pos, Point::ORIGIN).angle - base_angle,
-                );
-                let orient = if rs_raw >= std::f64::consts::PI { 1.0 } else { -1.0 };
-                let rs_angle = if orient > 0.0 { rs_raw } else { normalize_angle(-rs_raw) };
-                return Ok(FrameStatus::Ready(ZFrame {
-                    rmax,
-                    base_angle,
-                    orient,
-                    rs_angle,
-                    delta,
-                }));
+                return Ok(FrameStatus::Ready(ZFrame::new(a, rmax, rs, delta)));
             }
             // Condition (iii) fails: r_max descends radially to |f_max|.
             if a.me == rmax {
@@ -180,23 +182,6 @@ pub fn ensure_frame(
         return Ok(FrameStatus::Acting(Decision::Move(a.denormalize_path(&p))));
     }
     Ok(FrameStatus::Acting(Decision::Stay))
-}
-
-/// The angular clearance `min(θ_F', θ_safe)`: no off-ray target sits within
-/// this angle of the zero ray.
-fn theta_clearance(plan: &TargetPlan, tol: &apf_geometry::Tol) -> f64 {
-    let mut clearance = plan.theta_f;
-    for (i, t) in plan.targets.iter().enumerate() {
-        if i == plan.fmax || tol.is_zero(t.radius) {
-            continue;
-        }
-        // Distance of the target's ray to the zero ray (in [0, π]).
-        let d = apf_geometry::angle::angle_dist(t.angle, 0.0);
-        if d > tol.angle_eps && d < clearance {
-            clearance = d;
-        }
-    }
-    clearance
 }
 
 /// The selected robot re-emerges from the center at a controlled tiny angle

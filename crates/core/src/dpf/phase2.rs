@@ -21,6 +21,7 @@
 //! `f_max`'s circle.
 
 use crate::analysis::Analysis;
+use crate::dpf::index::Index;
 use crate::dpf::phase1::ZFrame;
 use crate::dpf::TargetPlan;
 use apf_geometry::{path, Point};
@@ -32,7 +33,13 @@ use std::f64::consts::{PI, TAU};
 /// point collinear with `f_max` — typically a multiplicity duplicate of
 /// `f_max`) are exempt: evicting them would undo legitimate placements and
 /// livelock the formation. Returns `Some` while any offender exists.
-pub fn clear_zero_ray(a: &Analysis, rs: usize, zf: &ZFrame, plan: &TargetPlan) -> Option<Decision> {
+pub fn clear_zero_ray(
+    a: &Analysis,
+    ix: &Index,
+    rs: usize,
+    zf: &ZFrame,
+    plan: &TargetPlan,
+) -> Option<Decision> {
     let tol = &a.tol;
     let at_zero_ray_target = |i: usize| {
         let r = a.radius(i);
@@ -40,37 +47,35 @@ pub fn clear_zero_ray(a: &Analysis, rs: usize, zf: &ZFrame, plan: &TargetPlan) -
             (t.angle <= tol.angle_eps || TAU - t.angle <= tol.angle_eps) && tol.eq(t.radius, r)
         })
     };
-    let offenders: Vec<usize> = (0..a.n())
-        .filter(|&i| i != rs && i != zf.rmax)
-        .filter(|&i| {
-            let z = zf.angle_of(a.config.point(i));
-            z <= tol.angle_eps || TAU - z <= tol.angle_eps
-        })
-        .filter(|&i| !at_zero_ray_target(i))
-        .collect();
-    if offenders.is_empty() {
+    let offends = |i: usize| {
+        let z = ix.z(i);
+        i != rs
+            && i != zf.rmax
+            && (z <= tol.angle_eps || TAU - z <= tol.angle_eps)
+            && !at_zero_ray_target(i)
+    };
+    if !(0..a.n()).any(offends) {
         return None;
     }
-    if !offenders.contains(&a.me) {
+    if !offends(a.me) {
         return Some(Decision::Stay);
     }
     // Rotate off the ray by half the gap to the next robot on my circle (or
     // a small default), in the direct orientation.
-    let my_pos = a.my_pos();
-    let my_r = my_pos.dist(Point::ORIGIN);
+    let my_r = a.radius(a.me);
     let mut dz = PI / 16.0;
     for i in 0..a.n() {
         if i == a.me || i == rs {
             continue;
         }
         if tol.eq(a.radius(i), my_r) {
-            let z = zf.angle_of(a.config.point(i));
+            let z = ix.z(i);
             if z > tol.angle_eps && z / 2.0 < dz {
                 dz = z / 2.0;
             }
         }
     }
-    let p = zf.rotate(my_pos, dz);
+    let p = zf.rotate(a.my_pos(), dz);
     Some(Decision::Move(a.denormalize_path(&p)))
 }
 
@@ -79,37 +84,27 @@ pub fn clear_zero_ray(a: &Analysis, rs: usize, zf: &ZFrame, plan: &TargetPlan) -
 /// complete.
 pub fn fix_enclosing_circle(
     a: &Analysis,
+    ix: &Index,
     rs: usize,
     zf: &ZFrame,
     plan: &TargetPlan,
 ) -> Result<Option<Decision>, ComputeError> {
-    if plan.counts.first() != Some(&2) {
+    let Some(&[t_lo, t_hi]) = plan.circle_targets.first().map(Vec::as_slice) else {
         return Ok(None);
-    }
+    };
     let tol = &a.tol;
-    let c1 = plan.circles[0];
-    let mut t_pair: Vec<f64> =
-        plan.targets.iter().filter(|t| tol.eq(t.radius, c1)).map(|t| t.angle).collect();
-    t_pair.sort_by(f64::total_cmp);
-    debug_assert_eq!(t_pair.len(), 2);
-    let (t_lo, t_hi) = (t_pair[0], t_pair[1]);
-
-    let mut on_c1: Vec<usize> =
-        prime_robots(a, rs).into_iter().filter(|&i| tol.eq(a.radius(i), c1)).collect();
-    on_c1.sort_by(|&x, &y| {
-        zf.angle_of(a.config.point(x)).total_cmp(&zf.angle_of(a.config.point(y)))
-    });
+    let on_c1 = ix.on_z(0);
 
     // Satisfied: exactly two robots, at the two target angles.
     if on_c1.len() == 2 {
-        let a_lo = zf.angle_of(a.config.point(on_c1[0]));
-        let a_hi = zf.angle_of(a.config.point(on_c1[1]));
+        let a_lo = ix.z(on_c1[0]);
+        let a_hi = ix.z(on_c1[1]);
         if ang_close(a_lo, t_lo, tol) && ang_close(a_hi, t_hi, tol) {
             return Ok(None);
         }
         // Exactly two robots hold C(P): neither may move yet. Raise the
         // greatest interior robot to C(P) first.
-        return Ok(Some(raise_to_circle(a, rs, zf, c1, usize::MAX, None)));
+        return Ok(Some(raise_to_circle(a, ix, rs, zf, plan, 0, usize::MAX)));
     }
     if on_c1.len() < 2 {
         return Err(ComputeError::new("C(P) lost its supporting robots"));
@@ -120,8 +115,8 @@ pub fn fix_enclosing_circle(
     let r_lo = on_c1[0];
     // apf-lint: allow(panic-policy) — this branch is only reached with ≥ 3 robots on C(P)
     let r_hi = *on_c1.last().expect("non-empty");
-    let a_lo = zf.angle_of(a.config.point(r_lo));
-    let a_hi = zf.angle_of(a.config.point(r_hi));
+    let a_lo = ix.z(r_lo);
+    let a_hi = ix.z(r_hi);
     if ang_close(a_lo, t_lo, tol) && ang_close(a_hi, t_hi, tol) {
         // The two anchors are in place: the second smallest robot steps
         // inward (the anchors are diametral, so C(P) survives).
@@ -145,7 +140,7 @@ pub fn fix_enclosing_circle(
             } else if idx == k - 1 {
                 t_hi
             } else {
-                let ang = zf.angle_of(a.config.point(on_c1[idx]));
+                let ang = ix.z(on_c1[idx]);
                 t_lo + (t_hi - t_lo) * ((ang - a_lo) / span).clamp(0.01, 0.99)
             }
         })
@@ -153,7 +148,7 @@ pub fn fix_enclosing_circle(
     let Some(my_idx) = on_c1.iter().position(|&i| i == a.me) else {
         return Ok(Some(Decision::Stay));
     };
-    Ok(Some(move_on_circle(a, zf, rs, dest[my_idx], &on_c1, true, false)))
+    Ok(Some(move_on_circle(a, ix, zf, rs, dest[my_idx], on_c1, true, false)))
 }
 
 /// The main outside-in circle population loop. Returns `Ok(Some)` while any
@@ -161,62 +156,51 @@ pub fn fix_enclosing_circle(
 /// target count.
 pub fn populate_circles(
     a: &Analysis,
+    ix: &Index,
     rs: usize,
     zf: &ZFrame,
     plan: &TargetPlan,
 ) -> Result<Option<Decision>, ComputeError> {
-    let tol = &a.tol;
-    let fmax_circle = plan
-        .circle_of_radius(plan.fmax_radius, tol)
-        .ok_or_else(|| ComputeError::new("f_max not on any target circle"))?;
-
-    for i in 0..plan.circles.len() {
-        let ci = plan.circles[i];
+    for (i, targets) in plan.circle_targets.iter().enumerate() {
         // --- cleanExterior(i): strays between C_{i-1} and C_i ---
-        if i > 0 {
-            let hi = plan.circles[i - 1];
-            let band: Vec<usize> = prime_robots(a, rs)
-                .into_iter()
-                .filter(|&r| r != zf.rmax)
-                .filter(|&r| {
-                    let rr = a.radius(r);
-                    tol.lt(ci, rr) && tol.lt(rr, hi)
-                })
-                .collect();
-            if let Some(&r) = band.iter().min_by(|&&x, &&y| cmp_z(a, zf, x, y)) {
-                if a.me != r {
-                    return Ok(Some(Decision::Stay));
-                }
-                return Ok(Some(drop_to_circle(a, rs, zf, r, ci)));
+        let stray = ix
+            .band(i)
+            .iter()
+            .copied()
+            .filter(|&r| r != zf.rmax)
+            .min_by(|&x, &y| cmp_z(a, ix, x, y));
+        if let Some(r) = stray {
+            if a.me != r {
+                return Ok(Some(Decision::Stay));
             }
+            return Ok(Some(drop_to_circle(a, ix, rs, zf, plan, r, i)));
         }
 
-        let on_ci: Vec<usize> =
-            prime_robots(a, rs).into_iter().filter(|&r| tol.eq(a.radius(r), ci)).collect();
+        let on_ci = ix.on(i);
 
         // --- locateEnoughRobots(i) ---
-        if on_ci.len() < plan.counts[i] {
+        if on_ci.len() < targets.len() {
             // r_max is reserved for f_max's circle and climbs radially.
-            if i == fmax_circle && !on_ci.contains(&zf.rmax) {
+            if i == plan.fmax_circle && !on_ci.contains(&zf.rmax) {
                 if a.me != zf.rmax {
                     return Ok(Some(Decision::Stay));
                 }
-                let p = path::radial_to(Point::ORIGIN, a.my_pos(), ci);
+                let p = path::radial_to(Point::ORIGIN, a.my_pos(), plan.circles[i]);
                 return Ok(Some(Decision::Move(a.denormalize_path(&p))));
             }
-            return Ok(Some(raise_to_circle(a, rs, zf, ci, zf.rmax, Some(&on_ci))));
+            return Ok(Some(raise_to_circle(a, ix, rs, zf, plan, i, zf.rmax)));
         }
 
         // --- removeRobotsInExcess(i) ---
-        if on_ci.len() > plan.counts[i] {
+        if on_ci.len() > targets.len() {
             if i == 0 {
-                return Ok(Some(excess_on_c1(a, rs, zf, plan, &on_ci)));
+                return Ok(Some(excess_on_c1(a, ix, rs, zf, plan)));
             }
             let mover = on_ci
                 .iter()
                 .copied()
                 .filter(|&r| r != zf.rmax)
-                .min_by(|&x, &y| cmp_z(a, zf, x, y))
+                .min_by(|&x, &y| cmp_z(a, ix, x, y))
                 .ok_or_else(|| ComputeError::new("excess circle contains only r_max"))?;
             if a.me != mover {
                 return Ok(Some(Decision::Stay));
@@ -227,19 +211,12 @@ pub fn populate_circles(
     Ok(None)
 }
 
-/// All robots except the selected one.
-fn prime_robots(a: &Analysis, rs: usize) -> Vec<usize> {
-    (0..a.n()).filter(|&i| i != rs).collect()
-}
-
 /// Tolerant `Z`-order comparison of two robots: radius first (radii within
 /// tolerance count as equal — symmetric workloads place robots at *exactly*
 /// equal radii, and raw `f64` ordering would let per-frame normalization
 /// noise make robots disagree on who acts), then `Z`-angle.
-fn cmp_z(a: &Analysis, zf: &ZFrame, x: usize, y: usize) -> std::cmp::Ordering {
-    a.tol
-        .cmp(a.radius(x), a.radius(y))
-        .then_with(|| zf.angle_of(a.config.point(x)).total_cmp(&zf.angle_of(a.config.point(y))))
+fn cmp_z(a: &Analysis, ix: &Index, x: usize, y: usize) -> std::cmp::Ordering {
+    a.tol.cmp(a.radius(x), a.radius(y)).then_with(|| ix.z(x).total_cmp(&ix.z(y)))
 }
 
 fn ang_close(x: f64, y: f64, tol: &apf_geometry::Tol) -> bool {
@@ -247,13 +224,22 @@ fn ang_close(x: f64, y: f64, tol: &apf_geometry::Tol) -> bool {
 }
 
 /// `cleanExterior`'s action for the chosen stray robot `r` above circle
-/// `ci`: isolate on its own circle, swing past the occupied arc, then drop
-/// radially onto `ci` (one leg per activation).
-fn drop_to_circle(a: &Analysis, rs: usize, zf: &ZFrame, r: usize, ci: f64) -> Decision {
+/// `k`: isolate on its own circle, swing past the occupied arc, then drop
+/// radially onto circle `k` (one leg per activation).
+fn drop_to_circle(
+    a: &Analysis,
+    ix: &Index,
+    rs: usize,
+    zf: &ZFrame,
+    plan: &TargetPlan,
+    r: usize,
+    k: usize,
+) -> Decision {
     debug_assert_eq!(a.me, r);
     let tol = &a.tol;
+    let ci = plan.circles[k];
     let my_pos = a.my_pos();
-    let my_r = my_pos.dist(Point::ORIGIN);
+    let my_r = a.radius(r);
     // Shared circle? Step down between my circle and the next thing below.
     let shared = (0..a.n()).any(|i| i != r && i != rs && tol.eq(a.radius(i), my_r));
     if shared {
@@ -266,41 +252,43 @@ fn drop_to_circle(a: &Analysis, rs: usize, zf: &ZFrame, r: usize, ci: f64) -> De
         let p = path::radial_to(Point::ORIGIN, my_pos, target);
         return Decision::Move(a.denormalize_path(&p));
     }
-    let on_ci: Vec<usize> = (0..a.n()).filter(|&i| i != rs && tol.eq(a.radius(i), ci)).collect();
-    let a_max = on_ci.iter().map(|&i| zf.angle_of(a.config.point(i))).fold(0.0_f64, f64::max);
+    let a_max = ix.on(k).iter().map(|&i| ix.z(i)).fold(0.0_f64, f64::max);
     let upper = zf.upper_bound();
-    let my_z = zf.angle_of(my_pos);
+    let my_z = ix.z(r);
     if my_z > a_max + tol.angle_eps && my_z < upper {
         let p = path::radial_to(Point::ORIGIN, my_pos, ci);
         return Decision::Move(a.denormalize_path(&p));
     }
     // Swing to the parking angle past everyone on the target circle.
     let target_angle = (a_max + upper) / 2.0;
-    rotate_toward(a, zf, my_pos, my_z, target_angle, false)
+    rotate_toward(a, ix, zf, target_angle)
 }
 
 /// `locateEnoughRobots`'s action: the greatest interior robot (excluding
-/// `skip`, normally `r_max`) rises onto circle `ci` below everyone already
+/// `skip`, normally `r_max`) rises onto circle `k` below everyone already
 /// there.
 fn raise_to_circle(
     a: &Analysis,
+    ix: &Index,
     rs: usize,
     zf: &ZFrame,
-    ci: f64,
+    plan: &TargetPlan,
+    k: usize,
     skip: usize,
-    on_ci: Option<&[usize]>,
 ) -> Decision {
     let tol = &a.tol;
-    let interior: Vec<usize> =
-        prime_robots(a, rs).into_iter().filter(|&r| r != skip && tol.lt(a.radius(r), ci)).collect();
-    let Some(&r) = interior.iter().max_by(|&&x, &&y| cmp_z(a, zf, x, y)) else {
+    let ci = plan.circles[k];
+    let Some(r) = (0..a.n())
+        .filter(|&r| r != rs && r != skip && tol.lt(a.radius(r), ci))
+        .max_by(|&x, &y| cmp_z(a, ix, x, y))
+    else {
         return Decision::Stay;
     };
     if a.me != r {
         return Decision::Stay;
     }
     let my_pos = a.my_pos();
-    let my_r = my_pos.dist(Point::ORIGIN);
+    let my_r = a.radius(r);
     let shared = (0..a.n()).any(|i| i != r && i != rs && tol.eq(a.radius(i), my_r));
     if shared {
         // Step outward between my circle and the next thing above.
@@ -313,25 +301,15 @@ fn raise_to_circle(
         let p = path::radial_to(Point::ORIGIN, my_pos, target);
         return Decision::Move(a.denormalize_path(&p));
     }
-    let on_ci_owned;
-    let on_ci = match on_ci {
-        Some(v) => v,
-        None => {
-            on_ci_owned =
-                (0..a.n()).filter(|&i| i != rs && tol.eq(a.radius(i), ci)).collect::<Vec<usize>>();
-            &on_ci_owned
-        }
-    };
-    let a_min =
-        on_ci.iter().map(|&i| zf.angle_of(a.config.point(i))).fold(zf.upper_bound(), f64::min);
-    let my_z = zf.angle_of(my_pos);
+    let a_min = ix.on(k).iter().map(|&i| ix.z(i)).fold(zf.upper_bound(), f64::min);
+    let my_z = ix.z(r);
     if my_z + tol.angle_eps < a_min && my_z > tol.angle_eps {
         let p = path::radial_to(Point::ORIGIN, my_pos, ci);
         return Decision::Move(a.denormalize_path(&p));
     }
     // Swing to half the smallest occupied angle (staying off the zero ray).
     let target_angle = (a_min / 2.0).max(tol.angle_eps * 32.0);
-    rotate_toward(a, zf, my_pos, my_z, target_angle, false)
+    rotate_toward(a, ix, zf, target_angle)
 }
 
 /// `removeRobotsInExcess` off `C_1`: the chosen robot steps a little inward,
@@ -362,19 +340,10 @@ fn nudge_inward(
 /// regular `m_1`-gon mirror-symmetric about the zero ray (so they hold
 /// `C(P)` alone) while the others park evenly in the `(0, π/m_1)` arc; then
 /// the smallest robot steps inward.
-fn excess_on_c1(
-    a: &Analysis,
-    rs: usize,
-    zf: &ZFrame,
-    plan: &TargetPlan,
-    on_c1: &[usize],
-) -> Decision {
+fn excess_on_c1(a: &Analysis, ix: &Index, rs: usize, zf: &ZFrame, plan: &TargetPlan) -> Decision {
     let tol = &a.tol;
-    let m1 = plan.counts[0];
-    let mut sorted: Vec<usize> = on_c1.to_vec();
-    sorted.sort_by(|&x, &y| {
-        zf.angle_of(a.config.point(x)).total_cmp(&zf.angle_of(a.config.point(y)))
-    });
+    let m1 = plan.circle_targets[0].len();
+    let sorted = ix.on_z(0);
     let k = sorted.len();
     let keepers = &sorted[k - m1..];
     let parked = &sorted[..k - m1];
@@ -387,7 +356,7 @@ fn excess_on_c1(
         .iter()
         // apf-lint: allow(zip-length-mismatch) — keepers (&sorted[k - m1..]) and poly (0..m1) are both exactly m1 long
         .zip(poly.iter())
-        .all(|(&r, &t)| ang_close(zf.angle_of(a.config.point(r)), t, tol));
+        .all(|(&r, &t)| ang_close(ix.z(r), t, tol));
     if keepers_placed {
         // The m1-gon holds C(P): the smallest robot leaves.
         let mover = sorted[0];
@@ -403,15 +372,25 @@ fn excess_on_c1(
     let my_idx = sorted.iter().position(|&i| i == a.me);
     let Some(my_idx) = my_idx else { return Decision::Stay };
     let dest = if my_idx < parked.len() { arc_slots[my_idx] } else { poly[my_idx - parked.len()] };
-    move_on_circle(a, zf, rs, dest, &sorted, true, false)
+    move_on_circle(a, ix, zf, rs, dest, sorted, true, false)
+}
+
+/// Rotation helper without same-circle blocking context (recomputes it).
+fn rotate_toward(a: &Analysis, ix: &Index, zf: &ZFrame, dest: f64) -> Decision {
+    let tol = &a.tol;
+    let my_r = a.radius(a.me);
+    let same: Vec<usize> = (0..a.n()).filter(|&i| i != a.me && tol.eq(a.radius(i), my_r)).collect();
+    move_on_circle(a, ix, zf, usize::MAX, dest, &same, false, false)
 }
 
 /// Moves the observer along its circle toward `dest` (a `Z`-angle), never
 /// crossing the zero ray, never passing another robot on the same circle,
 /// and (when `preserve_sec`) never opening a gap wider than π between
 /// consecutive `C(P)` robots.
+#[allow(clippy::too_many_arguments)]
 pub fn move_on_circle(
     a: &Analysis,
+    ix: &Index,
     zf: &ZFrame,
     rs: usize,
     dest: f64,
@@ -419,38 +398,7 @@ pub fn move_on_circle(
     preserve_sec: bool,
     allow_stack: bool,
 ) -> Decision {
-    let my_pos = a.my_pos();
-    let my_z = zf.angle_of(my_pos);
-    rotate_with_constraints(a, zf, rs, my_pos, my_z, dest, same_circle, preserve_sec, allow_stack)
-}
-
-/// Rotation helper without same-circle blocking context (recomputes it).
-fn rotate_toward(
-    a: &Analysis,
-    zf: &ZFrame,
-    my_pos: Point,
-    my_z: f64,
-    dest: f64,
-    preserve_sec: bool,
-) -> Decision {
-    let tol = &a.tol;
-    let my_r = my_pos.dist(Point::ORIGIN);
-    let same: Vec<usize> = (0..a.n()).filter(|&i| i != a.me && tol.eq(a.radius(i), my_r)).collect();
-    rotate_with_constraints(a, zf, usize::MAX, my_pos, my_z, dest, &same, preserve_sec, false)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rotate_with_constraints(
-    a: &Analysis,
-    zf: &ZFrame,
-    rs: usize,
-    my_pos: Point,
-    my_z: f64,
-    dest: f64,
-    same_circle: &[usize],
-    preserve_sec: bool,
-    allow_stack: bool,
-) -> Decision {
+    let my_z = ix.z(a.me);
     let tol = &a.tol;
     if (my_z - dest).abs() <= tol.angle_eps {
         return Decision::Stay;
@@ -481,7 +429,7 @@ fn rotate_with_constraints(
         if i == a.me || i == rs {
             continue;
         }
-        let z = zf.angle_of(a.config.point(i));
+        let z = ix.z(i);
         let at_target = (z - target).abs() <= tol.angle_eps;
         let between = if increasing {
             z > my_z + tol.angle_eps && (z < target - tol.angle_eps || (at_target && !allow_stack))
@@ -509,11 +457,8 @@ fn rotate_with_constraints(
         // |C(F) ∩ F'| = 2 case *requires* reaching exactly-diametral
         // positions, so the margin is only numerical.
         let margin = 1e-9;
-        let mut neighbors: Vec<f64> = same_circle
-            .iter()
-            .filter(|&&i| i != a.me && i != rs)
-            .map(|&i| zf.angle_of(a.config.point(i)))
-            .collect();
+        let mut neighbors: Vec<f64> =
+            same_circle.iter().filter(|&&i| i != a.me && i != rs).map(|&i| ix.z(i)).collect();
         neighbors.sort_by(f64::total_cmp);
         if !neighbors.is_empty() {
             if increasing {
@@ -554,6 +499,6 @@ fn rotate_with_constraints(
     if dz.abs() <= tol.angle_eps {
         return Decision::Stay;
     }
-    let p = zf.rotate(my_pos, dz);
+    let p = zf.rotate(a.my_pos(), dz);
     Decision::Move(a.denormalize_path(&p))
 }

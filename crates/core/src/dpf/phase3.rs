@@ -10,6 +10,7 @@
 //! additionally capped so the enclosing circle never changes.
 
 use crate::analysis::Analysis;
+use crate::dpf::index::Index;
 use crate::dpf::phase1::ZFrame;
 use crate::dpf::phase2::move_on_circle;
 use crate::dpf::TargetPlan;
@@ -19,6 +20,7 @@ use apf_sim::{ComputeError, Decision};
 /// `P' = P − {r_s}` stands on its pattern position.
 pub fn rotate_to_targets(
     a: &Analysis,
+    ix: &Index,
     rs: usize,
     zf: &ZFrame,
     plan: &TargetPlan,
@@ -27,23 +29,15 @@ pub fn rotate_to_targets(
     let mut all_placed = true;
     let mut my_move: Option<Decision> = None;
 
-    for (ci_idx, &ci) in plan.circles.iter().enumerate() {
-        // Robots on this circle, sorted by Z-angle.
-        let mut robots: Vec<usize> =
-            (0..a.n()).filter(|&i| i != rs && tol.eq(a.radius(i), ci)).collect();
-        robots.sort_by(|&x, &y| {
-            zf.angle_of(a.config.point(x)).total_cmp(&zf.angle_of(a.config.point(y)))
-        });
-        // Targets on this circle, sorted by Z-angle.
-        let mut targets: Vec<f64> =
-            plan.targets.iter().filter(|t| tol.eq(t.radius, ci)).map(|t| t.angle).collect();
-        targets.sort_by(f64::total_cmp);
+    for (ci_idx, targets) in plan.circle_targets.iter().enumerate() {
+        // Robots and targets on this circle, both sorted by Z-angle.
+        let robots = ix.on_z(ci_idx);
         if robots.len() != targets.len() {
             return Err(ComputeError::new("phase 3 invoked before circles were populated"));
         }
 
         for (pos, &r) in robots.iter().enumerate() {
-            let my_z = zf.angle_of(a.config.point(r));
+            let my_z = ix.z(r);
             let dest = targets[pos];
             if apf_geometry::angle::angle_dist(my_z, dest) <= tol.angle_eps.max(1e-7) {
                 continue;
@@ -53,7 +47,7 @@ pub fn rotate_to_targets(
                 // Stacking onto the destination is legal only when the
                 // pattern genuinely has several targets there.
                 let dup = targets.iter().filter(|&&t| (t - dest).abs() <= tol.angle_eps).count();
-                my_move = Some(move_on_circle(a, zf, rs, dest, &robots, ci_idx == 0, dup >= 2));
+                my_move = Some(move_on_circle(a, ix, zf, rs, dest, robots, ci_idx == 0, dup >= 2));
             }
         }
     }

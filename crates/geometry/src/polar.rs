@@ -34,12 +34,18 @@ impl PolarPoint {
     /// A point coinciding with the center gets radius 0 and angle 0.
     pub fn from_cartesian(p: Point, center: Point) -> Self {
         let v = p - center;
-        let r = v.norm();
+        PolarPoint::from_norm_and_direction(v.norm(), v.angle())
+    }
+
+    /// The polar form of a vector from its length and its `atan2`
+    /// direction, exactly as [`Self::from_cartesian`] computes it: a
+    /// zero-length vector gets angle 0.
+    pub fn from_norm_and_direction(radius: f64, direction: f64) -> Self {
         // apf-lint: allow(no-float-eq) — exact-zero guard: only r == 0 leaves the angle undefined
-        if r == 0.0 {
+        if radius == 0.0 {
             PolarPoint { radius: 0.0, angle: 0.0 }
         } else {
-            PolarPoint { radius: r, angle: normalize_angle(v.angle()) }
+            PolarPoint { radius, angle: normalize_angle(direction) }
         }
     }
 

@@ -126,7 +126,9 @@ impl SimilarityTarget {
     /// reject is exact: an accepted match pairs every radius of `a` with one
     /// of the target within `eps`, and because floating-point subtraction is
     /// monotone, uncrossing such a pairing keeps every pair within `eps` —
-    /// so the sorted pairing is within `eps` too.
+    /// so the sorted pairing is within `eps` too. Rank 0 is tested first,
+    /// on `a`'s minimum normalized radius, before anything is allocated or
+    /// sorted; most mismatches end there.
     pub fn match_set(&self, a: &[Point]) -> Option<SimilarityMap> {
         let tol = &self.tol;
         if a.len() != self.len {
@@ -162,8 +164,14 @@ impl SimilarityTarget {
         let scale = cb.radius / ca.radius;
 
         // Normalized radii (unit enclosing radius), as `PolarPoint` computes
-        // them, and the exact reject on their sorted sequences.
-        let radii: Vec<f64> = a.iter().map(|&p| p.dist(ca.center) / ca.radius).collect();
+        // them, and the exact reject on their sorted sequences. Radii are
+        // never NaN or -0.0, so the minimum is rank 0 of the sorted radii.
+        let radius_of = |p: Point| p.dist(ca.center) / ca.radius;
+        let min_radius = a.iter().map(|&p| radius_of(p)).fold(f64::INFINITY, f64::min);
+        if !tol.eq(min_radius, self.sorted_radii[0]) {
+            return None;
+        }
+        let radii: Vec<f64> = a.iter().map(|&p| radius_of(p)).collect();
         let mut sorted = radii.clone();
         sorted.sort_by(f64::total_cmp);
         if sorted.iter().enumerate().any(|(k, &r)| !tol.eq(r, self.sorted_radii[k])) {
