@@ -205,16 +205,28 @@ pub fn degenerate_instance(family: GeoFamily, n: usize, seed: u64) -> GeoInstanc
     }
 }
 
-/// Smallest non-trivial divisor of `n` (`n` itself when prime): the largest
-/// orbit structure `symmetric_configuration` supports for every `n`.
-fn small_rho(n: usize) -> usize {
-    (2..=n).find(|d| n.is_multiple_of(*d)).unwrap_or(n)
+/// Most orbits a `perturbed-rho` template may have.
+/// `symmetric_configuration` draws orbit radii from [0.3, 1.5), each more
+/// than 0.05 from the others, so every radius drawn rules out less than 0.1
+/// of the range; with at most 11 orbits a free radius always remains.
+const MAX_ORBITS: usize = 11;
+
+/// The template's symmetricity: the smallest divisor `ρ >= 2` of `n` that
+/// leaves at most [`MAX_ORBITS`] orbits (`n` itself when `n` is prime).
+fn template_rho(n: usize) -> usize {
+    (2..=n).find(|&d| n.is_multiple_of(d) && n / d <= MAX_ORBITS).unwrap_or(n)
 }
 
 fn perturbed_rho(n: usize, seed: u64, factor: f64, rng: &mut StdRng) -> GeoInstance {
     let tol = Tol::default();
-    let rho = small_rho(n);
-    let template = apf_patterns::symmetric_configuration(n, rho, seed ^ 0x6E0);
+    let rho = template_rho(n);
+    let template = if rho == n {
+        // A single orbit is a regular n-gon, which always has an axis, so
+        // `symmetric_configuration` cannot build it.
+        apf_patterns::regular_polygon(n, 1.0, 0.0)
+    } else {
+        apf_patterns::symmetric_configuration(n, rho, seed ^ 0x6E0)
+    };
     let idx = rng.gen_range(0..n);
     let radius = template[idx].dist(Point::ORIGIN);
     let slack = angular_slack(&tol, radius);
@@ -1142,6 +1154,25 @@ mod tests {
             let c = degenerate_instance(family, 8, 43);
             assert_ne!(a.positions, c.positions, "{family}: seeds must differ");
         }
+    }
+
+    #[test]
+    fn every_family_builds_for_every_soak_robot_count() {
+        // Every robot count a soak accepts (7..=64) must generate, and in
+        // bounded time: a prime count's template is a single orbit, and a
+        // large count's template must leave its orbit radii room.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for n in 7..=64 {
+                for seed in 0..4 {
+                    for family in GeoFamily::ALL {
+                        assert_eq!(degenerate_instance(family, n, seed).len(), n, "{family} n={n}");
+                    }
+                }
+            }
+            let _ = done.send(());
+        });
+        finished.recv_timeout(Duration::from_secs(60)).expect("every instance built within 60 s");
     }
 
     #[test]

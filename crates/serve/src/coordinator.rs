@@ -1,5 +1,8 @@
-//! Coordinator mode: fan a campaign out over backend `apf-serve` workers
-//! and merge the shards bit-identically to a single-process run.
+//! Coordinator mode: fan a job out over backend `apf-serve` workers and
+//! merge the shards — a campaign bit-identically to a single-process run,
+//! a soak by summing case counts. Both kinds share one dispatch loop; what
+//! differs per kind (route, shard body, payload check, landing hook) sits
+//! behind the private `ShardWork` trait.
 //!
 //! # Why this is sound
 //!
@@ -40,6 +43,7 @@ use crate::soak::{SoakOutcome, SoakSpec};
 use apf_bench::engine::{CancelToken, LiveStats, StreamingAggregate};
 use apf_bench::RunResult;
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -83,17 +87,35 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// A coordinated campaign's merged outcome.
-#[derive(Debug)]
-pub struct CoordReport {
-    /// The merged outcome (digests and statistics bit-identical to a
-    /// single-process run of the executed prefix).
-    pub outcome: JobOutcome,
-    /// Whether cancellation stopped the run before completing every shard.
-    pub cancelled: bool,
+/// What differs between the job kinds a coordinator shards: campaigns split
+/// by trial range, soaks by case range. Everything else — the shard queue,
+/// retries, backend retirement and result slots — is shared.
+trait ShardWork: Sync {
+    /// One completed shard's contribution to the merge.
+    type Result: Send;
+    /// Names a shard in error messages.
+    const NOUN: &'static str;
+    /// The backend route a shard is submitted to.
+    const SUBMIT_PATH: &'static str;
+
+    /// The request body that runs `shard` on a backend.
+    fn body(&self, shard: Shard) -> String;
+
+    /// Parses a backend's `result` member and checks it against `shard`.
+    fn parse(&self, result: &Json, shard: Shard) -> Result<Self::Result, String>;
+
+    /// Counts a shard's result once, when its slot is filled.
+    fn land(&self, result: &Self::Result);
 }
 
-/// One shard's execution record.
+/// Campaign shards: trial ranges run with `detail`, so the merge can replay
+/// per-trial records.
+struct CampaignShards<'a> {
+    spec: &'a JobSpec,
+    live: &'a LiveStats,
+}
+
+/// One campaign shard's execution record.
 #[derive(Debug)]
 struct ShardResult {
     digests: Vec<u64>,
@@ -102,10 +124,95 @@ struct ShardResult {
     partial: bool,
 }
 
-/// Shared shard-dispatch state, generic over the per-shard result payload
-/// (campaign shards carry records and digests; soak shards carry counts).
-/// Exactly one result slot per shard — the no-double-count invariant for
-/// both job kinds.
+impl ShardWork for CampaignShards<'_> {
+    type Result = ShardResult;
+    const NOUN: &'static str = "shard";
+    const SUBMIT_PATH: &'static str = "/v1/jobs";
+
+    fn body(&self, shard: Shard) -> String {
+        let shard_spec = JobSpec {
+            canonical: self.spec.canonical.clone(),
+            range: Some((shard.lo, shard.hi)),
+            detail: true,
+        };
+        shard_spec.to_json().render()
+    }
+
+    fn parse(&self, result: &Json, shard: Shard) -> Result<ShardResult, String> {
+        let outcome = JobOutcome::from_json(result)?;
+        let records = outcome.detail.ok_or("shard result missing detail")?;
+        let executed = outcome.trials;
+        if executed > shard.len() as usize
+            || records.len() != executed
+            || outcome.digests.len() != executed
+        {
+            return Err(format!(
+                "shard payload inconsistent: {executed} trials, {} records, {} digests",
+                records.len(),
+                outcome.digests.len()
+            ));
+        }
+        Ok(ShardResult {
+            digests: outcome.digests,
+            records,
+            partial: executed < shard.len() as usize,
+        })
+    }
+
+    fn land(&self, result: &ShardResult) {
+        for r in &result.records {
+            // Busy time is a backend-side quantity the shard result does not
+            // carry per trial; zero keeps utilization honest (coordinator
+            // workers are not busy *executing*).
+            self.live.record(r, Duration::ZERO);
+        }
+    }
+}
+
+/// Soak shards: case ranges, summed.
+struct SoakShards<'a> {
+    spec: &'a SoakSpec,
+    metrics: &'a Metrics,
+}
+
+impl ShardWork for SoakShards<'_> {
+    type Result = SoakOutcome;
+    const NOUN: &'static str = "soak shard";
+    const SUBMIT_PATH: &'static str = "/v1/soak";
+
+    fn body(&self, shard: Shard) -> String {
+        let shard_spec = SoakSpec {
+            seed: self.spec.seed,
+            cases: shard.hi,
+            seconds: 0,
+            robots: self.spec.robots,
+            range: Some((shard.lo, shard.hi)),
+        };
+        shard_spec.to_json().render()
+    }
+
+    fn parse(&self, result: &Json, shard: Shard) -> Result<SoakOutcome, String> {
+        let outcome = SoakOutcome::from_json(result)?;
+        if outcome.cases > shard.len() || outcome.clean > outcome.cases {
+            return Err(format!(
+                "soak shard payload inconsistent: {} cases of {}, {} clean",
+                outcome.cases,
+                shard.len(),
+                outcome.clean
+            ));
+        }
+        Ok(outcome)
+    }
+
+    fn land(&self, outcome: &SoakOutcome) {
+        self.metrics.soak_cases.fetch_add(outcome.cases, Ordering::Relaxed);
+        self.metrics.soak_violations.fetch_add(outcome.violations, Ordering::Relaxed);
+        self.metrics.soak_shrink_steps.fetch_add(outcome.shrink_steps, Ordering::Relaxed);
+    }
+}
+
+/// Shared shard-dispatch state. Exactly one result slot per shard — the
+/// no-double-count invariant for both job kinds.
 struct Dispatch<R> {
     queue: VecDeque<usize>,
     attempts: Vec<usize>,
@@ -177,7 +284,10 @@ fn next_poll(cfg: &CoordinatorConfig, waited: Duration) -> Duration {
     (waited / 8).clamp(MIN_POLL, cfg.poll_interval.max(MIN_POLL))
 }
 
-/// Runs `spec` by sharding it across `cfg.backends`.
+/// Runs `spec` by sharding it across `cfg.backends` and returns whether
+/// cancellation cut it short, plus the merged outcome (digests and
+/// statistics bit-identical to a single-process run of the executed
+/// prefix; `wall_secs` is the coordinator's own clock).
 ///
 /// Progress folds into `live` per completed shard; `cancel` stops dispatch
 /// at the next poll and cancels in-flight backend jobs. `request_id` is
@@ -188,61 +298,32 @@ fn next_poll(cfg: &CoordinatorConfig, waited: Duration) -> Duration {
 ///
 /// Returns the failure description when a shard exhausts its attempts, all
 /// backends are retired, or a backend reports a failed job.
-pub fn run_job(
+pub(crate) fn run_job(
     cfg: &CoordinatorConfig,
     spec: &JobSpec,
     request_id: &str,
     cancel: &CancelToken,
     live: &LiveStats,
     metrics: &Metrics,
-) -> Result<CoordReport, String> {
-    assert!(!cfg.backends.is_empty(), "coordinator mode needs at least one backend");
+) -> Result<(bool, JobOutcome), String> {
     let t0 = Instant::now();
     let (lo, hi) = spec.range.unwrap_or((0, spec.canonical.trials));
-    let shards = split_trials(hi - lo, cfg.backends.len() * cfg.shards_per_backend.max(1))
-        .into_iter()
-        .map(|s| Shard { lo: lo + s.lo, hi: lo + s.hi })
-        .collect::<Vec<_>>();
-
-    let board = Board::new(shards.len(), cfg.backends.len());
-
-    std::thread::scope(|scope| {
-        for backend in &cfg.backends {
-            let board = &board;
-            let shards = &shards;
-            scope.spawn(move || {
-                backend_loop(cfg, spec, request_id, backend, shards, board, cancel, live, metrics)
-            });
-        }
-    });
-
-    let mut d = board.lock();
-    let cancelled = cancel.is_cancelled();
-    if let Some(why) = d.failure.take() {
-        return Err(why);
-    }
-    if !cancelled {
-        if let Some(k) = d.results.iter().position(Option::is_none) {
-            // Only cancellation may leave holes; anything else is a retired
-            // backend set, which must have recorded a failure above.
-            return Err(format!("shard {k} never completed (all backends retired)"));
-        }
-    }
+    let work = CampaignShards { spec, live };
+    let results = dispatch(cfg, &work, request_id, lo, hi, cancel, metrics)?;
 
     // Merge the longest contiguous prefix of completed shards (all of them,
     // unless cancelled) — mirroring the engine's cancelled-run guarantee
     // that executed trials form a contiguous prefix in trial order.
     let mut digests = Vec::with_capacity((hi - lo) as usize);
     let mut records: Vec<RunResult> = Vec::with_capacity((hi - lo) as usize);
-    for slot in d.results.iter_mut() {
-        let Some(result) = slot.take() else { break };
+    for slot in results {
+        let Some(result) = slot else { break };
         digests.extend(&result.digests);
         records.extend(result.records);
         if result.partial {
             break;
         }
     }
-    drop(d);
 
     let stats = StreamingAggregate::replay(&records, 1 << 16);
     let agg = stats.to_aggregate();
@@ -264,20 +345,117 @@ pub fn run_job(
         detail: spec.detail.then_some(records),
         cached: false,
     };
-    let cancelled = cancelled && executed < outcome.requested;
-    Ok(CoordReport { outcome, cancelled })
+    let cancelled = cancel.is_cancelled() && executed < outcome.requested;
+    Ok((cancelled, outcome))
+}
+
+/// Runs a soak job by sharding its case range across `cfg.backends`. A
+/// timed soak (`seconds > 0`) dispatches successive rounds of
+/// `backends × shards_per_backend × 8` cases until the deadline; a
+/// case-bounded soak dispatches one round covering `range` (or all cases).
+/// Returns whether cancellation cut it short, plus the summed outcome.
+///
+/// # Errors
+///
+/// As [`run_job`].
+pub(crate) fn run_soak_job(
+    cfg: &CoordinatorConfig,
+    spec: &SoakSpec,
+    request_id: &str,
+    cancel: &CancelToken,
+    metrics: &Metrics,
+) -> Result<(bool, SoakOutcome), String> {
+    let t0 = Instant::now();
+    let work = SoakShards { spec, metrics };
+    let mut total = SoakOutcome::default();
+    let mut round = |lo: u64, hi: u64| -> Result<bool, String> {
+        for outcome in dispatch(cfg, &work, request_id, lo, hi, cancel, metrics)?.iter().flatten() {
+            total.absorb(outcome);
+        }
+        Ok(cancel.is_cancelled())
+    };
+    let cancelled = if spec.seconds == 0 {
+        let (lo, hi) = spec.range.unwrap_or((0, spec.cases));
+        round(lo, hi)?
+    } else {
+        let deadline = t0 + Duration::from_secs(spec.seconds);
+        let size = (cfg.backends.len() * cfg.shards_per_backend.max(1)) as u64 * 8;
+        let mut next = 0u64;
+        loop {
+            if cancel.is_cancelled() {
+                break true;
+            }
+            if Instant::now() >= deadline {
+                break false;
+            }
+            if round(next, next + size)? {
+                break true;
+            }
+            next += size;
+        }
+    };
+    // The coordinator's own clock, not the sum of backend clocks: what the
+    // submitter actually waited for.
+    total.wall_secs = t0.elapsed().as_secs_f64();
+    Ok((cancelled, total))
+}
+
+/// Splits `lo..hi` into shards, runs them on one dispatch thread per
+/// backend, and returns every shard's result slot in shard order. Slots
+/// stay empty only when cancellation stopped the run.
+///
+/// # Errors
+///
+/// As [`run_job`].
+fn dispatch<W: ShardWork>(
+    cfg: &CoordinatorConfig,
+    work: &W,
+    request_id: &str,
+    lo: u64,
+    hi: u64,
+    cancel: &CancelToken,
+    metrics: &Metrics,
+) -> Result<Vec<Option<W::Result>>, String> {
+    assert!(!cfg.backends.is_empty(), "coordinator mode needs at least one backend");
+    let shards = split_trials(hi - lo, cfg.backends.len() * cfg.shards_per_backend.max(1))
+        .into_iter()
+        .map(|s| Shard { lo: lo + s.lo, hi: lo + s.hi })
+        .collect::<Vec<_>>();
+    let board = Board::new(shards.len(), cfg.backends.len());
+
+    std::thread::scope(|scope| {
+        for backend in &cfg.backends {
+            let board = &board;
+            let shards = &shards;
+            scope.spawn(move || {
+                backend_loop(cfg, work, request_id, backend, shards, board, cancel, metrics)
+            });
+        }
+    });
+
+    let mut d = board.lock();
+    if let Some(why) = d.failure.take() {
+        return Err(why);
+    }
+    if !cancel.is_cancelled() {
+        if let Some(k) = d.results.iter().position(Option::is_none) {
+            // Only cancellation may leave holes; anything else is a retired
+            // backend set, which must have recorded a failure above.
+            return Err(format!("{} {k} never completed (all backends retired)", W::NOUN));
+        }
+    }
+    Ok(std::mem::take(&mut d.results))
 }
 
 #[allow(clippy::too_many_arguments)]
-fn backend_loop(
+fn backend_loop<W: ShardWork>(
     cfg: &CoordinatorConfig,
-    spec: &JobSpec,
+    work: &W,
     request_id: &str,
     backend: &str,
     shards: &[Shard],
-    board: &Board<ShardResult>,
+    board: &Board<W::Result>,
     cancel: &CancelToken,
-    live: &LiveStats,
     metrics: &Metrics,
 ) {
     let mut strikes = 0;
@@ -291,7 +469,11 @@ fn backend_loop(
                 Some(k) => {
                     d.attempts[k] += 1;
                     if d.attempts[k] > cfg.max_attempts {
-                        d.abort(format!("shard {k} failed {} dispatch attempts", cfg.max_attempts));
+                        d.abort(format!(
+                            "{} {k} failed {} dispatch attempts",
+                            W::NOUN,
+                            cfg.max_attempts
+                        ));
                         drop(d);
                         board.changed.notify_all();
                         return;
@@ -313,31 +495,26 @@ fn backend_loop(
         };
         let Some(k) = popped else { continue };
         let shard = shards[k];
-        metrics.shards_dispatched.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        metrics.shards_dispatched.fetch_add(1, Ordering::Relaxed);
         let shard_t0 = Instant::now();
-        match run_shard(cfg, spec, request_id, backend, shard, cancel) {
+        match run_shard(cfg, work, request_id, backend, shard, cancel) {
             Ok(result) => {
                 metrics.shard_roundtrip_seconds.observe(shard_t0.elapsed());
                 strikes = 0;
-                for r in &result.records {
-                    // Busy time is a backend-side quantity the shard result
-                    // does not carry per trial; zero keeps utilization
-                    // honest (coordinator workers are not busy *executing*).
-                    live.record(r, Duration::ZERO);
-                }
+                work.land(&result);
                 board.update(|d| d.results[k] = Some(result));
             }
             Err(ShardError::Cancelled) => {
-                // Leave the shard unfinished; run_job merges the completed
-                // prefix. (Do not requeue: the whole job is stopping.)
+                // Leave the shard unfinished; the caller keeps what landed.
+                // (Do not requeue: the whole job is stopping.)
                 return;
             }
             Err(ShardError::Fatal(why)) => {
-                board.update(|d| d.abort(format!("shard {k} on {backend}: {why}")));
+                board.update(|d| d.abort(format!("{} {k} on {backend}: {why}", W::NOUN)));
                 return;
             }
             Err(ShardError::Transient(why)) => {
-                metrics.shard_retries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                metrics.shard_retries.fetch_add(1, Ordering::Relaxed);
                 strikes += 1;
                 if requeue(board, k, strikes, &why) {
                     return;
@@ -375,24 +552,18 @@ enum ShardError {
     Fatal(String),
 }
 
-/// Submits one shard to `backend`, polls it to completion, and fetches the
-/// detail result. Every call carries the coordinator's request id.
-fn run_shard(
+/// Submits one shard to `backend`, polls it to completion, and parses the
+/// result. Every call carries the coordinator's request id.
+fn run_shard<W: ShardWork>(
     cfg: &CoordinatorConfig,
-    spec: &JobSpec,
+    work: &W,
     request_id: &str,
     backend: &str,
     shard: Shard,
     cancel: &CancelToken,
-) -> Result<ShardResult, ShardError> {
-    let shard_spec = JobSpec {
-        canonical: spec.canonical.clone(),
-        range: Some((shard.lo, shard.hi)),
-        detail: true,
-    };
-    let body = shard_spec.to_json().render();
-
-    let submit = call(cfg, backend, request_id, "POST", "/v1/jobs", body.as_bytes())
+) -> Result<W::Result, ShardError> {
+    let body = work.body(shard);
+    let submit = call(cfg, backend, request_id, "POST", W::SUBMIT_PATH, body.as_bytes())
         .map_err(ShardError::Transient)?;
     if submit.0 == 429 || submit.0 == 503 {
         return Err(ShardError::Transient(format!("backend busy ({})", submit.0)));
@@ -407,253 +578,11 @@ fn run_shard(
         .get("id")
         .and_then(Json::as_u64)
         .ok_or_else(|| ShardError::Fatal("submit response missing id".to_string()))?;
-    let v = await_result(cfg, backend, request_id, id, cancel, "shard")?;
+    let v = await_result(cfg, backend, request_id, id, cancel, W::NOUN)?;
     let result = v
         .get("result")
         .ok_or_else(|| ShardError::Transient("result fetch missing result".to_string()))?;
-    let outcome = JobOutcome::from_json(result).map_err(ShardError::Transient)?;
-    let records = outcome
-        .detail
-        .ok_or_else(|| ShardError::Transient("shard result missing detail".to_string()))?;
-    let executed = outcome.trials;
-    if executed > shard.len() as usize
-        || records.len() != executed
-        || outcome.digests.len() != executed
-    {
-        return Err(ShardError::Transient(format!(
-            "shard payload inconsistent: {executed} trials, {} records, {} digests",
-            records.len(),
-            outcome.digests.len()
-        )));
-    }
-    Ok(ShardResult { digests: outcome.digests, records, partial: executed < shard.len() as usize })
-}
-
-/// Runs a soak job by sharding its case range across `cfg.backends`. A
-/// timed soak (`seconds > 0`) dispatches successive case-range rounds
-/// until the deadline; a case-bounded soak dispatches one round covering
-/// `range` (or all cases). Returns whether cancellation cut it short, plus
-/// the summed outcome.
-///
-/// Re-execution cannot double-count cases: every shard has exactly one
-/// result slot, filled once, and each case is deterministic in
-/// `(seed, index)` — the same invariant the campaign path relies on.
-///
-/// # Errors
-///
-/// Returns the failure description when a shard exhausts its attempts, all
-/// backends are retired, or a backend reports a failed job.
-pub fn run_soak_job(
-    cfg: &CoordinatorConfig,
-    spec: &SoakSpec,
-    request_id: &str,
-    cancel: &CancelToken,
-    metrics: &Metrics,
-) -> Result<(bool, SoakOutcome), String> {
-    assert!(!cfg.backends.is_empty(), "coordinator mode needs at least one backend");
-    let t0 = Instant::now();
-    let mut total = SoakOutcome::default();
-    let mut cancelled = false;
-
-    if spec.seconds == 0 {
-        let (lo, hi) = spec.range.unwrap_or((0, spec.cases));
-        let (c, outcome) = run_soak_round(cfg, spec, request_id, lo, hi - lo, cancel, metrics)?;
-        total.absorb(&outcome);
-        cancelled = c;
-    } else {
-        let deadline = t0 + Duration::from_secs(spec.seconds);
-        let round = (cfg.backends.len() * cfg.shards_per_backend.max(1)) as u64 * 8;
-        let mut next = 0u64;
-        loop {
-            if cancel.is_cancelled() {
-                cancelled = true;
-                break;
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            let (c, outcome) = run_soak_round(cfg, spec, request_id, next, round, cancel, metrics)?;
-            next += round;
-            total.absorb(&outcome);
-            if c {
-                cancelled = true;
-                break;
-            }
-        }
-    }
-    // The coordinator's own clock, not the sum of backend clocks: what the
-    // submitter actually waited for.
-    total.wall_secs = t0.elapsed().as_secs_f64();
-    Ok((cancelled, total))
-}
-
-/// Dispatches one round of soak shards covering cases `first..first+count`
-/// and sums the results.
-fn run_soak_round(
-    cfg: &CoordinatorConfig,
-    spec: &SoakSpec,
-    request_id: &str,
-    first: u64,
-    count: u64,
-    cancel: &CancelToken,
-    metrics: &Metrics,
-) -> Result<(bool, SoakOutcome), String> {
-    let shards = split_trials(count, cfg.backends.len() * cfg.shards_per_backend.max(1))
-        .into_iter()
-        .map(|s| Shard { lo: first + s.lo, hi: first + s.hi })
-        .collect::<Vec<_>>();
-    let board = Board::new(shards.len(), cfg.backends.len());
-
-    std::thread::scope(|scope| {
-        for backend in &cfg.backends {
-            let board = &board;
-            let shards = &shards;
-            scope.spawn(move || {
-                soak_backend_loop(cfg, spec, request_id, backend, shards, board, cancel, metrics)
-            });
-        }
-    });
-
-    let mut d = board.lock();
-    let cancelled = cancel.is_cancelled();
-    if let Some(why) = d.failure.take() {
-        return Err(why);
-    }
-    if !cancelled {
-        if let Some(k) = d.results.iter().position(Option::is_none) {
-            return Err(format!("soak shard {k} never completed (all backends retired)"));
-        }
-    }
-    let mut total = SoakOutcome::default();
-    for outcome in d.results.iter_mut().filter_map(Option::take) {
-        total.absorb(&outcome);
-    }
-    Ok((cancelled, total))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn soak_backend_loop(
-    cfg: &CoordinatorConfig,
-    spec: &SoakSpec,
-    request_id: &str,
-    backend: &str,
-    shards: &[Shard],
-    board: &Board<SoakOutcome>,
-    cancel: &CancelToken,
-    metrics: &Metrics,
-) {
-    let mut strikes = 0;
-    loop {
-        if cancel.is_cancelled() {
-            return;
-        }
-        let popped = {
-            let mut d = board.lock();
-            match d.queue.pop_front() {
-                Some(k) => {
-                    d.attempts[k] += 1;
-                    if d.attempts[k] > cfg.max_attempts {
-                        d.abort(format!(
-                            "soak shard {k} failed {} dispatch attempts",
-                            cfg.max_attempts
-                        ));
-                        drop(d);
-                        board.changed.notify_all();
-                        return;
-                    }
-                    Some(k)
-                }
-                None => {
-                    if d.failure.is_some() || d.results.iter().all(Option::is_some) {
-                        return;
-                    }
-                    board.wait(d, cfg.poll_interval);
-                    None
-                }
-            }
-        };
-        let Some(k) = popped else { continue };
-        let shard = shards[k];
-        metrics.shards_dispatched.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let shard_t0 = Instant::now();
-        match run_soak_shard(cfg, spec, request_id, backend, shard, cancel) {
-            Ok(outcome) => {
-                metrics.shard_roundtrip_seconds.observe(shard_t0.elapsed());
-                strikes = 0;
-                metrics.soak_cases.fetch_add(outcome.cases, std::sync::atomic::Ordering::Relaxed);
-                metrics
-                    .soak_violations
-                    .fetch_add(outcome.violations, std::sync::atomic::Ordering::Relaxed);
-                metrics
-                    .soak_shrink_steps
-                    .fetch_add(outcome.shrink_steps, std::sync::atomic::Ordering::Relaxed);
-                board.update(|d| d.results[k] = Some(outcome));
-            }
-            Err(ShardError::Cancelled) => {
-                return;
-            }
-            Err(ShardError::Fatal(why)) => {
-                board.update(|d| d.abort(format!("soak shard {k} on {backend}: {why}")));
-                return;
-            }
-            Err(ShardError::Transient(why)) => {
-                metrics.shard_retries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                strikes += 1;
-                if requeue(board, k, strikes, &why) {
-                    return;
-                }
-                std::thread::sleep(cfg.poll_interval);
-            }
-        }
-    }
-}
-
-/// Submits one soak shard to `backend`, polls it to completion, and
-/// fetches the result. Mirrors [`run_shard`]'s transient/fatal taxonomy.
-fn run_soak_shard(
-    cfg: &CoordinatorConfig,
-    spec: &SoakSpec,
-    request_id: &str,
-    backend: &str,
-    shard: Shard,
-    cancel: &CancelToken,
-) -> Result<SoakOutcome, ShardError> {
-    let shard_spec = SoakSpec {
-        seed: spec.seed,
-        cases: shard.hi,
-        seconds: 0,
-        robots: spec.robots,
-        range: Some((shard.lo, shard.hi)),
-    };
-    let body = shard_spec.to_json().render();
-
-    let submit = call(cfg, backend, request_id, "POST", "/v1/soak", body.as_bytes())
-        .map_err(ShardError::Transient)?;
-    if submit.0 == 429 || submit.0 == 503 {
-        return Err(ShardError::Transient(format!("backend busy ({})", submit.0)));
-    }
-    if submit.0 != 202 {
-        return Err(ShardError::Fatal(format!("soak submit returned {}", submit.0)));
-    }
-    let id = submit
-        .1
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ShardError::Fatal("soak submit response missing id".to_string()))?;
-    let v = await_result(cfg, backend, request_id, id, cancel, "soak shard")?;
-    let result = v
-        .get("result")
-        .ok_or_else(|| ShardError::Transient("result fetch missing result".to_string()))?;
-    let outcome = SoakOutcome::from_json(result).map_err(ShardError::Transient)?;
-    if outcome.cases > shard.len() || outcome.clean > outcome.cases {
-        return Err(ShardError::Transient(format!(
-            "soak shard payload inconsistent: {} cases of {}, {} clean",
-            outcome.cases,
-            shard.len(),
-            outcome.clean
-        )));
-    }
-    Ok(outcome)
+    work.parse(result, shard).map_err(ShardError::Transient)
 }
 
 /// Polls backend job `id`'s result until the job is terminal and returns

@@ -183,7 +183,6 @@ impl Response {
         match status {
             200 => "OK",
             202 => "Accepted",
-            308 => "Permanent Redirect",
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",

@@ -1,6 +1,11 @@
 //! Job specifications and lifecycle state.
 //!
-//! A job is a campaign described over the wire. [`JobSpec`] is a thin
+//! A [`Job`] carries one [`Work`] — a campaign or a geometry-fuzz soak — and,
+//! once finished, one [`Outcome`] of the same kind. Both kinds share the
+//! queue, the workers, the result route and the coordinator's shard
+//! dispatch; only campaign outcomes enter the result cache.
+//!
+//! A campaign is described over the wire by [`JobSpec`], a thin
 //! transport wrapper around [`apf_bench::spec::CanonicalSpec`] — the single
 //! shared campaign-spec type — plus two serve-only extensions: an optional
 //! trial sub-range (shard execution for the coordinator) and a `detail`
@@ -358,29 +363,54 @@ fn trial_from_json(v: &Json) -> Result<RunResult, String> {
     })
 }
 
-/// One submitted job: spec, lifecycle state, live counters, cancel token.
+/// What a job runs: a campaign of the paper's algorithm, or a geometry-fuzz
+/// soak ([`crate::soak`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Work {
+    /// A campaign (`POST /v1/jobs`).
+    Campaign(JobSpec),
+    /// A soak (`POST /v1/soak` or `serve --soak`).
+    Soak(SoakSpec),
+}
+
+/// A finished job's outcome, of the same kind as its [`Work`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// A campaign's statistics and digests.
+    Campaign(JobOutcome),
+    /// A soak's case counts.
+    Soak(SoakOutcome),
+}
+
+impl Outcome {
+    /// The outcome as response JSON (the `result` member).
+    pub fn to_json(&self) -> Json {
+        match self {
+            Outcome::Campaign(outcome) => outcome.to_json(),
+            Outcome::Soak(outcome) => outcome.to_json(),
+        }
+    }
+}
+
+/// One submitted job: work, lifecycle state, live counters, cancel token.
 #[derive(Debug)]
 pub struct Job {
     /// Server-assigned id.
     pub id: u64,
-    /// The validated spec.
-    pub spec: JobSpec,
+    /// The validated work.
+    pub work: Work,
     /// Cooperative cancellation for `DELETE` and shutdown.
     pub cancel: CancelToken,
-    /// Live per-trial counters the engine updates while running.
+    /// Live per-trial counters the engine updates while running (campaigns
+    /// only; a soak reports through the `apf_soak_*` metrics).
     pub live: Arc<LiveStats>,
     /// When set, this job is a cache-integrity replay: after it finishes,
     /// the worker compares its digests against the cached outcome for this
     /// canonical-spec digest instead of double-counting a user job.
     pub verify_against: Option<u64>,
-    /// When set, this is a soak job: the worker runs a geometry-fuzz sweep
-    /// ([`crate::soak::run_soak`]) instead of a campaign, `spec` is unused,
-    /// and the outcome lands in the soak slot. Soak results never enter
-    /// the result cache.
-    pub soak: Option<SoakSpec>,
     /// The request id this job was submitted under (client-supplied
     /// `X-Apf-Request-Id` or coordinator-generated). Empty for jobs created
-    /// outside the HTTP path (tests, embedders).
+    /// outside the HTTP path (tests, embedders, `serve --soak`).
     pub request_id: String,
     /// When the job entered the queue; queue-wait latency is measured from
     /// here to the worker claiming it.
@@ -391,35 +421,22 @@ pub struct Job {
 #[derive(Debug)]
 struct JobState {
     status: JobStatus,
-    outcome: Option<JobOutcome>,
-    soak_outcome: Option<SoakOutcome>,
+    outcome: Option<Outcome>,
 }
 
 impl Job {
     /// A freshly queued job.
-    pub fn new(id: u64, spec: JobSpec) -> Job {
+    pub fn new(id: u64, work: Work) -> Job {
         Job {
             id,
-            spec,
+            work,
             cancel: CancelToken::new(),
             live: Arc::new(LiveStats::default()),
             verify_against: None,
-            soak: None,
             request_id: String::new(),
             submitted: Instant::now(),
-            state: Mutex::new(JobState {
-                status: JobStatus::Queued,
-                outcome: None,
-                soak_outcome: None,
-            }),
+            state: Mutex::new(JobState { status: JobStatus::Queued, outcome: None }),
         }
-    }
-
-    /// A freshly queued soak job.
-    pub fn new_soak(id: u64, soak: SoakSpec) -> Job {
-        let mut job = Job::new(id, JobSpec::default());
-        job.soak = Some(soak);
-        job
     }
 
     /// Tags the job with the request id it was submitted under.
@@ -428,17 +445,17 @@ impl Job {
         self
     }
 
-    /// A freshly completed job (a cache hit: terminal on arrival).
+    /// A freshly completed campaign (a cache hit: terminal on arrival).
     pub fn new_done(id: u64, spec: JobSpec, outcome: JobOutcome) -> Job {
-        let job = Job::new(id, spec);
-        job.finish(JobStatus::Done, Some(outcome));
+        let job = Job::new(id, Work::Campaign(spec));
+        job.finish(JobStatus::Done, Some(Outcome::Campaign(outcome)));
         job
     }
 
     /// A cache-integrity replay of `spec`, verified against the cached
     /// outcome keyed by `digest` when it finishes.
     pub fn new_verify(id: u64, spec: JobSpec, digest: u64) -> Job {
-        let mut job = Job::new(id, spec);
+        let mut job = Job::new(id, Work::Campaign(spec));
         job.verify_against = Some(digest);
         job
     }
@@ -464,7 +481,7 @@ impl Job {
     }
 
     /// Records the terminal state and outcome.
-    pub fn finish(&self, status: JobStatus, outcome: Option<JobOutcome>) {
+    pub fn finish(&self, status: JobStatus, outcome: Option<Outcome>) {
         let mut s = self.lock();
         s.status = status;
         s.outcome = outcome;
@@ -480,39 +497,28 @@ impl Job {
         s.status
     }
 
-    /// Records a soak job's terminal state and outcome.
-    pub fn finish_soak(&self, status: JobStatus, outcome: Option<SoakOutcome>) {
-        let mut s = self.lock();
-        s.status = status;
-        s.soak_outcome = outcome;
-    }
-
     /// A clone of the outcome, if terminal.
-    pub fn outcome(&self) -> Option<JobOutcome> {
+    pub fn outcome(&self) -> Option<Outcome> {
         self.lock().outcome.clone()
     }
 
-    /// A clone of the soak outcome, if terminal (soak jobs only).
-    pub fn soak_outcome(&self) -> Option<SoakOutcome> {
-        self.lock().soak_outcome.clone()
-    }
-
-    /// Status JSON for `GET /v1/jobs/{id}`. Soak jobs echo their spec under
-    /// `"soak"` and their outcome under `"result"`, same shape as campaigns.
+    /// Status JSON for `GET /v1/jobs/{id}`: the work echoed under `"spec"`
+    /// (campaigns) or `"soak"`, and the outcome under `"result"` once
+    /// recorded.
     pub fn status_json(&self) -> Json {
-        let (status, outcome, soak_outcome) = {
+        let (status, result) = {
             let s = self.lock();
-            (s.status, s.outcome.clone(), s.soak_outcome.clone())
+            (s.status, s.outcome.as_ref().map(Outcome::to_json))
         };
-        let spec_field = match &self.soak {
-            Some(soak) => ("soak", soak.to_json()),
-            None => ("spec", self.spec.to_json()),
+        let echo = match &self.work {
+            Work::Campaign(spec) => ("spec", spec.to_json()),
+            Work::Soak(spec) => ("soak", spec.to_json()),
         };
         let snap = self.live.snapshot();
         let mut obj = match Json::obj([
             ("id", Json::u64(self.id)),
             ("status", Json::str(status.label())),
-            spec_field,
+            echo,
             (
                 "live",
                 Json::obj([
@@ -527,11 +533,8 @@ impl Job {
             Json::Obj(m) => m,
             _ => unreachable!("Json::obj returns an object"),
         };
-        if let Some(out) = outcome {
-            obj.insert("result".to_string(), out.to_json());
-        }
-        if let Some(out) = soak_outcome {
-            obj.insert("result".to_string(), out.to_json());
+        if let Some(result) = result {
+            obj.insert("result".to_string(), result);
         }
         Json::Obj(obj)
     }
@@ -643,14 +646,14 @@ mod tests {
 
     #[test]
     fn job_lifecycle_transitions() {
-        let job = Job::new(1, JobSpec::default());
+        let job = Job::new(1, Work::Campaign(JobSpec::default()));
         assert_eq!(job.status(), JobStatus::Queued);
         assert!(job.start());
         assert_eq!(job.status(), JobStatus::Running);
         job.finish(JobStatus::Done, None);
         assert!(job.status().is_terminal());
 
-        let cancelled = Job::new(2, JobSpec::default());
+        let cancelled = Job::new(2, Work::Soak(SoakSpec::default()));
         assert_eq!(cancelled.request_cancel(), JobStatus::Cancelled);
         assert!(!cancelled.start(), "cancelled-in-queue job must not start");
         assert_eq!(cancelled.status(), JobStatus::Cancelled);

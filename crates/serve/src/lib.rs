@@ -12,7 +12,12 @@
 //!   counters, `GET /v1/jobs/{id}/result` the final report (per-trial FNV
 //!   trace digests included), `DELETE /v1/jobs/{id}` cancels cooperatively,
 //!   and `GET|POST /v1/spec-digest` canonicalizes a spec without running
-//!   it. The legacy unversioned `/jobs*` paths answer 308 redirects.
+//!   it.
+//! * **One job pipeline** — a [`Job`] carries a [`Work`] (a campaign or a
+//!   soak) and one [`Outcome`] slot; submission, the worker step, the
+//!   result route and the coordinator's shard dispatch each exist once,
+//!   with the per-kind shard details behind one private trait in
+//!   [`coordinator`].
 //! * **Determinism preserved** — a job's campaign is constructed through
 //!   the shared [`apf_bench::spec::CanonicalSpec`] path, exactly like a CLI
 //!   run of the same spec, so server-side results and digests are
@@ -29,10 +34,11 @@
 //!   buffering unboundedly.
 //! * **Soak campaigns** — `POST /v1/soak` (or `serve --soak SECS`, which
 //!   self-submits a timed run at startup) executes geometry-fuzz sweeps
-//!   from `apf-conformance` as background jobs ([`soak`]): case-bounded or
-//!   timed, cancellable, SIGTERM-drainable, with `apf_soak_*` counters and
-//!   case-range sharding across coordinator backends (deterministic per
-//!   `(seed, index)`, so retries never double-count).
+//!   from `apf-conformance` as jobs of the same pipeline ([`soak`]):
+//!   case-bounded or timed, cancellable, SIGTERM-drainable, with
+//!   `apf_soak_*` counters and case-range sharding across coordinator
+//!   backends (deterministic per `(seed, index)`, so retries never
+//!   double-count).
 //! * **Metrics** — `GET /metrics` renders Prometheus text format 0.0.4:
 //!   queue/worker gauges, job/HTTP/cache/shard counters, trial/cycle/
 //!   random-bit totals, per-phase breakdowns, worker utilization.
@@ -63,7 +69,7 @@ pub mod soak;
 
 pub use cache::{CacheConfig, ClientQuotas, ResultCache};
 pub use coordinator::CoordinatorConfig;
-pub use job::{Job, JobOutcome, JobSpec, JobStatus};
+pub use job::{Job, JobOutcome, JobSpec, JobStatus, Outcome, Work};
 pub use json::Json;
 pub use metrics::{LiveView, Metrics};
 pub use server::{Server, ServerConfig, ShutdownHandle};

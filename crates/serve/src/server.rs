@@ -10,27 +10,30 @@
 //! no timer before it is read. The one exception is a result poll of an
 //! unfinished job: the listener hands it to a timekeeper thread, which
 //! answers it when the job finishes or after 50 ms (409), so pollers learn
-//! of a result at once without polling in a tight loop. Campaign
-//! execution happens on a separate pool of `workers` threads feeding from
-//! a bounded queue; the engine's determinism guarantees mean a job's
-//! digests are identical no matter which worker runs it or how the queue
-//! interleaved.
+//! of a result at once without polling in a tight loop. Job execution
+//! happens on a separate pool of `workers` threads feeding from a bounded
+//! queue; the engine's determinism guarantees mean a job's digests are
+//! identical no matter which worker runs it or how the queue interleaved.
+//!
+//! # One pipeline for both job kinds
+//!
+//! A campaign (`POST /v1/jobs`) and a soak (`POST /v1/soak`, or
+//! `serve --soak`) are both a [`Work`]: they pass the same admission
+//! sequence, the same enqueue helper, the same worker step and the same
+//! result route, and differ only where `execute` matches on the work.
 //!
 //! # API surface
 //!
-//! The job API is versioned under `/v1/` (`POST /v1/jobs`,
+//! The job API is versioned under `/v1/` (`POST /v1/jobs`, `POST /v1/soak`,
 //! `GET /v1/jobs/{id}`, `GET /v1/jobs/{id}/result`, `DELETE /v1/jobs/{id}`,
-//! `GET|POST /v1/spec-digest`); the legacy unversioned `/jobs*` paths
-//! answer `308 Permanent Redirect` with a `Location` header (308 preserves
-//! method and body, so a legacy `POST /jobs` replays correctly). The
-//! infrastructure endpoints `/healthz` and `/metrics` stay available both
-//! bare and under `/v1/`.
+//! `GET|POST /v1/spec-digest`). The infrastructure endpoints `/healthz` and
+//! `/metrics` stay available both bare and under `/v1/`.
 //!
 //! # Coordinator mode and the cache
 //!
 //! With backends configured ([`ServerConfig::coordinator`]), workers do not
-//! run the engine: they shard each campaign across the backends and merge
-//! the results bit-identically (see [`crate::coordinator`]). Independently,
+//! run the engine: they shard each job across the backends and merge the
+//! results (see [`crate::coordinator`]). Independently,
 //! cacheable submissions are answered from the content-addressed result
 //! cache when the canonical-spec digest matches ([`crate::cache`]), with
 //! every Nth hit re-verified by a replay job whose digests must match the
@@ -49,11 +52,11 @@
 use crate::cache::{CacheConfig, ClientQuotas, ResultCache};
 use crate::coordinator::{self, CoordinatorConfig};
 use crate::http::{read_request, RecvError, Request, Response};
-use crate::job::{Job, JobOutcome, JobSpec, JobStatus};
+use crate::job::{Job, JobOutcome, JobSpec, JobStatus, Outcome, Work};
 use crate::json::Json;
 use crate::metrics::{LiveView, Metrics};
 use crate::signal;
-use crate::soak::SoakSpec;
+use crate::soak::{self, SoakSpec};
 use apf_bench::engine::{CampaignReport, Engine, LiveSnapshot};
 use apf_trace::escape_json_str;
 use std::collections::{BTreeMap, VecDeque};
@@ -310,16 +313,9 @@ impl Server {
             // queue (no HTTP round-trip to our own socket needed).
             if shared.cfg.soak_seconds > 0 {
                 let spec = SoakSpec { seconds: shared.cfg.soak_seconds, ..SoakSpec::default() };
-                {
-                    let mut t = shared.lock_jobs();
-                    let id = t.next_id;
-                    t.next_id += 1;
-                    let job = Arc::new(Job::new_soak(id, spec));
-                    t.all.insert(id, Arc::clone(&job));
-                    t.queue.push_back(job);
+                if enqueue(shared, Work::Soak(spec), String::new()).is_none() {
+                    eprintln!("serve --soak: the job table has no room; soak job not submitted");
                 }
-                shared.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-                shared.queue_cv.notify_one();
             }
 
             let wake = wake_addr(self.local_addr);
@@ -452,24 +448,13 @@ fn worker_loop(shared: &Shared) {
         }
         shared.metrics.job_queue_wait_seconds.observe(job.submitted.elapsed());
 
-        if let Some(soak) = job.soak.clone() {
-            run_soak_worker(shared, &job, &soak);
-            shared.wake_held();
-            continue;
-        }
-
         shared.running.fetch_add(1, Ordering::Relaxed);
-        // The spec was fully validated at submission, so execution cannot
+        // The work was fully validated at submission, so execution cannot
         // fail validation; catch_unwind turns any residual bug into a
         // Failed job instead of a dead worker.
         let exec_t0 = Instant::now();
-        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if shared.coordinating() {
-                run_coordinated(shared, &job)
-            } else {
-                Ok(run_local(shared, &job))
-            }
-        }));
+        let executed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(shared, &job)));
         shared.metrics.job_exec_seconds.observe(exec_t0.elapsed());
         shared.running.fetch_sub(1, Ordering::Relaxed);
 
@@ -496,118 +481,79 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Executes one soak job: locally ([`crate::soak::run_soak`]) or sharded
-/// across backends in coordinator mode. Mirrors the campaign path's
-/// metrics, catch_unwind, and terminal-state handling; soak outcomes never
-/// touch the result cache.
-fn run_soak_worker(shared: &Shared, job: &Job, soak: &SoakSpec) {
-    shared.running.fetch_add(1, Ordering::Relaxed);
-    let exec_t0 = Instant::now();
-    let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if shared.coordinating() {
-            coordinator::run_soak_job(
-                &shared.cfg.coordinator,
-                soak,
-                &job.request_id,
-                &job.cancel,
-                &shared.metrics,
-            )
-        } else {
-            Ok(crate::soak::run_soak(
-                soak,
-                shared.cfg.engine_jobs.max(1),
-                &job.cancel,
-                &shared.metrics,
-            ))
-        }
-    }));
-    shared.metrics.job_exec_seconds.observe(exec_t0.elapsed());
-    shared.running.fetch_sub(1, Ordering::Relaxed);
-
-    match executed {
-        Ok(Ok((cancelled, outcome))) => {
-            let (status, counter) = if cancelled {
-                (JobStatus::Cancelled, &shared.metrics.jobs_cancelled)
+/// Runs a job's work: a campaign on the local engine, a soak on the local
+/// fuzz loop, or either sharded across the backends in coordinator mode
+/// (where an outcome's `wall_secs` is the coordinator's own clock).
+fn execute(shared: &Shared, job: &Job) -> Result<(JobStatus, Outcome), String> {
+    let (cfg, metrics) = (&shared.cfg.coordinator, &shared.metrics);
+    let (cancelled, outcome) = match &job.work {
+        Work::Campaign(spec) => {
+            let (cancelled, outcome) = if shared.coordinating() {
+                coordinator::run_job(cfg, spec, &job.request_id, &job.cancel, &job.live, metrics)?
             } else {
-                (JobStatus::Done, &shared.metrics.jobs_done)
+                run_local(shared, job, spec)
             };
-            counter.fetch_add(1, Ordering::Relaxed);
-            job.finish_soak(status, Some(outcome));
+            (cancelled, Outcome::Campaign(outcome))
         }
-        Ok(Err(why)) => {
-            eprintln!("soak job {} failed: {why}", job.id);
-            shared.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            job.finish(JobStatus::Failed, None);
+        Work::Soak(spec) => {
+            let (cancelled, outcome) = if shared.coordinating() {
+                coordinator::run_soak_job(cfg, spec, &job.request_id, &job.cancel, metrics)?
+            } else {
+                soak::run_soak(spec, shared.cfg.engine_jobs.max(1), &job.cancel, metrics)
+            };
+            (cancelled, Outcome::Soak(outcome))
         }
-        Err(_) => {
-            shared.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            job.finish(JobStatus::Failed, None);
-        }
-    }
+    };
+    let status = if cancelled { JobStatus::Cancelled } else { JobStatus::Done };
+    Ok((status, outcome))
 }
 
-/// Runs a job on the local engine.
-fn run_local(shared: &Shared, job: &Job) -> (JobStatus, JobOutcome) {
-    let campaign = job.spec.to_campaign();
+/// Runs a campaign on the local engine; returns whether cancellation cut it
+/// short, plus the outcome.
+fn run_local(shared: &Shared, job: &Job, spec: &JobSpec) -> (bool, JobOutcome) {
+    let campaign = spec.to_campaign();
     let engine = Engine::new()
         .jobs(shared.cfg.engine_jobs.max(1))
         .trace_digests(true)
-        .collect_results(job.spec.detail)
+        .collect_results(spec.detail)
         .cancel_token(job.cancel.clone())
         .live_stats(Arc::clone(&job.live));
     let report = engine.run(&campaign);
     shared.metrics.fold_report(&report.stats, report.longest_trial.map(|(_, d)| d));
-    let status = if report.cancelled && report.trials < report.requested {
-        JobStatus::Cancelled
-    } else {
-        JobStatus::Done
-    };
-    (status, outcome_of(&report, job.spec.detail))
+    (report.cancelled && report.trials < report.requested, outcome_of(&report, spec.detail))
 }
 
-/// Runs a job by sharding it across the configured backends. The outcome's
-/// `wall_secs` is the coordinator's own clock, recorded inside `run_job`.
-fn run_coordinated(shared: &Shared, job: &Job) -> Result<(JobStatus, JobOutcome), String> {
-    let report = coordinator::run_job(
-        &shared.cfg.coordinator,
-        &job.spec,
-        &job.request_id,
-        &job.cancel,
-        &job.live,
-        &shared.metrics,
-    )?;
-    let status = if report.cancelled { JobStatus::Cancelled } else { JobStatus::Done };
-    Ok((status, report.outcome))
-}
-
-/// Records a finished job, feeding the cache and the verify pipeline.
-fn finish_job(shared: &Shared, job: &Job, status: JobStatus, outcome: JobOutcome) {
-    let complete = status == JobStatus::Done && outcome.trials == outcome.requested;
-    match job.verify_against {
-        Some(digest) => {
-            // A cache-integrity replay: compare against the cached entry
-            // instead of publishing anything new.
-            if complete {
-                match shared.cache.peek(digest) {
-                    Some(cached) if same_result(&cached, &outcome) => {
-                        shared.metrics.cache_verify_ok.fetch_add(1, Ordering::Relaxed);
+/// Records a finished job, feeding a campaign's outcome to the cache and
+/// the verify pipeline.
+fn finish_job(shared: &Shared, job: &Job, status: JobStatus, outcome: Outcome) {
+    if let (Work::Campaign(spec), Outcome::Campaign(outcome)) = (&job.work, &outcome) {
+        let complete = status == JobStatus::Done && outcome.trials == outcome.requested;
+        match job.verify_against {
+            Some(digest) => {
+                // A cache-integrity replay: compare against the cached entry
+                // instead of publishing anything new.
+                if complete {
+                    match shared.cache.peek(digest) {
+                        Some(cached) if same_result(&cached, outcome) => {
+                            shared.metrics.cache_verify_ok.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Some(_) => {
+                            shared.metrics.cache_verify_fail.fetch_add(1, Ordering::Relaxed);
+                            shared.cache.evict(digest);
+                            eprintln!(
+                                "cache verify FAILED for spec digest {digest:016x}: evicted \
+                                 (cached bytes and a fresh engine run disagree)"
+                            );
+                        }
+                        None => {} // evicted meanwhile; nothing to verify
                     }
-                    Some(_) => {
-                        shared.metrics.cache_verify_fail.fetch_add(1, Ordering::Relaxed);
-                        shared.cache.evict(digest);
-                        eprintln!(
-                            "cache verify FAILED for spec digest {digest:016x}: evicted \
-                             (cached bytes and a fresh engine run disagree)"
-                        );
-                    }
-                    None => {} // evicted meanwhile; nothing to verify
                 }
             }
-        }
-        None => {
-            if complete && shared.cache_enabled() && job.spec.cacheable() {
-                shared.cache.store(&job.spec.canonical, &outcome);
-                shared.metrics.cache_stores.fetch_add(1, Ordering::Relaxed);
+            None => {
+                if complete && shared.cache_enabled() && spec.cacheable() {
+                    shared.cache.store(&spec.canonical, outcome);
+                    shared.metrics.cache_stores.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -764,8 +710,12 @@ fn route(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
         }
 
         // The versioned job API.
-        ("POST", ["v1", "jobs"]) => submit_job(shared, req, peer),
-        ("POST", ["v1", "soak"]) => submit_soak(shared, req, peer),
+        ("POST", ["v1", "jobs"]) => {
+            submit(shared, req, peer, |body| JobSpec::from_json_bytes(body).map(Work::Campaign))
+        }
+        ("POST", ["v1", "soak"]) => {
+            submit(shared, req, peer, |body| SoakSpec::from_json_bytes(body).map(Work::Soak))
+        }
         ("GET", ["v1", "jobs"]) => {
             let t = shared.lock_jobs();
             let list: Vec<Json> = t
@@ -782,18 +732,6 @@ fn route(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
         }
         ("GET", ["v1", "jobs", id, "result"]) => with_job(shared, id, |job| {
             let status = job.status();
-            if let Some(outcome) = job.soak_outcome() {
-                if status.is_terminal() {
-                    return Response::json(
-                        200,
-                        &Json::obj([
-                            ("id", Json::u64(job.id)),
-                            ("status", Json::str(status.label())),
-                            ("result", outcome.to_json()),
-                        ]),
-                    );
-                }
-            }
             match job.outcome() {
                 Some(outcome) if status.is_terminal() => Response::json(
                     200,
@@ -834,20 +772,6 @@ fn route(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
             ),
             Err(why) => Response::error(400, &why),
         },
-
-        // Legacy unversioned job paths: 308 preserves method + body, so
-        // clients that follow redirects keep working unchanged.
-        (_, ["jobs"] | ["jobs", _] | ["jobs", _, "result"]) => {
-            let location = format!("/v1{}", req.path);
-            Response::json(
-                308,
-                &Json::obj([
-                    ("error", Json::str("the job API moved under /v1/")),
-                    ("location", Json::str(location.clone())),
-                ]),
-            )
-            .header("Location", location)
-        }
 
         (
             _,
@@ -907,146 +831,118 @@ fn next_request_id() -> String {
     format!("{:016x}", apf_trace::fnv1a_64(&bytes))
 }
 
-fn submit_job(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
+/// `POST /v1/jobs` and `POST /v1/soak`: one admission sequence for both job
+/// kinds — shutdown check, `parse`, request id, per-client quota, then the
+/// result cache (campaigns only) and the bounded queue.
+fn submit(
+    shared: &Shared,
+    req: &Request,
+    peer: SocketAddr,
+    parse: fn(&[u8]) -> Result<Work, String>,
+) -> Response {
     if shared.is_shutdown() {
         return Response::error(503, "shutting down");
     }
-    let spec = match JobSpec::from_json_bytes(&req.body) {
-        Ok(spec) => spec,
+    let work = match parse(&req.body) {
+        Ok(work) => work,
         Err(why) => return Response::error(400, &why),
     };
     let request_id = request_id_of(req);
 
     // Per-client quota: explicit client id first, peer address as fallback.
     let client = req.header("x-client-id").map_or_else(|| peer.ip().to_string(), str::to_string);
-    if !shared.quotas.admit(&client) {
-        shared.metrics.quota_rejected.fetch_add(1, Ordering::Relaxed);
-        return Response::error(429, "client quota exceeded")
-            .header("Retry-After", "60")
-            .header(coordinator::REQUEST_ID_HEADER, request_id);
-    }
-
-    // Content-addressed cache: answer a repeated cacheable spec without
-    // running it; every Nth hit also enqueues an integrity replay.
-    let cacheable = shared.cache_enabled() && spec.cacheable();
-    if cacheable {
-        let digest = spec.canonical.digest();
-        if let Some(hit) = shared.cache.lookup(digest) {
-            shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let job = {
-                let mut t = shared.lock_jobs();
-                // Opportunistic: replay only if the queue and the table have
-                // room for it next to the hit.
-                let verify = hit.verify
-                    && t.queue.len() < shared.cfg.queue_depth
-                    && t.make_room(2, shared.cfg.max_jobs);
-                if !verify && !t.make_room(1, shared.cfg.max_jobs) {
-                    shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-                    return Response::error(429, "job table full")
-                        .header("Retry-After", "1")
-                        .header(coordinator::REQUEST_ID_HEADER, request_id);
-                }
-                let id = t.next_id;
-                t.next_id += 1;
-                let job = Arc::new(
-                    Job::new_done(id, spec.clone(), hit.outcome)
-                        .with_request_id(request_id.clone()),
-                );
-                t.all.insert(id, Arc::clone(&job));
-                if verify {
-                    let vid = t.next_id;
-                    t.next_id += 1;
-                    let verify = Arc::new(
-                        Job::new_verify(vid, spec.clone(), digest)
-                            .with_request_id(request_id.clone()),
-                    );
-                    t.all.insert(vid, Arc::clone(&verify));
-                    t.queue.push_back(verify);
-                    shared.queue_cv.notify_one();
-                }
-                job
-            };
-            shared.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-            return Response::json(
-                202,
-                &Json::obj([
-                    ("id", Json::u64(job.id)),
-                    ("status", Json::str("done")),
-                    ("cached", Json::Bool(true)),
-                ]),
-            )
-            .header(coordinator::REQUEST_ID_HEADER, request_id);
+    let response = 'admit: {
+        if !shared.quotas.admit(&client) {
+            shared.metrics.quota_rejected.fetch_add(1, Ordering::Relaxed);
+            break 'admit Response::error(429, "client quota exceeded").header("Retry-After", "60");
         }
-        shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    let job = {
-        let mut t = shared.lock_jobs();
-        if t.queue.len() >= shared.cfg.queue_depth || !t.make_room(1, shared.cfg.max_jobs) {
-            shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            return Response::error(429, "queue full")
-                .header("Retry-After", "1")
-                .header(coordinator::REQUEST_ID_HEADER, request_id);
+        if let Work::Campaign(spec) = &work {
+            if let Some(hit) = submit_cached(shared, spec, &request_id) {
+                break 'admit hit;
+            }
         }
-        let id = t.next_id;
-        t.next_id += 1;
-        let job = Arc::new(Job::new(id, spec).with_request_id(request_id.clone()));
-        t.all.insert(id, Arc::clone(&job));
-        t.queue.push_back(Arc::clone(&job));
-        job
+        // A soak's 202 also names its kind.
+        let kind = matches!(work, Work::Soak(_)).then(|| ("kind", Json::str("soak")));
+        match enqueue(shared, work, request_id.clone()) {
+            Some(id) => {
+                let queued = [("id", Json::u64(id)), ("status", Json::str("queued"))];
+                Response::json(202, &Json::obj(queued.into_iter().chain(kind)))
+            }
+            None => Response::error(429, "queue full").header("Retry-After", "1"),
+        }
     };
-    shared.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-    shared.queue_cv.notify_one();
-    Response::json(202, &Json::obj([("id", Json::u64(job.id)), ("status", Json::str("queued"))]))
-        .header(coordinator::REQUEST_ID_HEADER, request_id)
+    response.header(coordinator::REQUEST_ID_HEADER, request_id)
 }
 
-/// `POST /v1/soak`: submit a geometry-fuzz soak job. Same admission
-/// control as campaign jobs (shutdown check, per-client quota, bounded
-/// queue) but never answered from the result cache — a soak is a sweep,
-/// not a content-addressed campaign.
-fn submit_soak(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
-    if shared.is_shutdown() {
-        return Response::error(503, "shutting down");
+/// Answers a repeated cacheable campaign from the content-addressed cache
+/// without running it; every Nth hit also enqueues an integrity replay.
+/// `None` on a miss (or with the cache off), and the caller queues the job.
+fn submit_cached(shared: &Shared, spec: &JobSpec, request_id: &str) -> Option<Response> {
+    if !(shared.cache_enabled() && spec.cacheable()) {
+        return None;
     }
-    let spec = match SoakSpec::from_json_bytes(&req.body) {
-        Ok(spec) => spec,
-        Err(why) => return Response::error(400, &why),
+    let digest = spec.canonical.digest();
+    let Some(hit) = shared.cache.lookup(digest) else {
+        shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        return None;
     };
-    let request_id = request_id_of(req);
-
-    let client = req.header("x-client-id").map_or_else(|| peer.ip().to_string(), str::to_string);
-    if !shared.quotas.admit(&client) {
-        shared.metrics.quota_rejected.fetch_add(1, Ordering::Relaxed);
-        return Response::error(429, "client quota exceeded")
-            .header("Retry-After", "60")
-            .header(coordinator::REQUEST_ID_HEADER, request_id);
-    }
-
-    let job = {
+    shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+    let id = {
         let mut t = shared.lock_jobs();
-        if t.queue.len() >= shared.cfg.queue_depth || !t.make_room(1, shared.cfg.max_jobs) {
+        // Opportunistic: replay only if the queue and the table have room
+        // for it next to the hit.
+        let verify = hit.verify
+            && t.queue.len() < shared.cfg.queue_depth
+            && t.make_room(2, shared.cfg.max_jobs);
+        if !verify && !t.make_room(1, shared.cfg.max_jobs) {
             shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            return Response::error(429, "queue full")
-                .header("Retry-After", "1")
-                .header(coordinator::REQUEST_ID_HEADER, request_id);
+            return Some(Response::error(429, "job table full").header("Retry-After", "1"));
         }
         let id = t.next_id;
         t.next_id += 1;
-        let job = Arc::new(Job::new_soak(id, spec).with_request_id(request_id.clone()));
+        let job = Job::new_done(id, spec.clone(), hit.outcome).with_request_id(request_id.into());
+        t.all.insert(id, Arc::new(job));
+        if verify {
+            let vid = t.next_id;
+            t.next_id += 1;
+            let verify = Arc::new(
+                Job::new_verify(vid, spec.clone(), digest).with_request_id(request_id.into()),
+            );
+            t.all.insert(vid, Arc::clone(&verify));
+            t.queue.push_back(verify);
+            shared.queue_cv.notify_one();
+        }
+        id
+    };
+    shared.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+    Some(Response::json(
+        202,
+        &Json::obj([
+            ("id", Json::u64(id)),
+            ("status", Json::str("done")),
+            ("cached", Json::Bool(true)),
+        ]),
+    ))
+}
+
+/// Queues a new job of `work` and returns its id, unless the queue is full
+/// or the job table has no room (`None`, counted as a rejection).
+fn enqueue(shared: &Shared, work: Work, request_id: String) -> Option<u64> {
+    let id = {
+        let mut t = shared.lock_jobs();
+        if t.queue.len() >= shared.cfg.queue_depth || !t.make_room(1, shared.cfg.max_jobs) {
+            drop(t);
+            shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let id = t.next_id;
+        t.next_id += 1;
+        let job = Arc::new(Job::new(id, work).with_request_id(request_id));
         t.all.insert(id, Arc::clone(&job));
-        t.queue.push_back(Arc::clone(&job));
-        job
+        t.queue.push_back(job);
+        id
     };
     shared.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
     shared.queue_cv.notify_one();
-    Response::json(
-        202,
-        &Json::obj([
-            ("id", Json::u64(job.id)),
-            ("status", Json::str("queued")),
-            ("kind", Json::str("soak")),
-        ]),
-    )
-    .header(coordinator::REQUEST_ID_HEADER, request_id)
+    Some(id)
 }

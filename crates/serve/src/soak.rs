@@ -22,12 +22,14 @@ use apf_conformance::geometry_fuzz::{geo_fuzz_rounds, GeoFuzzConfig, GeoOracle};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-/// Hard cap on a case-bounded soak.
+/// Hard cap on the cases one case-bounded soak (or one shard of a soak)
+/// runs.
 pub const MAX_SOAK_CASES: u64 = 1_000_000;
 /// Hard cap on a time-bounded soak (one day).
 pub const MAX_SOAK_SECONDS: u64 = 24 * 3600;
-/// Robot-count bounds per generated instance.
-pub const MIN_SOAK_ROBOTS: usize = 4;
+/// Robot-count bounds per generated instance: the world runs need the
+/// paper's `n >= 7` (Theorem 2).
+pub const MIN_SOAK_ROBOTS: usize = 7;
 /// Upper robot bound (fuzz instances beyond this are slow without finding
 /// qualitatively new boundaries).
 pub const MAX_SOAK_ROBOTS: usize = 64;
@@ -120,16 +122,20 @@ impl SoakSpec {
             }
             return Ok(());
         }
-        if self.cases == 0 || self.cases > MAX_SOAK_CASES {
-            return Err(format!("\"cases\" must be in [1, {MAX_SOAK_CASES}] (got {})", self.cases));
+        if self.cases == 0 {
+            return Err("\"cases\" must be at least 1".to_string());
         }
-        if let Some((lo, hi)) = self.range {
-            if lo > hi || hi > self.cases {
-                return Err(format!(
-                    "\"range\" [{lo}, {hi}] must satisfy lo <= hi <= cases ({})",
-                    self.cases
-                ));
-            }
+        // The cap applies to the cases this spec runs: a shard of a timed
+        // soak may sit past index MAX_SOAK_CASES.
+        let (lo, hi) = self.range.unwrap_or((0, self.cases));
+        if lo > hi || hi > self.cases {
+            return Err(format!(
+                "\"range\" [{lo}, {hi}] must satisfy lo <= hi <= cases ({})",
+                self.cases
+            ));
+        }
+        if hi - lo > MAX_SOAK_CASES {
+            return Err(format!("a soak runs at most {MAX_SOAK_CASES} cases (got {})", hi - lo));
         }
         Ok(())
     }
@@ -268,13 +274,16 @@ mod tests {
 
     #[test]
     fn spec_round_trips_through_json() {
-        let spec = SoakSpec::default();
-        let body = spec.to_json().render();
-        assert_eq!(SoakSpec::from_json_bytes(body.as_bytes()).unwrap(), spec);
-
-        let sharded = SoakSpec { cases: 64, range: Some((8, 24)), ..SoakSpec::default() };
-        let body = sharded.to_json().render();
-        assert_eq!(SoakSpec::from_json_bytes(body.as_bytes()).unwrap(), sharded);
+        for spec in [
+            SoakSpec::default(),
+            SoakSpec { cases: 64, range: Some((8, 24)), ..SoakSpec::default() },
+            // A timed coordinated soak's shard past case MAX_SOAK_CASES, as
+            // the coordinator sends it: the cap applies to the range.
+            SoakSpec { cases: 1_000_022, range: Some((999_990, 1_000_022)), ..SoakSpec::default() },
+        ] {
+            let body = spec.to_json().render();
+            assert_eq!(SoakSpec::from_json_bytes(body.as_bytes()), Ok(spec));
+        }
     }
 
     #[test]
@@ -284,11 +293,13 @@ mod tests {
             (r#"{"cases":0}"#, "zero cases"),
             (r#"{"cases":10000000}"#, "too many cases"),
             (r#"{"robots":2}"#, "too few robots"),
+            (r#"{"robots":6}"#, "fewer robots than Theorem 2 needs"),
             (r#"{"robots":1000}"#, "too many robots"),
             (r#"{"seconds":100000}"#, "seconds beyond cap"),
             (r#"{"seconds":5,"range":[0,2]}"#, "timed soak with a range"),
             (r#"{"range":[9,3]}"#, "backwards range"),
             (r#"{"cases":4,"range":[0,9]}"#, "range beyond cases"),
+            (r#"{"cases":2000001,"range":[0,1000001]}"#, "range longer than the cap"),
             (r#"{"bogus":1}"#, "unknown field"),
             (r#"{"seed":-1}"#, "negative seed"),
         ] {

@@ -9,7 +9,7 @@ use apf_bench::spec::CanonicalSpec;
 use apf_serve::cache::{CacheConfig, ResultCache};
 use apf_serve::coordinator::CoordinatorConfig;
 use apf_serve::json::{self, Json};
-use apf_serve::{JobOutcome, Server, ServerConfig, ShutdownHandle};
+use apf_serve::{JobOutcome, Server, ServerConfig, ShutdownHandle, SoakOutcome};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -101,6 +101,23 @@ fn fetch_outcome(addr: SocketAddr, id: u64) -> JobOutcome {
     assert_eq!(status, 200);
     let v = json::parse(&body).expect("result json");
     JobOutcome::from_json(v.get("result").expect("result member")).expect("parse outcome")
+}
+
+fn fetch_soak_outcome(addr: SocketAddr, id: u64) -> SoakOutcome {
+    let (status, _, body) = request(addr, "GET", &format!("/v1/jobs/{id}/result"), "");
+    assert_eq!(status, 200);
+    let v = json::parse(&body).expect("result json");
+    SoakOutcome::from_json(v.get("result").expect("result member")).expect("parse soak outcome")
+}
+
+/// The value of the `/metrics` sample whose line starts with `sample`.
+fn scrape(addr: SocketAddr, sample: &str) -> f64 {
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(sample))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {sample:?} sample:\n{metrics}"))
 }
 
 /// The single-process ground truth for `spec`, via the same construction
@@ -280,11 +297,7 @@ fn dead_backend_mid_soak_shards_are_retried_without_double_count() {
 
     // Exactly the requested case count survives the dead backend's
     // retries: shards moved to the survivor land once each, never twice.
-    let (status, _, body) = request(coord.addr, "GET", &format!("/v1/jobs/{id}/result"), "");
-    assert_eq!(status, 200);
-    let v = json::parse(&body).expect("result json");
-    let outcome = apf_serve::SoakOutcome::from_json(v.get("result").expect("result member"))
-        .expect("parse soak outcome");
+    let outcome = fetch_soak_outcome(coord.addr, id);
     assert_eq!(outcome.cases, 12, "retries must not drop or double-count cases");
     assert_eq!(outcome.violations, 0, "real classifiers must fuzz clean");
     assert_eq!(outcome.clean, 12);
@@ -293,22 +306,40 @@ fn dead_backend_mid_soak_shards_are_retried_without_double_count() {
     // The coordinator's own soak counter agrees (each shard is counted at
     // most once, on acceptance), and the dead backend's connection
     // failures are visible as shard retries.
-    let (_, _, metrics) = request(coord.addr, "GET", "/metrics", "");
-    let soaked = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("apf_soak_cases_total "))
-        .and_then(|v| v.parse::<f64>().ok())
-        .expect("soak case counter");
+    let soaked = scrape(coord.addr, "apf_soak_cases_total ");
     assert!((soaked - 12.0).abs() < f64::EPSILON, "coordinator counted {soaked} cases");
-    let retried = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("apf_shards_total{event=\"retried\"} "))
-        .and_then(|v| v.parse::<f64>().ok())
-        .expect("retry counter");
-    assert!(retried >= 1.0, "expected retries against the dead backend:\n{metrics}");
+    let retried = scrape(coord.addr, "apf_shards_total{event=\"retried\"} ");
+    assert!(retried >= 1.0, "expected retries against the dead backend, saw {retried}");
 
     coord.stop();
     live.stop();
+}
+
+#[test]
+fn timed_coordinated_soak_dispatches_whole_rounds() {
+    let b1 = start(backend_config());
+    let b2 = start(backend_config());
+    let mut cfg = coordinator_config(&[&b1, &b2]);
+    cfg.coordinator.shards_per_backend = 1;
+    let coord = start(cfg);
+
+    let (status, head, payload) =
+        request(coord.addr, "POST", "/v1/soak", r#"{"seconds":1,"robots":8}"#);
+    assert_eq!(status, 202, "{head}\n{payload}");
+    let id = json::parse(&payload).ok().and_then(|v| v.get("id").and_then(Json::as_u64));
+    let id = id.expect("id");
+    wait_done(coord.addr, id);
+
+    // A round is backends x shards_per_backend x 8 cases, and the timed
+    // loop only ever dispatches whole rounds, each counted once on landing.
+    let outcome = fetch_soak_outcome(coord.addr, id);
+    assert!(outcome.cases > 0 && outcome.cases.is_multiple_of(16), "{} cases", outcome.cases);
+    let soaked = scrape(coord.addr, "apf_soak_cases_total ");
+    assert!((soaked - outcome.cases as f64).abs() < f64::EPSILON, "counted {soaked} cases");
+
+    coord.stop();
+    b1.stop();
+    b2.stop();
 }
 
 #[test]

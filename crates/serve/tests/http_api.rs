@@ -112,14 +112,12 @@ fn healthz_routes_and_errors() {
     let (status, _, _) = request(ts.addr, "GET", "/v1/jobs/bogus", "");
     assert_eq!(status, 404);
 
-    // Legacy unversioned job paths answer 308 with the /v1 location —
-    // method-preserving, so clients that follow redirects keep working.
+    // The job API lives under /v1 only; the unversioned paths are unknown.
     for (method, path) in
         [("POST", "/jobs"), ("GET", "/jobs"), ("GET", "/jobs/7"), ("GET", "/jobs/7/result")]
     {
         let (status, head, _) = request(ts.addr, method, path, "");
-        assert_eq!(status, 308, "{method} {path}: {head}");
-        assert!(head.contains(&format!("Location: /v1{path}")), "{head}");
+        assert_eq!(status, 404, "{method} {path}: {head}");
     }
 
     let (status, v) = submit(ts.addr, "this is not json");
@@ -134,6 +132,32 @@ fn healthz_routes_and_errors() {
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read");
     assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+
+    ts.stop();
+}
+
+#[test]
+fn soak_job_at_the_minimum_robot_count_ends_done() {
+    let ts = start(ServerConfig::default());
+
+    // Theorem 2's n >= 7 bounds a soak's instances from below.
+    let (status, _, _) = request(ts.addr, "POST", "/v1/soak", r#"{"cases":4,"robots":6}"#);
+    assert_eq!(status, 400);
+
+    // Seven robots is prime: the perturbed-rho template is one orbit.
+    let (status, _, payload) = request(ts.addr, "POST", "/v1/soak", r#"{"cases":4,"robots":7}"#);
+    assert_eq!(status, 202, "{payload}");
+    let v = json::parse(&payload).expect("submit json");
+    assert_eq!(v.get("kind").and_then(Json::as_str), Some("soak"));
+    let id = v.get("id").and_then(Json::as_u64).expect("id");
+    let v = wait_for_status(ts.addr, id, terminal);
+    assert_eq!(v.get("status").and_then(Json::as_str), Some("done"), "{v:?}");
+    assert_eq!(v.get("soak").and_then(|s| s.get("robots")).and_then(Json::as_u64), Some(7));
+
+    let (status, result) = get_json(ts.addr, &format!("/v1/jobs/{id}/result"));
+    assert_eq!(status, 200);
+    let count = |k: &str| result.get("result").and_then(|r| r.get(k)).and_then(Json::as_u64);
+    assert_eq!((count("cases"), count("violations")), (Some(4), Some(0)), "{result:?}");
 
     ts.stop();
 }

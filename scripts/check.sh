@@ -123,7 +123,7 @@ strip_noise() {
     }'
 }
 
-echo "==> serve smoke: /v1 API, legacy 308s, digest parity, result cache"
+echo "==> serve smoke: /v1 API, digest parity, result cache"
 # Start the campaign service on an ephemeral port, submit a tiny E1-shaped
 # job over a real socket, and require its per-trial digests and aggregate to
 # match a direct `job-digest` run of the same spec bit for bit. Then submit
@@ -145,13 +145,6 @@ curl -fsS "http://$ADDR/v1/healthz" > /dev/null
 curl -fsS "http://$ADDR/metrics" > "$SERVE_DIR/metrics0.txt"
 grep -q '^apf_jobs_total' "$SERVE_DIR/metrics0.txt" \
     || { echo "/metrics scrape missing apf_jobs_total"; exit 1; }
-# The unversioned paths answer 308 Permanent Redirect pointing into /v1/.
-REDIRECT="$(curl -sS -o /dev/null -D - -X POST \
-    --data-binary @"$SERVE_DIR/spec.json" "http://$ADDR/jobs")"
-printf '%s' "$REDIRECT" | grep -q '^HTTP/1.1 308' \
-    || { echo "legacy POST /jobs did not answer 308: $REDIRECT"; exit 1; }
-printf '%s' "$REDIRECT" | grep -qi '^Location: /v1/jobs' \
-    || { echo "308 missing Location: /v1/jobs: $REDIRECT"; exit 1; }
 JOB_ID="$(curl -fsS -D "$SERVE_DIR/submit_hdrs.txt" -X POST \
     --data-binary @"$SERVE_DIR/spec.json" "http://$ADDR/v1/jobs" \
     | sed -n 's/.*"id":\([0-9]*\).*/\1/p')"
@@ -227,7 +220,7 @@ kill -TERM "${SERVE_PIDS[0]}"
 wait "${SERVE_PIDS[0]}" || { echo "serve did not exit 0 on SIGTERM"; exit 1; }
 SERVE_PIDS=()
 
-echo "==> coordinator: sharded fan-out merges bit-identical to a direct run"
+echo "==> coordinator: campaign merge bit-identical, soak counts as one backend"
 # Two backend workers plus a coordinator fanning trial-range shards out to
 # them; the merged digests and aggregate must equal the direct engine run of
 # the same spec bit for bit (the "determinism => distributability" gate).
@@ -257,6 +250,24 @@ grep -q '^apf_shards_total{event="dispatched"} [1-9]' \
 grep -q '^apf_shard_roundtrip_seconds_count [1-9]' \
     "$SERVE_DIR/coord_metrics.txt" \
     || { echo "coordinator recorded no shard round-trip latencies"; exit 1; }
+# Soak jobs take the same shard dispatch: a case-bounded soak sharded over
+# the backends must count exactly what one backend counts running it whole.
+# Prints the soak's deterministic counts (every field but wall_secs).
+soak_counts() {
+    local addr="$1" id
+    id="$(curl -fsS -X POST -d '{"seed":5,"cases":8,"robots":8}' \
+        "http://$addr/v1/soak" | sed -n 's/.*"id":\([0-9]*\).*/\1/p')"
+    [ -n "$id" ] || { echo "soak submission to $addr returned no id"; exit 1; }
+    wait_job_done "$addr" "$id"
+    curl -fsS "http://$addr/v1/jobs/$id/result" \
+        | grep -o '"\(cases\|clean\|violations\|shrink_steps\)":[0-9]*'
+}
+soak_counts "$COORD_ADDR" > "$SERVE_DIR/soak_coord.txt"
+soak_counts "$B1_ADDR" > "$SERVE_DIR/soak_backend.txt"
+grep -qx '"cases":8' "$SERVE_DIR/soak_backend.txt" \
+    || { echo "backend soak did not run 8 cases"; exit 1; }
+diff -u "$SERVE_DIR/soak_backend.txt" "$SERVE_DIR/soak_coord.txt" \
+    || { echo "coordinated soak counts diverge from a single backend"; exit 1; }
 for p in "${SERVE_PIDS[@]}"; do kill -TERM "$p"; done
 for p in "${SERVE_PIDS[@]}"; do
     wait "$p" || { echo "a serve process did not exit 0 on SIGTERM"; exit 1; }
