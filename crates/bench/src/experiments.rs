@@ -487,6 +487,45 @@ pub fn e8(ctx: &ExpCtx) -> ExperimentReport {
     )
 }
 
+/// Times the five geometry kernels on E9's input, the asymmetric
+/// configuration `asymmetric_configuration(n, 17_000 + n)` (n at least 3):
+/// runs each kernel `reps` times (at least once) and returns µs per call in
+/// the order SEC, ρ, views, reg(P), shifted. E9, `apf-cli perf-snapshot` and
+/// `apf-cli profile --kernels` all time through this function; with a span
+/// sink installed the kernels' own spans are recorded too.
+pub fn time_kernels(n: usize, reps: u32) -> [f64; 5] {
+    let n = n.max(3);
+    let reps = reps.max(1);
+    let pts = apf_patterns::asymmetric_configuration(n, 17_000 + n as u64);
+    let cfg = Configuration::new(pts.clone());
+    let tol = Tol::default();
+    let center = cfg.sec().center;
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        t0.elapsed().as_secs_f64() / f64::from(reps) * 1e6
+    };
+    [
+        time(&mut || {
+            let _ = apf_geometry::smallest_enclosing_circle(&pts);
+        }),
+        time(&mut || {
+            let _ = apf_geometry::symmetry::symmetricity(&cfg, center, &tol);
+        }),
+        time(&mut || {
+            let _ = apf_geometry::symmetry::ViewAnalysis::compute(&cfg, center, &tol);
+        }),
+        time(&mut || {
+            let _ = apf_geometry::symmetry::regular_set_of(&cfg, &tol);
+        }),
+        time(&mut || {
+            let _ = apf_geometry::symmetry::find_shifted_regular(&cfg, &tol);
+        }),
+    ]
+}
+
 /// E9 — Analysis-kernel scalability: wall time of the geometric kernels.
 ///
 /// Timing-only (no Monte Carlo trials), so it stays sequential: parallel
@@ -503,40 +542,10 @@ pub fn e9(ctx: &ExpCtx) -> ExperimentReport {
     });
     let sizes: &[usize] = if ctx.quick { &[8, 32] } else { &[8, 16, 32, 64, 128, 256] };
     for &n in sizes {
-        let pts = apf_patterns::asymmetric_configuration(n.max(3), 17_000 + n as u64);
-        let cfg = Configuration::new(pts.clone());
-        let tol = Tol::default();
-        let time = |f: &mut dyn FnMut()| {
-            let reps = if ctx.quick { 5 } else { 20 };
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            t0.elapsed().as_secs_f64() / reps as f64 * 1e6
-        };
-        let t_sec = time(&mut || {
-            let _ = apf_geometry::smallest_enclosing_circle(&pts);
-        });
-        let t_rho = time(&mut || {
-            let _ = apf_geometry::symmetry::symmetricity(&cfg, cfg.sec().center, &tol);
-        });
-        let t_views = time(&mut || {
-            let _ = apf_geometry::symmetry::ViewAnalysis::compute(&cfg, cfg.sec().center, &tol);
-        });
-        let t_reg = time(&mut || {
-            let _ = apf_geometry::symmetry::regular_set_of(&cfg, &tol);
-        });
-        let t_shift = time(&mut || {
-            let _ = apf_geometry::symmetry::find_shifted_regular(&cfg, &tol);
-        });
-        rows.push(vec![
-            n.to_string(),
-            format!("{t_sec:.1}"),
-            format!("{t_rho:.1}"),
-            format!("{t_views:.1}"),
-            format!("{t_reg:.1}"),
-            format!("{t_shift:.1}"),
-        ]);
+        let micros = time_kernels(n, if ctx.quick { 5 } else { 20 });
+        let mut row = vec![n.to_string()];
+        row.extend(micros.iter().map(|us| format!("{us:.1}")));
+        rows.push(row);
     }
     let kernels = profile_handle
         .map(|handle| {

@@ -8,34 +8,32 @@
 //! them, and checks execution-level properties on the resulting trace:
 //!
 //! * stream legality (Look/Move state machine, monotonic steps) via
-//!   [`TraceSummary`];
+//!   [`apf_trace::TraceSummary`];
 //! * the paper's ≤ 1 random bit per election cycle claim;
-//! * phase legality: [`PhaseKind::Terminal`] and [`PhaseKind::DpfIdle`]
-//!   decisions never move, [`PhaseKind::Gather`] appears only with
-//!   multiplicity detection;
+//! * phase legality: [`apf_trace::PhaseKind::Terminal`] and
+//!   [`apf_trace::PhaseKind::DpfIdle`] decisions never move,
+//!   [`apf_trace::PhaseKind::Gather`] appears only with multiplicity
+//!   detection;
 //! * rigid-motion safety: slices never travel backwards or past the path,
 //!   arrivals land at the destination, and interrupts respect the
 //!   minimum-progress rule `δ`;
+//! * no `compute-error`: the algorithm accepts every snapshot;
 //! * eventual formation within a generous step budget (the schedule's
 //!   adversarial prefix is bounded, after which activation stays fair).
 //!
-//! Every schedule is recorded as an action script; a violating schedule is
-//! shrunk (chunked ddmin over script batches, then prefix truncation) to a
-//! minimal reproducer that still triggers the same violation kind when
-//! replayed through [`ScriptedScheduler`].
+//! The shared fuzz driver records each schedule's adversarial prefix as an
+//! action script; a violating schedule is shrunk (prefix truncation, then
+//! chunked ddmin over script batches) to a minimal reproducer that still
+//! triggers the same violation kind when replayed through
+//! [`apf_scheduler::ScriptedScheduler`].
 
-use apf_bench::engine::trial_seed;
+use crate::driver::{self, Counterexample, FuzzReport};
 use apf_core::FormPattern;
 use apf_geometry::Point;
-use apf_scheduler::{Action, PhaseView, Scheduler, ScriptedScheduler};
-use apf_sim::{RobotAlgorithm, World, WorldConfig};
-use apf_trace::{PhaseKind, TraceEvent, TraceSummary, VecSink};
+use apf_scheduler::{Action, PhaseView, Scheduler};
+use apf_sim::RobotAlgorithm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Fuzzer knobs. Defaults are sized for CI smoke runs: seconds per
 /// schedule, deterministic from the campaign seed.
@@ -107,14 +105,13 @@ impl ScheduleParams {
     }
 }
 
-/// Generates a pathological schedule step by step, recording every batch.
-/// After `script_steps` the generator keeps the same behavior but stops
-/// starving the victim, so the tail is an ordinary fair ASYNC schedule and
-/// the formation check is meaningful.
+/// Generates a pathological schedule step by step. After `script_steps`
+/// the generator keeps the same behavior but stops starving the victim, so
+/// the tail is an ordinary fair ASYNC schedule and the formation check is
+/// meaningful.
 struct FuzzScheduler {
     rng: StdRng,
     params: ScheduleParams,
-    script: Arc<Mutex<Vec<Vec<Action>>>>,
     steps: u64,
     script_steps: u64,
     last_victim_step: u64,
@@ -122,20 +119,17 @@ struct FuzzScheduler {
 }
 
 impl FuzzScheduler {
-    fn new(seed: u64, params: ScheduleParams, script_steps: u64) -> Self {
+    /// Schedule `seed`'s adversary, its shape drawn from the seed.
+    fn new(cfg: &FuzzConfig, seed: u64) -> Self {
+        let params = ScheduleParams::draw(&mut StdRng::seed_from_u64(seed ^ 0xFA22), cfg.robots);
         FuzzScheduler {
-            rng: StdRng::seed_from_u64(seed),
+            rng: StdRng::seed_from_u64(seed ^ 0x5C4E),
             params,
-            script: Arc::new(Mutex::new(Vec::new())),
             steps: 0,
-            script_steps,
+            script_steps: cfg.script_steps,
             last_victim_step: 0,
             rotor: 0,
         }
-    }
-
-    fn script_handle(&self) -> Arc<Mutex<Vec<Vec<Action>>>> {
-        Arc::clone(&self.script)
     }
 
     fn action_for(&mut self, robot: usize, phase: PhaseView) -> Option<Action> {
@@ -193,58 +187,11 @@ impl Scheduler for FuzzScheduler {
                 }
             });
         }
-        if self.steps <= self.script_steps {
-            // apf-lint: allow(panic-policy) — single-threaded use; poisoning needs a prior panic
-            self.script.lock().expect("fuzz script lock").push(batch.clone());
-        }
         batch
     }
 
     fn name(&self) -> &'static str {
         "fuzz-adversary"
-    }
-}
-
-/// One property violation found in a schedule's execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Stable kind slug (`stream-legality`, `election-bits`,
-    /// `phase-legality`, `rigid-motion`, `no-formation`).
-    pub kind: &'static str,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-/// A violating schedule, shrunk to a minimal reproducer.
-#[derive(Debug, Clone)]
-pub struct Counterexample {
-    /// Index of the schedule within its campaign.
-    pub schedule_index: u64,
-    /// The schedule's derived seed (replays the same world).
-    pub seed: u64,
-    /// Violations of the original run.
-    pub violations: Vec<Violation>,
-    /// Recorded adversarial prefix (original).
-    pub original_len: usize,
-    /// The shrunk script that still reproduces `violations[0].kind`.
-    pub script: Vec<Vec<Action>>,
-}
-
-/// Campaign outcome.
-#[derive(Debug, Clone, Default)]
-pub struct FuzzReport {
-    /// Schedules executed.
-    pub schedules: u64,
-    /// Schedules with no violation.
-    pub clean: u64,
-    /// Violating schedules, shrunk.
-    pub counterexamples: Vec<Counterexample>,
-}
-
-impl FuzzReport {
-    /// Whether the campaign found no violations.
-    pub fn is_clean(&self) -> bool {
-        self.counterexamples.is_empty()
     }
 }
 
@@ -261,360 +208,77 @@ fn instance_for(cfg: &FuzzConfig, seed: u64) -> (Vec<Point>, Vec<Point>) {
     (initial, pattern)
 }
 
-fn world_for(cfg: &FuzzConfig, seed: u64, scheduler: Box<dyn Scheduler>) -> World {
-    let (initial, pattern) = instance_for(cfg, seed);
-    let config = WorldConfig { multiplicity_detection: cfg.multiplicity, ..WorldConfig::default() };
-    World::new(initial, pattern, (cfg.algorithm)(), scheduler, config, seed)
-}
-
-/// Checks every fuzzed property over a finished run's event stream.
-/// `formed` is the engine's verdict; `check_formation` is disabled during
-/// shrink replays (a truncated script trivially fails to form).
-pub(crate) fn check_events(
-    cfg: &FuzzConfig,
-    events: &[TraceEvent],
-    formed: bool,
-    check_formation: bool,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let summary = TraceSummary::from_events(events);
-    for v in &summary.violations {
-        violations.push(Violation { kind: "stream-legality", detail: v.clone() });
-    }
-    if summary.max_election_bits > 1 {
-        violations.push(Violation {
-            kind: "election-bits",
-            detail: format!(
-                "{} bits drawn in one election cycle (paper: at most 1)",
-                summary.max_election_bits
-            ),
-        });
-    }
-    let delta = WorldConfig::default().delta;
-    for e in events {
-        match *e {
-            TraceEvent::Decide { step, robot, phase, moved, .. } => {
-                if moved && matches!(phase, PhaseKind::Terminal | PhaseKind::DpfIdle) {
-                    violations.push(Violation {
-                        kind: "phase-legality",
-                        detail: format!("r{robot} moved out of {phase} at step {step}"),
-                    });
-                }
-                if phase == PhaseKind::Gather && !cfg.multiplicity {
-                    violations.push(Violation {
-                        kind: "phase-legality",
-                        detail: format!(
-                            "r{robot} entered gather without multiplicity detection at step {step}"
-                        ),
-                    });
-                }
-            }
-            TraceEvent::MoveSlice { step, robot, advanced, traveled, length, arrived, .. } => {
-                if advanced < -1e-9 {
-                    violations.push(Violation {
-                        kind: "rigid-motion",
-                        detail: format!("r{robot} moved backwards {advanced} at step {step}"),
-                    });
-                }
-                if traveled > length + 1e-9 {
-                    violations.push(Violation {
-                        kind: "rigid-motion",
-                        detail: format!(
-                            "r{robot} traveled {traveled} past length {length} at step {step}"
-                        ),
-                    });
-                }
-                if arrived && (length - traveled) > 1e-9 {
-                    violations.push(Violation {
-                        kind: "rigid-motion",
-                        detail: format!(
-                            "r{robot} arrived {traveled}/{length} short of the destination \
-                             at step {step}"
-                        ),
-                    });
-                }
-            }
-            TraceEvent::Interrupt { step, robot, traveled, length }
-                if traveled + 1e-9 < delta.min(length) =>
-            {
-                violations.push(Violation {
-                    kind: "rigid-motion",
-                    detail: format!(
-                        "r{robot} interrupted after {traveled} < delta {delta} at step {step}"
-                    ),
-                });
-            }
-            _ => {}
-        }
-    }
-    if check_formation && cfg.require_formation && !formed {
-        violations.push(Violation {
-            kind: "no-formation",
-            detail: format!(
-                "pattern not formed within {} steps under a fair schedule",
-                cfg.step_budget
-            ),
-        });
-    }
-    violations
-}
-
-/// Runs one fuzzed schedule end to end: generate, record, check. Returns
-/// the recorded script and any violations.
-fn run_one(cfg: &FuzzConfig, seed: u64) -> (Vec<Vec<Action>>, Vec<Violation>) {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xFA22);
-    let params = ScheduleParams::draw(&mut rng, cfg.robots);
-    let scheduler = FuzzScheduler::new(seed ^ 0x5C4E, params, cfg.script_steps);
-    let script = scheduler.script_handle();
-    let mut world = world_for(cfg, seed, Box::new(scheduler));
-    let sink = Arc::new(Mutex::new(VecSink::new()));
-    world.set_sink(Box::new(Arc::clone(&sink)));
-    let outcome = world.run(cfg.step_budget);
-    drop(world);
-    // apf-lint: allow(panic-policy) — single-threaded use; poisoning needs a prior panic
-    let events = sink.lock().expect("fuzz sink lock").events().to_vec();
-    let mut violations = check_events(cfg, &events, outcome.formed, true);
-    if let apf_sim::StopReason::AlgorithmError(e) = &outcome.reason {
-        violations.insert(
-            0,
-            Violation {
-                kind: "compute-error",
-                detail: format!("algorithm rejected a snapshot: {e}"),
-            },
-        );
-    }
-    // apf-lint: allow(panic-policy) — single-threaded use; poisoning needs a prior panic
-    let script = script.lock().expect("fuzz script lock").clone();
-    (script, violations)
-}
-
-/// Replays `script` through a [`ScriptedScheduler`] on the same world and
-/// reports whether a violation of `kind` still occurs. Runs exactly one
-/// engine step per script batch — shrinking looks for the shortest prefix
-/// of adversarial *choices*, not for the tail the fallback would append.
+/// Replays `script` on schedule `seed`'s world and reports whether a
+/// violation of `kind` still occurs.
 pub fn replay_violates(cfg: &FuzzConfig, seed: u64, script: &[Vec<Action>], kind: &str) -> bool {
-    let scheduler = ScriptedScheduler::new(script.to_vec());
-    let mut world = world_for(cfg, seed, Box::new(scheduler));
-    let sink = Arc::new(Mutex::new(VecSink::new()));
-    world.set_sink(Box::new(Arc::clone(&sink)));
-    let outcome = world.run(script.len() as u64);
-    // apf-lint: allow(panic-policy) — single-threaded use; poisoning needs a prior panic
-    let events = sink.lock().expect("fuzz sink lock").events().to_vec();
-    check_events(cfg, &events, outcome.formed, false).iter().any(|v| v.kind == kind)
-}
-
-/// Shrinks a violating script to a locally minimal reproducer of
-/// `kind`: chunked ddmin (drop halves, quarters, … of the batches), then
-/// prefix truncation. Every candidate is validated by replay, so the
-/// result — whatever its size — still triggers the violation.
-pub fn shrink(
-    cfg: &FuzzConfig,
-    seed: u64,
-    script: Vec<Vec<Action>>,
-    kind: &str,
-) -> Vec<Vec<Action>> {
-    let mut current = script;
-    // Truncate first: violations are detected in replay order, so the
-    // shortest violating prefix is usually much shorter than the script.
-    let mut lo = 0usize;
-    let mut hi = current.len();
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if replay_violates(cfg, seed, &current[..mid], kind) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    current.truncate(hi);
-    // ddmin-lite: remove chunks while the violation persists.
-    let mut chunk = (current.len() / 2).max(1);
-    while chunk >= 1 {
-        let mut i = 0;
-        while i < current.len() {
-            let mut candidate = current.clone();
-            candidate.drain(i..(i + chunk).min(candidate.len()));
-            if !candidate.is_empty() && replay_violates(cfg, seed, &candidate, kind) {
-                current = candidate;
-            } else {
-                i += chunk;
-            }
-        }
-        if chunk == 1 {
-            break;
-        }
-        chunk /= 2;
-    }
-    current
+    let (positions, pattern) = instance_for(cfg, seed);
+    driver::replays(cfg, &positions, &pattern, seed, script, kind)
 }
 
 /// Runs `schedules` fuzzed schedules with seeds derived from
 /// `campaign_seed`, on `jobs` worker threads. The report is **identical
 /// for any `jobs` value**: every schedule's behavior depends only on its
-/// derived seed (via [`trial_seed`]), and results are collected by index.
+/// derived seed.
 pub fn fuzz_campaign(
     cfg: &FuzzConfig,
     campaign_seed: u64,
     schedules: u64,
     jobs: usize,
 ) -> FuzzReport {
-    type Slot = Mutex<Option<(Vec<Vec<Action>>, Vec<Violation>)>>;
-    let jobs = jobs.max(1);
-    let n = schedules as usize;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let seed = trial_seed(campaign_seed, i as u64);
-                let out = run_one(cfg, seed);
-                // apf-lint: allow(panic-policy) — each slot is touched by exactly one worker
-                *slots[i].lock().expect("fuzz slot lock") = Some(out);
-            });
-        }
-    });
-    let mut report = FuzzReport { schedules, ..FuzzReport::default() };
-    for (i, slot) in slots.into_iter().enumerate() {
-        let (script, violations) =
-        // apf-lint: allow(panic-policy) — workers either fill every slot or panic the scope
-            slot.into_inner().expect("fuzz slot lock").expect("every slot filled");
+    driver::run_cases(campaign_seed, 0, schedules, jobs, |index, seed| {
+        let (positions, pattern) = instance_for(cfg, seed);
+        let adversary = Box::new(FuzzScheduler::new(cfg, seed));
+        let (script, violations) = driver::run(cfg, &positions, &pattern, seed, adversary);
         if violations.is_empty() {
-            report.clean += 1;
-            continue;
+            return Vec::new();
         }
-        let seed = trial_seed(campaign_seed, i as u64);
         let original_len = script.len();
         // Shrink only trace-level violations: `no-formation` is a property
         // of the (unrecorded) fair tail, not of the prefix script.
-        let script = match violations.iter().find(|v| v.kind != "no-formation") {
-            Some(v) => shrink(cfg, seed, script, v.kind),
-            None => script,
+        let (script, shrink_steps) = match violations.iter().find(|v| v.kind != "no-formation") {
+            Some(v) => driver::shrink(script, |s| replay_violates(cfg, seed, s, v.kind)),
+            None => (script, 0),
         };
-        report.counterexamples.push(Counterexample {
-            schedule_index: i as u64,
+        vec![Counterexample {
+            case_index: index,
             seed,
+            family: None,
+            scheduler: "fuzz-adversary",
             violations,
-            original_len,
+            original_robots: positions.len(),
+            positions,
             script,
-        });
-    }
-    report
-}
-
-/// Serializes a script as a line-oriented reproducer (`look R` /
-/// `move R DIST END`), the format [`script_from_text`] parses back.
-pub fn script_to_text(script: &[Vec<Action>]) -> String {
-    let mut out = String::new();
-    for batch in script {
-        for (i, action) in batch.iter().enumerate() {
-            if i > 0 {
-                out.push_str("; ");
-            }
-            match *action {
-                Action::Look { robot } => {
-                    let _ = write!(out, "look {robot}");
-                }
-                Action::Move { robot, distance, end_phase } => {
-                    let _ = write!(out, "move {robot} {distance} {end_phase}");
-                }
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a reproducer written by [`script_to_text`].
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line.
-pub fn script_from_text(text: &str) -> Result<Vec<Vec<Action>>, String> {
-    let mut script = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut batch = Vec::new();
-        for part in line.split(';') {
-            let fields: Vec<&str> = part.split_whitespace().collect();
-            let action = match fields.as_slice() {
-                ["look", r] => {
-                    Action::Look { robot: r.parse().map_err(|e| format!("line {}: {e}", no + 1))? }
-                }
-                ["move", r, d, e] => Action::Move {
-                    robot: r.parse().map_err(|e| format!("line {}: {e}", no + 1))?,
-                    distance: d.parse().map_err(|e| format!("line {}: {e}", no + 1))?,
-                    end_phase: e.parse().map_err(|e| format!("line {}: {e}", no + 1))?,
-                },
-                _ => return Err(format!("line {}: unrecognized action {part:?}", no + 1)),
-            };
-            batch.push(action);
-        }
-        if !batch.is_empty() {
-            script.push(batch);
-        }
-    }
-    Ok(script)
-}
-
-/// Writes a counterexample reproducer (`fuzz-<index>.repro`) into `dir`:
-/// a header describing the violations plus the shrunk script.
-///
-/// # Errors
-///
-/// I/O errors creating the directory or writing the file.
-pub fn dump_counterexample(dir: &Path, ce: &Counterexample) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("fuzz-{}.repro", ce.schedule_index));
-    let mut text = String::new();
-    let _ = writeln!(text, "# schedule {} seed {:#018x}", ce.schedule_index, ce.seed);
-    let _ =
-        writeln!(text, "# script: {} batches (shrunk from {})", ce.script.len(), ce.original_len);
-    for v in &ce.violations {
-        let _ = writeln!(text, "# violation[{}]: {}", v.kind, v.detail);
-    }
-    text.push_str(&script_to_text(&ce.script));
-    std::fs::write(&path, text)?;
-    Ok(path)
+            original_len,
+            shrink_steps,
+        }]
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Violation;
 
     fn quick_cfg() -> FuzzConfig {
         FuzzConfig { script_steps: 120, step_budget: 150_000, ..FuzzConfig::default() }
     }
 
-    #[test]
-    fn schedules_are_deterministic_per_seed() {
-        let cfg = quick_cfg();
-        let (s1, v1) = run_one(&cfg, 7);
-        let (s2, v2) = run_one(&cfg, 7);
-        assert_eq!(s1, s2);
-        assert_eq!(v1, v2);
-        let (s3, _) = run_one(&cfg, 8);
-        assert_ne!(s1, s3, "different seeds must explore different schedules");
+    /// Schedule `seed` under its adversary: the recorded script and the
+    /// violations.
+    fn run_schedule(cfg: &FuzzConfig, seed: u64) -> (Vec<Vec<Action>>, Vec<Violation>) {
+        let (positions, pattern) = instance_for(cfg, seed);
+        driver::run(cfg, &positions, &pattern, seed, Box::new(FuzzScheduler::new(cfg, seed)))
     }
 
     #[test]
-    fn script_text_round_trips() {
-        let script = vec![
-            vec![Action::Look { robot: 0 }, Action::Look { robot: 3 }],
-            vec![Action::Move { robot: 0, distance: 0.125, end_phase: false }],
-            vec![Action::Move { robot: 3, distance: 1.5, end_phase: true }],
-        ];
-        let text = script_to_text(&script);
-        assert_eq!(script_from_text(&text).unwrap(), script);
-        assert!(script_from_text("look x").is_err());
-        assert!(script_from_text("jump 3").is_err());
-        assert_eq!(script_from_text("# comment\n\n").unwrap(), Vec::<Vec<Action>>::new());
+    fn schedules_are_deterministic_per_seed() {
+        let cfg = quick_cfg();
+        let (s1, v1) = run_schedule(&cfg, 7);
+        let (s2, v2) = run_schedule(&cfg, 7);
+        assert_eq!(s1, s2);
+        assert_eq!(v1, v2);
+        let (s3, _) = run_schedule(&cfg, 8);
+        assert_ne!(s1, s3, "different seeds must explore different schedules");
     }
 
     #[test]
@@ -623,7 +287,7 @@ mod tests {
         // it has work: fairness is a hard modeling requirement, not a
         // statistical accident.
         let cfg = quick_cfg();
-        let (script, _) = run_one(&cfg, 3);
+        let (script, _) = run_schedule(&cfg, 3);
         assert!(!script.is_empty());
         let activated: std::collections::HashSet<usize> =
             script.iter().flatten().map(Action::robot).collect();

@@ -30,27 +30,22 @@
 //! tolerance is caught by the same oracle (see the injected-bug test).
 //!
 //! Instances are also run end-to-end under the FSYNC / SSYNC / ASYNC
-//! scheduler matrix with the schedule fuzzer's trace oracles
-//! (stream-legality, ≤ 1 bit per election cycle, phase legality, rigid
-//! motion). Violations shrink over *both* spaces: schedules with the
-//! existing ddmin machinery, geometry by dropping template-preserving robot
-//! groups and snapping coordinates toward the template, emitting a minimal
-//! `(initial positions, ScriptedScheduler)` reproducer.
+//! scheduler matrix on the fuzz driver both fuzzers share, with its trace
+//! oracles (stream-legality, ≤ 1 bit per election cycle, phase legality,
+//! rigid motion, `compute-error`). Violations shrink over *both* spaces:
+//! schedules with the driver's shrinker, geometry by dropping
+//! template-preserving robot groups and snapping coordinates toward the
+//! template, emitting a minimal `(initial positions, ScriptedScheduler)`
+//! reproducer.
 
-use crate::fuzz::{check_events, script_to_text, FuzzConfig, Violation};
-use apf_bench::engine::trial_seed;
+use crate::driver::{self, Counterexample, FuzzReport, Violation};
+use crate::fuzz::FuzzConfig;
 use apf_geometry::symmetry::consts::angular_slack;
 use apf_geometry::symmetry::symmetricity;
 use apf_geometry::{smallest_enclosing_circle, Configuration, Point, Tol, Vector};
-use apf_scheduler::{Action, PhaseView, Scheduler, SchedulerKind, ScriptedScheduler};
-use apf_sim::{World, WorldConfig};
-use apf_trace::VecSink;
+use apf_scheduler::{Action, SchedulerKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The degenerate instance families the classifiers must survive.
@@ -534,19 +529,49 @@ fn drop_candidates(inst: &GeoInstance) -> Vec<Vec<usize>> {
     }
 }
 
-/// `inst` minus the robots in `removed` (sorted ascending), with perturbed
-/// and essential indices remapped.
+/// Robot `i`'s index once the robots in `removed` are gone (`None` for a
+/// removed robot).
+fn remap(i: usize, removed: &[usize]) -> Option<usize> {
+    (!removed.contains(&i)).then(|| i - removed.iter().filter(|&&r| r < i).count())
+}
+
+/// `inst` minus the robots in `removed`, with perturbed and essential
+/// indices remapped.
 fn remove_robots(inst: &GeoInstance, removed: &[usize]) -> GeoInstance {
-    let keep = |i: &usize| !removed.contains(i);
-    let remap = |i: usize| i - removed.iter().filter(|&&r| r < i).count();
-    let filter_points =
-        |pts: &[Point]| pts.iter().enumerate().filter(|(i, _)| keep(i)).map(|(_, &p)| p).collect();
+    let filter_points = |pts: &[Point]| {
+        pts.iter().enumerate().filter(|(i, _)| !removed.contains(i)).map(|(_, &p)| p).collect()
+    };
+    let remap_all = |ids: &[usize]| ids.iter().filter_map(|&i| remap(i, removed)).collect();
     GeoInstance {
         positions: filter_points(&inst.positions),
         template: filter_points(&inst.template),
-        perturbed: inst.perturbed.iter().filter(|i| keep(i)).map(|&i| remap(i)).collect(),
-        essential: inst.essential.iter().filter(|i| keep(i)).map(|&i| remap(i)).collect(),
+        perturbed: remap_all(&inst.perturbed),
+        essential: remap_all(&inst.essential),
         ..inst.clone()
+    }
+}
+
+/// Drops template-preserving robot groups from `inst` while `accept` takes
+/// the smaller instance (it gets the candidate and the removed indices),
+/// never leaving fewer than 2 robots. Returns the candidates tried.
+fn drop_robots(
+    inst: &mut GeoInstance,
+    mut accept: impl FnMut(&GeoInstance, &[usize]) -> bool,
+) -> u64 {
+    let mut steps = 0u64;
+    loop {
+        let smaller = drop_candidates(inst)
+            .into_iter()
+            .filter(|group| inst.len() >= group.len() + 2)
+            .find_map(|group| {
+                let candidate = remove_robots(inst, &group);
+                steps += 1;
+                accept(&candidate, &group).then_some(candidate)
+            });
+        match smaller {
+            Some(candidate) => *inst = candidate,
+            None => return steps,
+        }
     }
 }
 
@@ -557,30 +582,8 @@ fn remove_robots(inst: &GeoInstance, removed: &[usize]) -> GeoInstance {
 /// the number of shrink candidates evaluated.
 pub fn shrink_geometry(inst: &GeoInstance, oracle: &GeoOracle, kind: &str) -> (GeoInstance, u64) {
     let mut current = inst.clone();
-    let mut steps = 0u64;
-
-    // Drop robot groups while the violation persists.
-    loop {
-        let mut progressed = false;
-        for group in drop_candidates(&current) {
-            if group.len() >= current.len() {
-                continue; // never empty the configuration
-            }
-            let mut sorted = group.clone();
-            // apf-lint: allow(stable-sort-in-digest-paths) — distinct robot indices: keys are total
-            sorted.sort_unstable();
-            let candidate = remove_robots(&current, &sorted);
-            steps += 1;
-            if candidate.len() >= 2 && geometry_violates(&candidate, oracle, kind) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
+    let mut steps =
+        drop_robots(&mut current, |candidate, _| geometry_violates(candidate, oracle, kind));
 
     // Snap perturbed coordinates toward the template. A full snap removes
     // the perturbation entirely; halving keeps shrinking while the
@@ -620,6 +623,10 @@ pub fn shrink_geometry(inst: &GeoInstance, oracle: &GeoOracle, kind: &str) -> (G
     (current, steps)
 }
 
+/// The scheduler matrix every instance runs under.
+const SCHEDULERS: [SchedulerKind; 3] =
+    [SchedulerKind::Fsync, SchedulerKind::Ssync, SchedulerKind::Async];
+
 /// Geometry-fuzz campaign knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct GeoFuzzConfig {
@@ -629,32 +636,20 @@ pub struct GeoFuzzConfig {
     pub script_steps: u64,
     /// Step budget per world run.
     pub step_budget: u64,
-    /// Scheduler matrix every instance runs under.
-    pub schedulers: [SchedulerKind; 3],
-    /// Whether to run instances end-to-end (pure-geometry checks always
-    /// run; world runs dominate the cost).
-    pub world_runs: bool,
 }
 
 impl Default for GeoFuzzConfig {
     fn default() -> Self {
-        GeoFuzzConfig {
-            robots: 8,
-            script_steps: 300,
-            step_budget: 300_000,
-            schedulers: [SchedulerKind::Fsync, SchedulerKind::Ssync, SchedulerKind::Async],
-            world_runs: true,
-        }
+        GeoFuzzConfig { robots: 8, script_steps: 300, step_budget: 300_000 }
     }
 }
 
 impl GeoFuzzConfig {
-    /// The schedule-fuzzer view of these knobs (shared trace oracles).
+    /// The driver's view of these knobs (shared trace oracles).
     /// Multiplicity detection is on: degenerate instances may legitimately
     /// gather, and the oracle must not flag that as phase-illegal.
-    fn fuzz_config(&self, robots: usize) -> FuzzConfig {
+    fn fuzz_config(&self) -> FuzzConfig {
         FuzzConfig {
-            robots,
             script_steps: self.script_steps,
             step_budget: self.step_budget,
             multiplicity: true,
@@ -664,108 +659,23 @@ impl GeoFuzzConfig {
     }
 }
 
-/// Records the first `limit` batches any wrapped scheduler emits, making
-/// every matrix run replayable through [`ScriptedScheduler`].
-struct RecordingScheduler {
-    inner: Box<dyn Scheduler>,
-    script: Arc<Mutex<Vec<Vec<Action>>>>,
-    limit: u64,
-    steps: u64,
-}
-
-impl RecordingScheduler {
-    fn new(inner: Box<dyn Scheduler>, limit: u64) -> Self {
-        RecordingScheduler { inner, script: Arc::new(Mutex::new(Vec::new())), limit, steps: 0 }
-    }
-
-    fn script_handle(&self) -> Arc<Mutex<Vec<Vec<Action>>>> {
-        Arc::clone(&self.script)
-    }
-}
-
-impl Scheduler for RecordingScheduler {
-    fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
-        let batch = self.inner.next(phases);
-        self.steps += 1;
-        if self.steps <= self.limit {
-            // apf-lint: allow(panic-policy) — single-threaded use; poisoning needs a prior panic
-            self.script.lock().expect("geo script lock").push(batch.clone());
-        }
-        batch
-    }
-
-    fn name(&self) -> &'static str {
-        "geo-recorder"
-    }
-}
-
 /// The target pattern for a world run: derived from the case seed, sized to
 /// the instance.
 fn pattern_for(n: usize, seed: u64) -> Vec<Point> {
     apf_patterns::random_pattern(n, seed ^ 0x7E11)
 }
 
-fn world_on(
-    inst_positions: Vec<Point>,
-    pattern: Vec<Point>,
-    fcfg: &FuzzConfig,
-    scheduler: Box<dyn Scheduler>,
-    seed: u64,
-) -> World {
-    let config =
-        WorldConfig { multiplicity_detection: fcfg.multiplicity, ..WorldConfig::default() };
-    World::new(inst_positions, pattern, (fcfg.algorithm)(), scheduler, config, seed)
-}
-
-/// Replays `script` on the instance's world and reports whether a violation
-/// of `kind` recurs (the geometry analogue of [`crate::fuzz::replay_violates`]).
-pub fn geo_replay_violates(
-    cfg: &GeoFuzzConfig,
-    positions: &[Point],
-    seed: u64,
-    script: &[Vec<Action>],
-    kind: &str,
-) -> bool {
-    let fcfg = cfg.fuzz_config(positions.len());
-    let scheduler = ScriptedScheduler::new(script.to_vec());
-    let mut world = world_on(
-        positions.to_vec(),
-        pattern_for(positions.len(), seed),
-        &fcfg,
-        Box::new(scheduler),
-        seed,
-    );
-    let sink = Arc::new(Mutex::new(VecSink::new()));
-    world.set_sink(Box::new(Arc::clone(&sink)));
-    let outcome = world.run(script.len() as u64);
-    // apf-lint: allow(panic-policy) — single-threaded use; poisoning needs a prior panic
-    let events = sink.lock().expect("geo sink lock").events().to_vec();
-    if kind == "compute-error" {
-        return matches!(outcome.reason, apf_sim::StopReason::AlgorithmError(_));
-    }
-    check_events(&fcfg, &events, outcome.formed, false).iter().any(|v| v.kind == kind)
-}
-
 /// Drops actions addressed to `removed` robots from a script and remaps the
 /// surviving indices, so a geometry-shrunk instance can revalidate the same
 /// schedule.
-fn remap_script(script: &[Vec<Action>], removed: &[usize], old_n: usize) -> Vec<Vec<Action>> {
-    let remap: Vec<Option<usize>> = (0..old_n)
-        .map(|i| {
-            if removed.contains(&i) {
-                None
-            } else {
-                Some(i - removed.iter().filter(|&&r| r < i).count())
-            }
-        })
-        .collect();
+fn remap_script(script: &[Vec<Action>], removed: &[usize]) -> Vec<Vec<Action>> {
     script
         .iter()
         .map(|batch| {
             batch
                 .iter()
                 .filter_map(|action| {
-                    let robot = remap.get(action.robot()).copied().flatten()?;
+                    let robot = remap(action.robot(), removed)?;
                     Some(match *action {
                         Action::Look { .. } => Action::Look { robot },
                         Action::Move { distance, end_phase, .. } => {
@@ -779,261 +689,113 @@ fn remap_script(script: &[Vec<Action>], removed: &[usize], old_n: usize) -> Vec<
         .collect()
 }
 
-/// A violating geometry-fuzz case, minimized over schedule and geometry.
-#[derive(Debug, Clone)]
-pub struct GeoCounterexample {
-    /// Case index within its campaign.
-    pub case_index: u64,
-    /// The case's derived seed.
-    pub seed: u64,
-    /// The degenerate family.
-    pub family: GeoFamily,
-    /// The scheduler kind the violation occurred under (`None`: the
-    /// pure-geometry oracle, no world run involved).
-    pub scheduler: Option<SchedulerKind>,
-    /// Violations of the original run.
-    pub violations: Vec<Violation>,
-    /// Minimized initial positions.
-    pub positions: Vec<Point>,
-    /// Minimized schedule script (empty for pure-geometry violations).
-    pub script: Vec<Vec<Action>>,
-    /// Robot count before geometry shrinking.
-    pub original_robots: usize,
-    /// Script length before schedule shrinking.
-    pub original_len: usize,
-    /// Shrink candidates evaluated (schedule + geometry).
-    pub shrink_steps: u64,
-}
-
-/// Campaign outcome.
-#[derive(Debug, Clone, Default)]
-pub struct GeoFuzzReport {
-    /// Cases executed (instance + scheduler matrix).
-    pub cases: u64,
-    /// Cases with no violation.
-    pub clean: u64,
-    /// Violating cases, minimized.
-    pub counterexamples: Vec<GeoCounterexample>,
-    /// Total shrink candidates evaluated.
-    pub shrink_steps: u64,
-}
-
-impl GeoFuzzReport {
-    /// Whether the campaign found no violations.
-    pub fn is_clean(&self) -> bool {
-        self.counterexamples.is_empty()
-    }
-
-    /// Folds another report into this one (timed campaigns run in rounds).
-    pub fn merge(&mut self, other: GeoFuzzReport) {
-        self.cases += other.cases;
-        self.clean += other.clean;
-        self.shrink_steps += other.shrink_steps;
-        self.counterexamples.extend(other.counterexamples);
-    }
-}
-
 /// Runs one geometry-fuzz case: generate the instance for `(family, seed)`,
-/// check the pure-geometry oracle, then (when `world_runs`) execute the
-/// scheduler matrix with the trace oracles. Violations are shrunk over
-/// schedule and geometry. Deterministic per `(cfg, case_index, seed)`.
+/// check the pure-geometry oracle, then execute the scheduler matrix with
+/// the trace oracles. Violations are shrunk over schedule and geometry.
+/// Deterministic per `(cfg, case_index, seed)`.
 pub fn run_geo_case(
     cfg: &GeoFuzzConfig,
     oracle: &GeoOracle,
     case_index: u64,
     seed: u64,
-) -> (u64, Vec<GeoCounterexample>) {
+) -> Vec<Counterexample> {
     let family = GeoFamily::ALL[(case_index % GeoFamily::ALL.len() as u64) as usize];
     let inst = degenerate_instance(family, cfg.robots, seed);
-    let mut shrink_steps = 0u64;
     let mut counterexamples = Vec::new();
 
     // Layer 1: the pure-geometry classifier oracle.
     let geo_violations = check_instance(&inst, oracle);
-    if let Some(first) = geo_violations.first() {
-        let (minimized, steps) = shrink_geometry(&inst, oracle, first.kind);
-        shrink_steps += steps;
-        counterexamples.push(GeoCounterexample {
+    if let Some(kind) = geo_violations.first().map(|v| v.kind) {
+        let (minimized, shrink_steps) = shrink_geometry(&inst, oracle, kind);
+        counterexamples.push(Counterexample {
             case_index,
             seed,
-            family,
-            scheduler: None,
+            family: Some(family),
+            scheduler: "geometry",
             violations: geo_violations,
             positions: minimized.positions,
             script: Vec::new(),
             original_robots: inst.len(),
             original_len: 0,
-            shrink_steps: steps,
+            shrink_steps,
         });
     }
 
     // Layer 2: the scheduler matrix with the trace oracles. Instances with
     // genuine multiplicity are exercised by layer 1 only — the paper's
     // algorithm assumes multiplicity-free initial configurations.
-    let initial_cfg = Configuration::new(inst.positions.clone());
-    if cfg.world_runs && !initial_cfg.has_multiplicity(&oracle.tol) {
-        let fcfg = cfg.fuzz_config(inst.len());
-        for (k, kind) in cfg.schedulers.into_iter().enumerate() {
-            let sched_seed = seed ^ (0xA11 + k as u64);
-            let recorder = RecordingScheduler::new(kind.build(sched_seed), cfg.script_steps);
-            let script_handle = recorder.script_handle();
-            let mut world = world_on(
-                inst.positions.clone(),
-                pattern_for(inst.len(), seed),
-                &fcfg,
-                Box::new(recorder),
-                seed,
-            );
-            let sink = Arc::new(Mutex::new(VecSink::new()));
-            world.set_sink(Box::new(Arc::clone(&sink)));
-            let outcome = world.run(cfg.step_budget);
-            drop(world);
-            // apf-lint: allow(panic-policy) — single-threaded use; poisoning needs a prior panic
-            let events = sink.lock().expect("geo sink lock").events().to_vec();
-            let mut violations = check_events(&fcfg, &events, outcome.formed, false);
-            if let apf_sim::StopReason::AlgorithmError(e) = &outcome.reason {
-                violations.insert(
-                    0,
-                    Violation {
-                        kind: "compute-error",
-                        detail: format!("algorithm rejected a snapshot: {e}"),
-                    },
-                );
-            }
-            if violations.is_empty() {
-                continue;
-            }
-            // apf-lint: allow(panic-policy) — single-threaded use; poisoning needs a prior panic
-            let script = script_handle.lock().expect("geo script lock").clone();
-            let (positions, script, steps) =
-                shrink_case(cfg, &inst, seed, script, violations[0].kind);
-            shrink_steps += steps;
-            counterexamples.push(GeoCounterexample {
-                case_index,
-                seed,
-                family,
-                scheduler: Some(kind),
-                violations,
-                positions,
-                original_robots: inst.len(),
-                original_len: cfg.script_steps as usize,
-                script,
-                shrink_steps: steps,
-            });
-        }
+    if Configuration::new(inst.positions.clone()).has_multiplicity(&oracle.tol) {
+        return counterexamples;
     }
-    (shrink_steps, counterexamples)
+    let fcfg = cfg.fuzz_config();
+    let pattern = pattern_for(inst.len(), seed);
+    for (k, kind) in SCHEDULERS.into_iter().enumerate() {
+        let scheduler = kind.build(seed ^ (0xA11 + k as u64));
+        let name = scheduler.name();
+        let (script, violations) = driver::run(&fcfg, &inst.positions, &pattern, seed, scheduler);
+        let Some(first) = violations.first().map(|v| v.kind) else {
+            continue;
+        };
+        let original_len = script.len();
+        let (positions, script, shrink_steps) = shrink_two_axes(&fcfg, &inst, seed, script, first);
+        counterexamples.push(Counterexample {
+            case_index,
+            seed,
+            family: Some(family),
+            scheduler: name,
+            violations,
+            positions,
+            script,
+            original_robots: inst.len(),
+            original_len,
+            shrink_steps,
+        });
+    }
+    counterexamples
 }
 
 /// Minimizes a world-run violation over both spaces: the schedule first
-/// (the existing ddmin machinery, replayed on this instance's geometry),
-/// then the geometry (drop non-essential robots with the script remapped,
-/// snap perturbed coordinates to the template), revalidating every
-/// candidate by scripted replay.
-fn shrink_case(
-    cfg: &GeoFuzzConfig,
+/// (the driver's shrinker, replayed on this instance's geometry), then the
+/// geometry (drop non-essential robots with the script remapped, snap
+/// perturbed coordinates to the template), revalidating every candidate by
+/// scripted replay.
+fn shrink_two_axes(
+    fcfg: &FuzzConfig,
     inst: &GeoInstance,
     seed: u64,
     script: Vec<Vec<Action>>,
     kind: &str,
 ) -> (Vec<Point>, Vec<Vec<Action>>, u64) {
-    let mut steps = 0u64;
-
-    // Schedule space: reuse the schedule fuzzer's shrinker shape — prefix
-    // truncation then chunked ddmin — against this instance's replay.
-    let mut current = inst.positions.clone();
-    let mut script = {
-        let violates = |s: &[Vec<Action>]| geo_replay_violates(cfg, &current, seed, s, kind);
-        let mut s = script;
-        let mut lo = 0usize;
-        let mut hi = s.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            steps += 1;
-            if violates(&s[..mid]) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        s.truncate(hi);
-        let mut chunk = (s.len() / 2).max(1);
-        while chunk >= 1 {
-            let mut i = 0;
-            while i < s.len() {
-                let mut candidate = s.clone();
-                candidate.drain(i..(i + chunk).min(candidate.len()));
-                steps += 1;
-                if !candidate.is_empty() && violates(&candidate) {
-                    s = candidate;
-                } else {
-                    i += chunk;
-                }
-            }
-            if chunk == 1 {
-                break;
-            }
-            chunk /= 2;
-        }
-        s
+    let replays = |positions: &[Point], script: &[Vec<Action>]| {
+        let pattern = pattern_for(positions.len(), seed);
+        driver::replays(fcfg, positions, &pattern, seed, script, kind)
     };
-
-    // Geometry space: drop non-essential robots (script remapped), then
-    // snap perturbed coordinates back to the template.
+    let (mut script, mut steps) = driver::shrink(script, |s| replays(&inst.positions, s));
     let mut shrunk = inst.clone();
-    loop {
-        let mut progressed = false;
-        for group in drop_candidates(&shrunk) {
-            if shrunk.len() - group.len() < 2 {
-                continue;
-            }
-            let mut sorted = group.clone();
-            // apf-lint: allow(stable-sort-in-digest-paths) — distinct robot indices: keys are total
-            sorted.sort_unstable();
-            let candidate = remove_robots(&shrunk, &sorted);
-            let candidate_script = remap_script(&script, &sorted, shrunk.len());
-            steps += 1;
-            if geo_replay_violates(cfg, &candidate.positions, seed, &candidate_script, kind) {
-                shrunk = candidate;
-                script = candidate_script;
-                progressed = true;
-                break;
-            }
+    steps += drop_robots(&mut shrunk, |candidate, removed| {
+        let candidate_script = remap_script(&script, removed);
+        let violates = replays(&candidate.positions, &candidate_script);
+        if violates {
+            script = candidate_script;
         }
-        if !progressed {
-            break;
-        }
-    }
+        violates
+    });
     for idx in shrunk.perturbed.clone() {
         let mut candidate = shrunk.clone();
         candidate.positions[idx] = candidate.template[idx];
         steps += 1;
-        if geo_replay_violates(cfg, &candidate.positions, seed, &script, kind) {
+        if replays(&candidate.positions, &script) {
             candidate.perturbed.retain(|&i| i != idx);
             shrunk = candidate;
         }
     }
-    current = shrunk.positions;
-    (current, script, steps)
+    (shrunk.positions, script, steps)
 }
 
-/// Runs `cases` geometry-fuzz cases with seeds derived from
-/// `campaign_seed` on `jobs` worker threads. Like
-/// [`crate::fuzz::fuzz_campaign`], the report is identical for any `jobs`
-/// value: each case depends only on its index-derived seed and results are
-/// collected in index order.
-pub fn geo_fuzz_campaign(
-    cfg: &GeoFuzzConfig,
-    oracle: &GeoOracle,
-    campaign_seed: u64,
-    cases: u64,
-    jobs: usize,
-) -> GeoFuzzReport {
-    geo_fuzz_rounds(cfg, oracle, campaign_seed, 0, cases, jobs)
-}
-
-/// Runs case indices `first..first + cases` (a shard of a larger campaign:
-/// case `i` here is bit-identical to case `i` anywhere else).
+/// Runs case indices `first..first + cases` with seeds derived from
+/// `campaign_seed` on `jobs` worker threads: a whole campaign from `first =
+/// 0`, or a shard of one (case `i` here is bit-identical to case `i`
+/// anywhere else). The report is identical for any `jobs` value.
 pub fn geo_fuzz_rounds(
     cfg: &GeoFuzzConfig,
     oracle: &GeoOracle,
@@ -1041,40 +803,10 @@ pub fn geo_fuzz_rounds(
     first: u64,
     cases: u64,
     jobs: usize,
-) -> GeoFuzzReport {
-    type Slot = Mutex<Option<(u64, Vec<GeoCounterexample>)>>;
-    let jobs = jobs.max(1);
-    let n = cases as usize;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let index = first + i as u64;
-                let seed = trial_seed(campaign_seed, index);
-                let out = run_geo_case(cfg, oracle, index, seed);
-                // apf-lint: allow(panic-policy) — each slot is touched by exactly one worker
-                *slots[i].lock().expect("geo slot lock") = Some(out);
-            });
-        }
-    });
-    let mut report = GeoFuzzReport { cases, ..GeoFuzzReport::default() };
-    for slot in slots {
-        let (steps, ces) =
-            // apf-lint: allow(panic-policy) — workers either fill every slot or panic the scope
-            slot.into_inner().expect("geo slot lock").expect("every slot filled");
-        report.shrink_steps += steps;
-        if ces.is_empty() {
-            report.clean += 1;
-        } else {
-            report.counterexamples.extend(ces);
-        }
-    }
-    report
+) -> FuzzReport {
+    driver::run_cases(campaign_seed, first, cases, jobs, |index, seed| {
+        run_geo_case(cfg, oracle, index, seed)
+    })
 }
 
 /// Runs rounds of cases until `budget` elapses (at least one round always
@@ -1086,10 +818,10 @@ pub fn geo_fuzz_timed(
     campaign_seed: u64,
     budget: Duration,
     jobs: usize,
-) -> GeoFuzzReport {
+) -> FuzzReport {
     let t0 = Instant::now();
     let round = (jobs.max(1) * 2) as u64;
-    let mut report = GeoFuzzReport::default();
+    let mut report = FuzzReport::default();
     let mut next = 0u64;
     loop {
         let r = geo_fuzz_rounds(cfg, oracle, campaign_seed, next, round, jobs);
@@ -1101,48 +833,10 @@ pub fn geo_fuzz_timed(
     }
 }
 
-/// Writes a geometry counterexample reproducer (`geo-<index>.repro`): a
-/// header with the family, seed, scheduler, and violations; the minimal
-/// initial positions (`position R X Y` lines); then the minimal schedule in
-/// [`crate::fuzz::script_to_text`] format.
-///
-/// # Errors
-///
-/// I/O errors creating the directory or writing the file.
-pub fn dump_geo_counterexample(dir: &Path, ce: &GeoCounterexample) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("geo-{}.repro", ce.case_index));
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "# geo-fuzz case {} family {} seed {:#018x} scheduler {}",
-        ce.case_index,
-        ce.family,
-        ce.seed,
-        ce.scheduler.map_or_else(|| "none (pure geometry)".to_string(), |k| k.to_string()),
-    );
-    let _ = writeln!(
-        text,
-        "# robots: {} (shrunk from {}); script: {} batches; {} shrink steps",
-        ce.positions.len(),
-        ce.original_robots,
-        ce.script.len(),
-        ce.shrink_steps
-    );
-    for v in &ce.violations {
-        let _ = writeln!(text, "# violation[{}]: {}", v.kind, v.detail);
-    }
-    for (i, p) in ce.positions.iter().enumerate() {
-        let _ = writeln!(text, "# position {i} {:?} {:?}", p.x, p.y);
-    }
-    text.push_str(&script_to_text(&ce.script));
-    std::fs::write(&path, text)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{MAX_ROBOTS, MIN_ROBOTS};
 
     #[test]
     fn instances_are_deterministic_per_seed() {
@@ -1158,12 +852,12 @@ mod tests {
 
     #[test]
     fn every_family_builds_for_every_soak_robot_count() {
-        // Every robot count a soak accepts (7..=64) must generate, and in
-        // bounded time: a prime count's template is a single orbit, and a
-        // large count's template must leave its orbit radii room.
+        // Every robot count a soak accepts must generate, and in bounded
+        // time: a prime count's template is a single orbit, and a large
+        // count's template must leave its orbit radii room.
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            for n in 7..=64 {
+            for n in MIN_ROBOTS..=MAX_ROBOTS {
                 for seed in 0..4 {
                     for family in GeoFamily::ALL {
                         assert_eq!(degenerate_instance(family, n, seed).len(), n, "{family} n={n}");
@@ -1269,10 +963,14 @@ mod tests {
 
     #[test]
     fn campaign_is_jobs_independent() {
-        let cfg = GeoFuzzConfig { world_runs: false, ..GeoFuzzConfig::default() };
+        // Three instances per family through the oracle and the scheduler
+        // matrix: the stack must survive degenerate geometry, and the
+        // report must not depend on the worker count.
+        let cfg = GeoFuzzConfig::default();
         let oracle = GeoOracle::default();
-        let a = geo_fuzz_campaign(&cfg, &oracle, 99, 12, 1);
-        let b = geo_fuzz_campaign(&cfg, &oracle, 99, 12, 4);
+        let a = geo_fuzz_rounds(&cfg, &oracle, 99, 0, 12, 1);
+        let b = geo_fuzz_rounds(&cfg, &oracle, 99, 0, 12, 4);
+        assert!(a.is_clean(), "{:?}", a.counterexamples);
         assert_eq!(a.cases, b.cases);
         assert_eq!(a.clean, b.clean);
         assert_eq!(a.counterexamples.len(), b.counterexamples.len());
@@ -1285,7 +983,7 @@ mod tests {
             vec![Action::Move { robot: 3, distance: 0.5, end_phase: true }],
             vec![Action::Look { robot: 1 }],
         ];
-        let remapped = remap_script(&script, &[1], 4);
+        let remapped = remap_script(&script, &[1]);
         assert_eq!(
             remapped,
             vec![
@@ -1296,19 +994,25 @@ mod tests {
     }
 
     #[test]
-    fn world_matrix_runs_clean_on_degenerate_families() {
-        // One representative instance per family through the full
-        // scheduler matrix: the stack must survive degenerate geometry.
-        let cfg = GeoFuzzConfig { step_budget: 200_000, ..GeoFuzzConfig::default() };
-        let oracle = GeoOracle::default();
-        for (i, _) in GeoFamily::ALL.iter().enumerate() {
-            let seed = trial_seed(7, i as u64);
-            let (_, ces) = run_geo_case(&cfg, &oracle, i as u64, seed);
-            assert!(
-                ces.is_empty(),
-                "case {i}: {:?}",
-                ces.iter().map(|c| &c.violations).collect::<Vec<_>>()
-            );
+    fn six_robot_world_runs_shrink_over_both_axes() {
+        // Below Theorem 2's n >= 7 every world run ends in a compute-error:
+        // one counterexample per case and scheduler, whose robots the
+        // two-axis shrinker drops while the error persists.
+        let cfg = GeoFuzzConfig { robots: 6, ..GeoFuzzConfig::default() };
+        let fcfg = cfg.fuzz_config();
+        let report = geo_fuzz_rounds(&cfg, &GeoOracle::default(), 48879, 0, 4, 2);
+        assert_eq!(report.counterexamples.len(), 4 * 3, "one per case and scheduler");
+        for (i, ce) in report.counterexamples.iter().enumerate() {
+            let at = format!("case {} under {}", ce.case_index, ce.scheduler);
+            let scheduler = ["fsync", "ssync", "async"][i % 3];
+            assert_eq!((ce.case_index, ce.scheduler), (i as u64 / 3, scheduler));
+            assert_eq!(ce.violations[0].kind, "compute-error", "{at}");
+            assert!(ce.positions.len() < 6, "{at}: {:?}", ce.positions);
+            let pattern = pattern_for(ce.positions.len(), ce.seed);
+            let kind = ce.violations[0].kind;
+            let replays =
+                driver::replays(&fcfg, &ce.positions, &pattern, ce.seed, &ce.script, kind);
+            assert!(replays, "{at}: the shrunk reproducer must replay");
         }
     }
 }

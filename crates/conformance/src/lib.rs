@@ -17,17 +17,21 @@
 //!   (mid-move pauses, stale snapshots, bounded starvation, dense
 //!   interleavings) with trace-level property checks — stream legality,
 //!   the ≤ 1 bit/election-cycle claim, phase legality, rigid-motion
-//!   safety, eventual formation — and ddmin-style shrinking of violating
-//!   schedules to minimal [`ScriptedScheduler`](apf_scheduler::ScriptedScheduler)
-//!   reproducers. Campaigns are bit-deterministic in their seed for any
-//!   `--jobs` value.
+//!   safety, no `compute-error`, eventual formation.
 //! * **[`geometry_fuzz`]** — the same adversarial treatment for *instance
 //!   geometry*: seeded degenerate families (ε-perturbed symmetricity,
 //!   collinear, SEC-boundary, near-multiplicity) with perturbations
 //!   laddered across both sides of the classifier tolerance bands, checked
-//!   by a pure-geometry oracle and then under the full scheduler matrix.
-//!   Violations shrink over geometry *and* schedules to minimal
-//!   `(positions, script)` reproducers.
+//!   by a pure-geometry oracle and then under the FSYNC/SSYNC/ASYNC
+//!   scheduler matrix. Violations also shrink over geometry (robot drops,
+//!   snaps toward the template).
+//!
+//! Both fuzzers share one driver: world run, scripted replay
+//! ([`ScriptedScheduler`](apf_scheduler::ScriptedScheduler)), shrinker
+//! (prefix truncation, then ddmin), a case pool whose reports are
+//! bit-identical for any `--jobs` value, and one `.repro` file per
+//! [`Counterexample`] with its initial positions and script. The CLI and
+//! soak specs accept [`MIN_ROBOTS`]..=[`MAX_ROBOTS`] robots.
 //!
 //! Crash forensics ride on `apf-trace`'s `CrashDumpSink`: engine invariant
 //! violations flush a last-N event window to disk before panicking (see
@@ -36,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 pub mod corpus;
+mod driver;
 pub mod fuzz;
 pub mod geometry_fuzz;
 
@@ -43,12 +48,12 @@ pub use corpus::{
     cases, default_corpus_dir, event_diff, read_manifest, regenerate, verify, write_manifest,
     CaseReport, CorpusCase, ManifestEntry,
 };
-pub use fuzz::{
-    dump_counterexample, fuzz_campaign, replay_violates, script_from_text, script_to_text, shrink,
-    Counterexample, FuzzConfig, FuzzReport, Violation,
+pub use driver::{
+    dump_counterexample, script_from_text, script_to_text, Counterexample, FuzzReport, Violation,
+    MAX_ROBOTS, MIN_ROBOTS,
 };
+pub use fuzz::{fuzz_campaign, replay_violates, FuzzConfig};
 pub use geometry_fuzz::{
-    check_instance, degenerate_instance, dump_geo_counterexample, geo_fuzz_campaign,
-    geo_fuzz_rounds, geo_fuzz_timed, shrink_geometry, Expectation, GeoCounterexample, GeoFamily,
-    GeoFuzzConfig, GeoFuzzReport, GeoInstance, GeoOracle,
+    check_instance, degenerate_instance, geo_fuzz_rounds, geo_fuzz_timed, shrink_geometry,
+    Expectation, GeoFamily, GeoFuzzConfig, GeoInstance, GeoOracle,
 };

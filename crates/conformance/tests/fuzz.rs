@@ -2,14 +2,20 @@
 //! planted property violations are caught and shrunk to minimal reproducers,
 //! and engine invariant violations flush a crash dump to disk.
 
+use apf_bench::engine::trial_seed;
 use apf_conformance::fuzz::replay_violates;
-use apf_conformance::{fuzz_campaign, script_to_text, FuzzConfig};
+use apf_conformance::geometry_fuzz::run_geo_case;
+use apf_conformance::{
+    dump_counterexample, fuzz_campaign, script_from_text, script_to_text, FuzzConfig,
+    GeoFuzzConfig, GeoOracle,
+};
 use apf_geometry::{Path, Point};
 use apf_scheduler::{Action, PhaseView, Scheduler, ScriptedScheduler};
 use apf_sim::{BitSource, ComputeError, Decision, RobotAlgorithm, Snapshot, World, WorldConfig};
 use apf_trace::{CrashDumpSink, PhaseKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn quick_cfg() -> FuzzConfig {
     FuzzConfig { script_steps: 100, step_budget: 150_000, ..FuzzConfig::default() }
@@ -24,11 +30,11 @@ fn campaign_reports_are_identical_for_any_jobs_value() {
     let cfg = quick_cfg();
     let a = fuzz_campaign(&cfg, 0xC0FFEE, 6, 1);
     let b = fuzz_campaign(&cfg, 0xC0FFEE, 6, 4);
-    assert_eq!(a.schedules, b.schedules);
+    assert_eq!(a.cases, b.cases);
     assert_eq!(a.clean, b.clean);
     assert_eq!(a.counterexamples.len(), b.counterexamples.len());
     for (x, y) in a.counterexamples.iter().zip(&b.counterexamples) {
-        assert_eq!(x.schedule_index, y.schedule_index);
+        assert_eq!(x.case_index, y.case_index);
         assert_eq!(x.seed, y.seed);
         assert_eq!(x.violations, y.violations);
         assert_eq!(script_to_text(&x.script), script_to_text(&y.script));
@@ -43,11 +49,7 @@ fn ci_smoke_seed_is_clean() {
     assert!(
         report.is_clean(),
         "CI smoke seed found counterexamples: {:?}",
-        report
-            .counterexamples
-            .iter()
-            .map(|ce| (ce.schedule_index, &ce.violations))
-            .collect::<Vec<_>>()
+        report.counterexamples.iter().map(|ce| (ce.case_index, &ce.violations)).collect::<Vec<_>>()
     );
 }
 
@@ -156,6 +158,84 @@ fn planted_two_bit_election_is_caught() {
         ce.violations
     );
     assert!(replay_violates(&cfg, ce.seed, &ce.script, "election-bits"));
+}
+
+/// A planted bug: the algorithm rejects its 40th snapshot. Every world run
+/// and every replay builds a fresh instance, so the count restarts.
+struct FailsOnFortieth(AtomicUsize);
+
+impl RobotAlgorithm for FailsOnFortieth {
+    fn compute(
+        &self,
+        _snapshot: &Snapshot,
+        _bits: &mut dyn BitSource,
+    ) -> Result<Decision, ComputeError> {
+        if self.0.fetch_add(1, Ordering::Relaxed) + 1 == 40 {
+            return Err(ComputeError::new("planted failure on the 40th compute"));
+        }
+        Ok(Decision::Stay)
+    }
+
+    fn name(&self) -> &'static str {
+        "fails-on-fortieth"
+    }
+}
+
+#[test]
+fn planted_compute_error_reproducers_replay() {
+    // The run adds `compute-error` from the world's outcome; the replay
+    // must do the same, or the shrinker never accepts a candidate and the
+    // reported script fails its own replay.
+    let cfg = FuzzConfig {
+        require_formation: false,
+        algorithm: || Box::new(FailsOnFortieth(AtomicUsize::new(0))),
+        ..FuzzConfig::default()
+    };
+    let report = fuzz_campaign(&cfg, 7, 3, 2);
+    assert_eq!(report.counterexamples.len(), 3, "every schedule hits the planted bug");
+    for ce in &report.counterexamples {
+        assert_eq!(ce.violations[0].kind, "compute-error", "{:?}", ce.violations);
+        assert!(ce.script.len() <= ce.original_len);
+        assert!(
+            replay_violates(&cfg, ce.seed, &ce.script, "compute-error"),
+            "case {}: the {}-batch reproducer does not replay:\n{}",
+            ce.case_index,
+            ce.script.len(),
+            script_to_text(&ce.script)
+        );
+    }
+}
+
+#[test]
+fn every_counterexample_gets_its_own_reproducer_file() {
+    // Below Theorem 2's n >= 7 every world run of a geometry case is a
+    // compute-error: one counterexample per scheduler, each in its own file
+    // whose positions and script parse back exactly.
+    let cfg = GeoFuzzConfig { robots: 6, ..GeoFuzzConfig::default() };
+    let ces = run_geo_case(&cfg, &GeoOracle::default(), 0, trial_seed(48879, 0));
+    assert_eq!(ces.len(), 3, "one counterexample per scheduler");
+    let dir = std::env::temp_dir().join(format!("apf-fuzz-repro-{}", std::process::id()));
+    let mut paths = Vec::new();
+    for ce in &ces {
+        let path = dump_counterexample(&dir, ce).expect("reproducer written");
+        let text = std::fs::read_to_string(&path).expect("reproducer read back");
+        let positions: Vec<(u64, u64)> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# position "))
+            .map(|line| {
+                let fields: Vec<f64> =
+                    line.split_whitespace().skip(1).map(|f| f.parse().unwrap()).collect();
+                (fields[0].to_bits(), fields[1].to_bits())
+            })
+            .collect();
+        let expected: Vec<(u64, u64)> =
+            ce.positions.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect();
+        assert_eq!(positions, expected, "{}", path.display());
+        assert_eq!(script_from_text(&text).unwrap(), ce.script, "{}", path.display());
+        assert!(!paths.contains(&path), "{} written twice", path.display());
+        paths.push(path);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A scheduler that behaves legally for `fuse` steps, then violates the

@@ -19,6 +19,7 @@ use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use apf_bench::engine::CancelToken;
 use apf_conformance::geometry_fuzz::{geo_fuzz_rounds, GeoFuzzConfig, GeoOracle};
+use apf_conformance::{MAX_ROBOTS, MIN_ROBOTS};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -27,12 +28,6 @@ use std::time::{Duration, Instant};
 pub const MAX_SOAK_CASES: u64 = 1_000_000;
 /// Hard cap on a time-bounded soak (one day).
 pub const MAX_SOAK_SECONDS: u64 = 24 * 3600;
-/// Robot-count bounds per generated instance: the world runs need the
-/// paper's `n >= 7` (Theorem 2).
-pub const MIN_SOAK_ROBOTS: usize = 7;
-/// Upper robot bound (fuzz instances beyond this are slow without finding
-/// qualitatively new boundaries).
-pub const MAX_SOAK_ROBOTS: usize = 64;
 
 /// Cases per scheduling chunk: the granularity at which a soak loop checks
 /// cancellation, the deadline, and publishes metrics.
@@ -104,9 +99,9 @@ impl SoakSpec {
     ///
     /// Returns the 400 body text.
     pub fn validate(&self) -> Result<(), String> {
-        if self.robots < MIN_SOAK_ROBOTS || self.robots > MAX_SOAK_ROBOTS {
+        if !(MIN_ROBOTS..=MAX_ROBOTS).contains(&self.robots) {
             return Err(format!(
-                "\"robots\" must be in [{MIN_SOAK_ROBOTS}, {MAX_SOAK_ROBOTS}] (got {})",
+                "\"robots\" must be in [{MIN_ROBOTS}, {MAX_ROBOTS}] (got {})",
                 self.robots
             ));
         }

@@ -311,28 +311,37 @@ fn lint_main(args: &[String]) -> ! {
 }
 
 /// The `conformance` subcommand: corpus verification/regeneration and the
-/// schedule fuzzer.
+/// schedule and geometry fuzzers.
 fn conformance_main(args: &[String]) -> ! {
-    let usage = "apf-cli conformance corpus|regen [--dir DIR]\n\
-                 apf-cli conformance fuzz [--schedules N] [--seed S] [--jobs J]\n\
-                 \x20                        [--dump-dir DIR] [--no-formation-check]\n\
-                 apf-cli conformance geo-fuzz [--cases N | --budget SECS] [--seed S]\n\
-                 \x20                            [--jobs J] [--robots N] [--dump-dir DIR]\n\
-                 \n\
-                 The fuzzer checks the *dynamic* invariants: movement legality,\n\
-                 phase-transition legality, the <= 1 random bit per election cycle\n\
-                 budget, and (unless --no-formation-check) eventual formation.\n\
-                 Freedom from ambient entropy and draws outside the psi_RSB module\n\
-                 is guaranteed *statically* by `apf-cli lint` (rules D1/D2) and is\n\
-                 not re-checked here.\n\
-                 \n\
-                 geo-fuzz explores *geometry* space instead of schedule space:\n\
-                 seeded degenerate instance families (epsilon-perturbed symmetry,\n\
-                 collinear, SEC-boundary, near-multiplicity) are checked against\n\
-                 the symmetricity/SEC classifiers and then run under the\n\
-                 FSYNC/SSYNC/ASYNC matrix; violations shrink over both geometry\n\
-                 and schedules. --budget runs until the wall-clock budget expires\n\
-                 instead of a fixed case count.";
+    let usage = format!(
+        "apf-cli conformance corpus|regen [--dir DIR]\n\
+         apf-cli conformance fuzz [--schedules N] [--robots N] [--seed S] [--jobs J]\n\
+         \x20                        [--dump-dir DIR] [--no-formation-check]\n\
+         apf-cli conformance geo-fuzz [--cases N | --budget SECS] [--seed S]\n\
+         \x20                            [--jobs J] [--robots N] [--dump-dir DIR]\n\
+         \n\
+         --robots takes {}..={} (the paper's algorithm needs n >= 7); the\n\
+         default is 7 for fuzz and 8 for geo-fuzz. A flag the mode does not\n\
+         read is a usage error. --dump-dir writes one .repro file per\n\
+         counterexample: its initial positions and shrunk schedule.\n\
+         \n\
+         The fuzzer checks the *dynamic* invariants: movement legality,\n\
+         phase-transition legality, the <= 1 random bit per election cycle\n\
+         budget, and (unless --no-formation-check) eventual formation.\n\
+         Freedom from ambient entropy and draws outside the psi_RSB module\n\
+         is guaranteed *statically* by `apf-cli lint` (rules D1/D2) and is\n\
+         not re-checked here.\n\
+         \n\
+         geo-fuzz explores *geometry* space instead of schedule space:\n\
+         seeded degenerate instance families (epsilon-perturbed symmetry,\n\
+         collinear, SEC-boundary, near-multiplicity) are checked against\n\
+         the symmetricity/SEC classifiers and then run under the\n\
+         FSYNC/SSYNC/ASYNC matrix; violations shrink over both geometry\n\
+         and schedules. --budget runs until the wall-clock budget expires\n\
+         instead of a fixed case count.",
+        apf_conformance::MIN_ROBOTS,
+        apf_conformance::MAX_ROBOTS
+    );
     let Some(mode) = args.first().map(String::as_str) else {
         eprintln!("error: conformance needs a mode\n{usage}");
         std::process::exit(2);
@@ -341,11 +350,23 @@ fn conformance_main(args: &[String]) -> ! {
         println!("{usage}");
         std::process::exit(0);
     }
+    // The flags each mode reads; any other flag is a usage error.
+    let reads: &[&str] = match mode {
+        "corpus" | "regen" => &["--dir"],
+        "fuzz" => {
+            &["--schedules", "--robots", "--seed", "--jobs", "--dump-dir", "--no-formation-check"]
+        }
+        "geo-fuzz" => &["--cases", "--budget", "--robots", "--seed", "--jobs", "--dump-dir"],
+        other => {
+            eprintln!("error: unknown conformance mode {other}\n{usage}");
+            std::process::exit(2);
+        }
+    };
     let mut dir = apf_conformance::default_corpus_dir();
     let mut schedules: u64 = 16;
     let mut cases: u64 = 64;
     let mut budget: Option<u64> = None;
-    let mut robots: usize = 8;
+    let mut robots: Option<usize> = None;
     let mut seed: u64 = 0xC0FFEE;
     let mut jobs: usize = 1;
     let mut dump_dir: Option<String> = None;
@@ -363,28 +384,36 @@ fn conformance_main(args: &[String]) -> ! {
             std::process::exit(2);
         };
         match flag.as_str() {
+            "--help" | "-h" => {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            f if !reads.contains(&f) => {
+                eprintln!("error: conformance {mode} does not take {f}\n{usage}");
+                std::process::exit(2);
+            }
             "--dir" => dir = value().into(),
             "--schedules" => {
                 schedules = value().parse().unwrap_or_else(|e| parse_fail(&e));
             }
             "--cases" => cases = value().parse().unwrap_or_else(|e| parse_fail(&e)),
             "--budget" => budget = Some(value().parse().unwrap_or_else(|e| parse_fail(&e))),
-            "--robots" => robots = value().parse().unwrap_or_else(|e| parse_fail(&e)),
+            "--robots" => {
+                let n: usize = value().parse().unwrap_or_else(|e| parse_fail(&e));
+                let (lo, hi) = (apf_conformance::MIN_ROBOTS, apf_conformance::MAX_ROBOTS);
+                if !(lo..=hi).contains(&n) {
+                    parse_fail(&format!("must be in [{lo}, {hi}] (got {n})"));
+                }
+                robots = Some(n);
+            }
             "--seed" => seed = value().parse().unwrap_or_else(|e| parse_fail(&e)),
             "--jobs" => jobs = value().parse().unwrap_or_else(|e| parse_fail(&e)),
             "--dump-dir" => dump_dir = Some(value()),
             "--no-formation-check" => formation_check = false,
-            "--help" | "-h" => {
-                println!("{usage}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("error: unknown flag {other}\n{usage}");
-                std::process::exit(2);
-            }
+            other => unreachable!("{other} is in `reads`, and every flag there has an arm"),
         }
     }
-    match mode {
+    let report = match mode {
         "corpus" => {
             let reports = apf_conformance::verify(&dir).unwrap_or_else(|e| {
                 eprintln!("error: reading corpus in {}: {e}", dir.display());
@@ -427,45 +456,24 @@ fn conformance_main(args: &[String]) -> ! {
             std::process::exit(0);
         }
         "fuzz" => {
-            let cfg = apf_conformance::FuzzConfig {
+            let mut cfg = apf_conformance::FuzzConfig {
                 require_formation: formation_check,
                 ..apf_conformance::FuzzConfig::default()
             };
+            cfg.robots = robots.unwrap_or(cfg.robots);
             let report = apf_conformance::fuzz_campaign(&cfg, seed, schedules, jobs);
             println!(
                 "fuzz: {} schedules, {} clean, {} counterexamples (seed {seed:#x})",
-                report.schedules,
+                report.cases,
                 report.clean,
                 report.counterexamples.len()
             );
-            for ce in &report.counterexamples {
-                println!(
-                    "  schedule {}: {} ({} batches, shrunk from {})",
-                    ce.schedule_index,
-                    ce.violations.iter().map(|v| v.kind).collect::<Vec<_>>().join(","),
-                    ce.script.len(),
-                    ce.original_len
-                );
-                for v in &ce.violations {
-                    println!("    [{}] {}", v.kind, v.detail);
-                }
-                if let Some(dump) = &dump_dir {
-                    match apf_conformance::dump_counterexample(std::path::Path::new(dump), ce) {
-                        Ok(p) => println!("    reproducer: {}", p.display()),
-                        Err(e) => {
-                            eprintln!("error: writing reproducer: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-            }
-            std::process::exit(if report.is_clean() { 0 } else { 1 });
+            report
         }
-        "geo-fuzz" => {
-            let cfg = apf_conformance::GeoFuzzConfig {
-                robots,
-                ..apf_conformance::GeoFuzzConfig::default()
-            };
+        _ => {
+            // geo-fuzz: `reads` rejected every other mode.
+            let mut cfg = apf_conformance::GeoFuzzConfig::default();
+            cfg.robots = robots.unwrap_or(cfg.robots);
             let oracle = apf_conformance::GeoOracle::default();
             let report = match budget {
                 Some(secs) => apf_conformance::geo_fuzz_timed(
@@ -475,7 +483,7 @@ fn conformance_main(args: &[String]) -> ! {
                     std::time::Duration::from_secs(secs),
                     jobs,
                 ),
-                None => apf_conformance::geo_fuzz_campaign(&cfg, &oracle, seed, cases, jobs),
+                None => apf_conformance::geo_fuzz_rounds(&cfg, &oracle, seed, 0, cases, jobs),
             };
             println!(
                 "geo-fuzz: {} cases, {} clean, {} counterexamples, {} shrink steps (seed \
@@ -485,36 +493,35 @@ fn conformance_main(args: &[String]) -> ! {
                 report.counterexamples.len(),
                 report.shrink_steps
             );
-            for ce in &report.counterexamples {
-                println!(
-                    "  case {} [{}] under {}: {} ({} robots, shrunk from {})",
-                    ce.case_index,
-                    ce.family,
-                    ce.scheduler.map_or("geometry-oracle".to_string(), |s| s.to_string()),
-                    ce.violations.iter().map(|v| v.kind).collect::<Vec<_>>().join(","),
-                    ce.positions.len(),
-                    ce.original_robots
-                );
-                for v in &ce.violations {
-                    println!("    [{}] {}", v.kind, v.detail);
-                }
-                if let Some(dump) = &dump_dir {
-                    match apf_conformance::dump_geo_counterexample(std::path::Path::new(dump), ce) {
-                        Ok(p) => println!("    reproducer: {}", p.display()),
-                        Err(e) => {
-                            eprintln!("error: writing reproducer: {e}");
-                            std::process::exit(2);
-                        }
-                    }
+            report
+        }
+    };
+    for ce in &report.counterexamples {
+        println!(
+            "  case {}{} under {}: {} ({} robots, shrunk from {}; {} batches, shrunk from {})",
+            ce.case_index,
+            ce.family.map_or(String::new(), |f| format!(" [{f}]")),
+            ce.scheduler,
+            ce.violations.iter().map(|v| v.kind).collect::<Vec<_>>().join(","),
+            ce.positions.len(),
+            ce.original_robots,
+            ce.script.len(),
+            ce.original_len
+        );
+        for v in &ce.violations {
+            println!("    [{}] {}", v.kind, v.detail);
+        }
+        if let Some(dump) = &dump_dir {
+            match apf_conformance::dump_counterexample(std::path::Path::new(dump), ce) {
+                Ok(p) => println!("    reproducer: {}", p.display()),
+                Err(e) => {
+                    eprintln!("error: writing reproducer: {e}");
+                    std::process::exit(2);
                 }
             }
-            std::process::exit(if report.is_clean() { 0 } else { 1 });
-        }
-        other => {
-            eprintln!("error: unknown conformance mode {other}\n{usage}");
-            std::process::exit(2);
         }
     }
+    std::process::exit(if report.is_clean() { 0 } else { 1 });
 }
 
 /// The `serve` subcommand: the long-running campaign service (`apf-serve`).
@@ -784,7 +791,7 @@ fn profile_main(args: &[String]) -> ! {
     let mut spec_file: Option<String> = None;
     let mut jobs: usize = 2;
     let mut kernels_n: Option<usize> = None;
-    let mut reps: usize = 20;
+    let mut reps: u32 = 20;
     let mut fold: Option<String> = None;
     let mut json_out: Option<String> = None;
     let mut report_out: Option<String> = None;
@@ -825,20 +832,10 @@ fn profile_main(args: &[String]) -> ! {
 
     let profile: SpanProfile = if let Some(n) = kernels_n {
         // Kernel mode: the kernels run on this thread, so install here.
-        let n = n.max(3);
         let handle = std::sync::Arc::new(std::sync::Mutex::new(SpanProfile::new()));
         drop(apf::trace::span::install(Box::new(std::sync::Arc::clone(&handle))));
-        let pts = apf::patterns::asymmetric_configuration(n, 17_000 + n as u64);
-        let cfg = apf::geometry::Configuration::new(pts.clone());
-        let tol = apf::geometry::Tol::default();
-        let center = cfg.sec().center;
-        for _ in 0..reps.max(1) {
-            let _ = apf::geometry::smallest_enclosing_circle(&pts);
-            let _ = apf::geometry::symmetry::symmetricity(&cfg, center, &tol);
-            let _ = apf::geometry::symmetry::ViewAnalysis::compute(&cfg, center, &tol);
-            let _ = apf::geometry::symmetry::regular_set_of(&cfg, &tol);
-            let _ = apf::geometry::symmetry::find_shifted_regular(&cfg, &tol);
-        }
+        // The recorded spans are this mode's output, not the returned µs.
+        let _ = apf_bench::experiments::time_kernels(n, reps);
         drop(apf::trace::span::take());
         let p = handle.lock().unwrap_or_else(|_| {
             eprintln!("error: span profile lock poisoned");
@@ -1010,53 +1007,11 @@ fn perf_snapshot_main(args: &[String]) -> ! {
     // The E9 kernel microbenches at two fixed sizes (µs per call).
     let mut kernels = Vec::new();
     for n in [32usize, 128] {
-        let pts = apf::patterns::asymmetric_configuration(n, 17_000 + n as u64);
-        let cfg = apf::geometry::Configuration::new(pts.clone());
-        let tol = apf::geometry::Tol::default();
-        let time = |f: &mut dyn FnMut()| {
-            let reps = 20;
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            t0.elapsed().as_secs_f64() / f64::from(reps) * 1e6
-        };
-        let center = cfg.sec().center;
-        let fields = [
-            (
-                "sec_us",
-                time(&mut || {
-                    let _ = apf::geometry::smallest_enclosing_circle(&pts);
-                }),
-            ),
-            (
-                "rho_us",
-                time(&mut || {
-                    let _ = apf::geometry::symmetry::symmetricity(&cfg, center, &tol);
-                }),
-            ),
-            (
-                "views_us",
-                time(&mut || {
-                    let _ = apf::geometry::symmetry::ViewAnalysis::compute(&cfg, center, &tol);
-                }),
-            ),
-            (
-                "regular_us",
-                time(&mut || {
-                    let _ = apf::geometry::symmetry::regular_set_of(&cfg, &tol);
-                }),
-            ),
-            (
-                "shifted_us",
-                time(&mut || {
-                    let _ = apf::geometry::symmetry::find_shifted_regular(&cfg, &tol);
-                }),
-            ),
-        ];
+        let keys = ["sec_us", "rho_us", "views_us", "regular_us", "shifted_us"];
+        let micros = apf_bench::experiments::time_kernels(n, 20);
         kernels.push((
             format!("n{n}"),
-            apf_serve::Json::obj(fields.map(|(k, v)| (k, apf_serve::Json::f64(v)))),
+            apf_serve::Json::obj(keys.into_iter().zip(micros.map(apf_serve::Json::f64))),
         ));
     }
 

@@ -72,6 +72,22 @@ fn malformed_invocations_exit_nonzero_with_usage() {
     assert_usage_error(&["conformance", "warp"]);
     assert_usage_error(&["conformance", "fuzz", "--schedules", "nope"]);
     assert_usage_error(&["conformance", "fuzz", "--bogus"]);
+    // Robot counts outside [7, 64]: below 7 every world run is a Theorem 2
+    // compute-error, and a 3-robot geometry instance cannot be built.
+    assert_usage_error(&["conformance", "fuzz", "--robots", "5", "--schedules", "1"]);
+    assert_usage_error(&["conformance", "fuzz", "--robots", "65", "--schedules", "1"]);
+    assert_usage_error(&["conformance", "geo-fuzz", "--robots", "3", "--cases", "1"]);
+    assert_usage_error(&["conformance", "geo-fuzz", "--robots", "6", "--cases", "1"]);
+    // A flag the mode does not read.
+    assert_usage_error(&["conformance", "fuzz", "--budget", "5", "--schedules", "1"]);
+    assert_usage_error(&["conformance", "fuzz", "--cases", "2", "--schedules", "1"]);
+    assert_usage_error(&["conformance", "geo-fuzz", "--schedules", "2", "--cases", "1"]);
+    assert_usage_error(&["conformance", "geo-fuzz", "--no-formation-check", "--cases", "1"]);
+    assert_usage_error(&["conformance", "corpus", "--seed", "1"]);
+    let regen_dir = std::env::temp_dir().join(format!("apf-cli-regen-{}", std::process::id()));
+    let regen_dir = regen_dir.to_str().expect("temp path is UTF-8");
+    assert_usage_error(&["conformance", "regen", "--dir", regen_dir, "--jobs", "2"]);
+    std::fs::remove_dir_all(regen_dir).ok();
     // lint
     assert_usage_error(&["lint", "--bogus"]);
     assert_usage_error(&["lint", "--root"]); // missing value
