@@ -80,11 +80,6 @@ impl GeoFamily {
             GeoFamily::NearMultiplicity => "near-multiplicity",
         }
     }
-
-    /// Parses a [`GeoFamily::label`].
-    pub fn from_label(s: &str) -> Option<GeoFamily> {
-        GeoFamily::ALL.into_iter().find(|f| f.label() == s)
-    }
 }
 
 impl std::fmt::Display for GeoFamily {
@@ -157,8 +152,6 @@ pub struct GeoInstance {
     /// The classifier threshold the perturbation straddles (the angular
     /// slack at the perturbed radius, or `Tol::eps`).
     pub threshold: f64,
-    /// For `SecBoundary`: whether the robot was pushed outward.
-    pub outward: bool,
     /// Ground truth by construction.
     pub expectation: Expectation,
 }
@@ -238,7 +231,6 @@ fn perturbed_rho(n: usize, seed: u64, factor: f64, rng: &mut StdRng) -> GeoInsta
         essential: vec![idx],
         perturbation: phi.abs(),
         threshold: slack,
-        outward: false,
         expectation: expectation_for(factor),
     }
 }
@@ -267,7 +259,6 @@ fn collinear(n: usize, factor: f64, rng: &mut StdRng) -> GeoInstance {
         essential: vec![0, idx, n - 1],
         perturbation: offset.abs(),
         threshold: tol.eps,
-        outward: false,
         expectation: expectation_for(factor),
     }
 }
@@ -308,7 +299,6 @@ fn sec_boundary(n: usize, factor: f64, rng: &mut StdRng) -> GeoInstance {
         essential: vec![0, 1, 2, idx],
         perturbation: d,
         threshold: tol.eps,
-        outward,
         expectation,
     }
 }
@@ -333,7 +323,6 @@ fn near_multiplicity(n: usize, seed: u64, factor: f64, rng: &mut StdRng) -> GeoI
         essential: vec![partner, n - 1],
         perturbation: d,
         threshold: tol.eps,
-        outward: false,
         expectation: expectation_for(factor),
     }
 }

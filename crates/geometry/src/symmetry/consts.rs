@@ -20,6 +20,17 @@ pub const COARSE_ANGLE_FACTOR: f64 = 1e3;
 /// `Tol` whose scaled angular epsilon would otherwise accept anything.
 pub const COARSE_ANGLE_CAP: f64 = 1e-3;
 
+/// Stall exit of the Gauss–Newton slot fit
+/// ([`super::regular::fit_slot_model`]): once a step moves the iterate by
+/// less than 1e-12 while the largest angular residual still exceeds this
+/// factor times `Tol::angle_eps`, the fit gives up. At a stalled iterate the
+/// phase (and the bi-angled gap) are the linear least-squares fit for the
+/// current center, so a center the caller's `angle_eps` check would accept
+/// leaves a largest residual of about `n^{3/2} · angle_eps` — at most
+/// `512 · angle_eps` for `n ≤ 64`, well under this factor. A looser `Tol`
+/// raises the bound, so the exit fires less often, never more.
+pub const SLOT_FIT_STALL_FACTOR: f64 = 1e4;
+
 /// Radius band for whole-configuration shifted-regular candidates
 /// ([`super::shifted::find_shifted_regular`]): a robot is a candidate
 /// shifted robot when its Weber-point radius is within this factor of the

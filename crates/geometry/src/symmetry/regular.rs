@@ -18,7 +18,7 @@ use crate::angle::{normalize_angle, signed_angle_diff};
 use crate::config::Configuration;
 use crate::point::Point;
 use crate::polar::PolarPoint;
-use crate::symmetry::consts::coarse_tol;
+use crate::symmetry::consts::{coarse_tol, SLOT_FIT_STALL_FACTOR};
 use crate::symmetry::rho::{reflection_maps_to_self, symmetricity};
 use crate::symmetry::views::ViewAnalysis;
 use crate::tol::Tol;
@@ -205,7 +205,7 @@ pub fn find_regular_center(points: &[Point], tol: &Tol) -> Option<(Point, Regula
     if check_regular_around(points, w, &coarse).is_some() {
         // Polish to full tolerance.
         for biangular in [false, true] {
-            if let Some(c) = polish_regular_center(points, w, biangular) {
+            if let Some(c) = polish_regular_center(points, w, biangular, tol) {
                 if let Some(kind) = check_regular_around(points, c, tol) {
                     return Some((c, kind));
                 }
@@ -374,13 +374,15 @@ fn sort_by_angle(indices: &mut [usize], config: &Configuration, center: Point) {
 /// Fits the model `θ_i(c) = φ + slot_i(α)` (slots fixed by the angular order
 /// around the initial guess) for the unknowns `c = (cx, cy)`, the phase `φ`,
 /// and — for bi-angled sets — the gap `α` (with `β = 4π/m − α`).
-fn polish_regular_center(points: &[Point], init: Point, biangular: bool) -> Option<Point> {
+fn polish_regular_center(
+    points: &[Point],
+    init: Point,
+    biangular: bool,
+    tol: &Tol,
+) -> Option<Point> {
     let m = points.len();
-    if biangular && !m.is_multiple_of(2) {
-        return None;
-    }
     let slots: Vec<usize> = (0..m).collect();
-    fit_slot_model(points, &slots, m, biangular, init).map(|fit| fit.center)
+    fit_slot_model(points, &slots, m, biangular, init, tol).map(|fit| fit.center)
 }
 
 /// Result of a slot-model fit (see [`fit_slot_model`]).
@@ -394,6 +396,9 @@ pub(crate) struct SlotFit {
     pub alpha: f64,
 }
 
+/// Gauss–Newton iterations a slot fit runs at most.
+const SLOT_FIT_MAX_ITERATIONS: usize = 80;
+
 /// Fits the "regular set with slots" model: `points[i]` sits on the half-line
 /// at angle `φ + slot_angle(slots[i])` from an unknown center, where the
 /// full structure has `total_slots` half-lines with gap `α` (equiangular) or
@@ -405,58 +410,116 @@ pub(crate) struct SlotFit {
 /// recovery).
 ///
 /// Returns `None` when the system is singular, a point collapses onto the
-/// center, or the iteration leaves the model's domain. The fit is *not*
-/// verified here — callers must re-check regularity around the returned
-/// center.
+/// center, the iteration leaves the model's domain, or the fit stalls on a
+/// misfit: a step moves the iterate by less than 1e-12 while the largest
+/// residual is still above [`SLOT_FIT_STALL_FACTOR`] times `tol.angle_eps`.
+/// No center that passes the caller's `tol` check leaves such a residual
+/// (see the constant), and a stalled iterate creeps on by less than 1e-9 up
+/// to the iteration cap, so the exit only skips fits that cannot verify.
+/// The fit is *not* verified here — callers must re-check regularity around
+/// the returned center.
 pub(crate) fn fit_slot_model(
     points: &[Point],
     slots: &[usize],
     total_slots: usize,
     biangular: bool,
     init: Point,
+    tol: &Tol,
 ) -> Option<SlotFit> {
-    assert_eq!(points.len(), slots.len());
-    let m = total_slots;
-    if biangular && !m.is_multiple_of(2) {
-        return None;
+    let mut fit = SlotIteration::start(points, slots, total_slots, biangular, init)?;
+    let stall_resid = SLOT_FIT_STALL_FACTOR * tol.angle_eps;
+    for _ in 0..SLOT_FIT_MAX_ITERATIONS {
+        let (step, max_resid) = fit.step()?;
+        if step < 1e-14 && max_resid < 1e-10 {
+            break;
+        }
+        if step < 1e-12 && max_resid > stall_resid {
+            return None;
+        }
     }
-    // Order points by angle around the initial center; slots follow that
-    // order.
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    let init_polar: Vec<PolarPoint> =
-        points.iter().map(|&p| PolarPoint::from_cartesian(p, init)).collect();
-    order.sort_by(|&a, &b| init_polar[a].angle.total_cmp(&init_polar[b].angle));
+    Some(fit.current())
+}
 
-    let mut c = init;
-    let mut alpha = if biangular {
-        // Initial guess: the gap between the first two points scaled to the
-        // slot distance between them, clamped into the valid range.
-        let g = normalize_angle(init_polar[order[1]].angle - init_polar[order[0]].angle);
-        let span = (slots[1] - slots[0]).max(1);
-        (g / span as f64).clamp(1e-3, 2.0 * TAU / m as f64 - 1e-3)
-    } else {
-        TAU / m as f64
-    };
-    let mut phi = init_polar[order[0]].angle - slot_angle(slots[0], m, alpha, biangular);
+/// One Gauss–Newton run of the slot model: the points' angular order around
+/// the initial guess, fixed at the start, and the current iterate.
+struct SlotIteration<'a> {
+    points: &'a [Point],
+    slots: &'a [usize],
+    order: Vec<usize>,
+    total_slots: usize,
+    biangular: bool,
+    center: Point,
+    phi: f64,
+    alpha: f64,
+}
 
-    // Unknowns (cx, cy, φ[, α]) in fixed-size arrays: the equiangular fit
-    // uses the leading 3×3 block only.
-    let unknowns = if biangular { 4 } else { 3 };
-    for _ in 0..80 {
+impl<'a> SlotIteration<'a> {
+    /// Orders the points around `init` and seeds the phase and gap from the
+    /// first two; `None` for a bi-angled model with an odd slot count.
+    fn start(
+        points: &'a [Point],
+        slots: &'a [usize],
+        total_slots: usize,
+        biangular: bool,
+        init: Point,
+    ) -> Option<Self> {
+        assert_eq!(points.len(), slots.len());
+        let m = total_slots;
+        if biangular && !m.is_multiple_of(2) {
+            return None;
+        }
+        // Order points by angle around the initial center; slots follow that
+        // order.
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        let init_polar: Vec<PolarPoint> =
+            points.iter().map(|&p| PolarPoint::from_cartesian(p, init)).collect();
+        order.sort_by(|&a, &b| init_polar[a].angle.total_cmp(&init_polar[b].angle));
+
+        let alpha = if biangular {
+            // Initial guess: the gap between the first two points scaled to
+            // the slot distance between them, clamped into the valid range.
+            let g = normalize_angle(init_polar[order[1]].angle - init_polar[order[0]].angle);
+            let span = (slots[1] - slots[0]).max(1);
+            (g / span as f64).clamp(1e-3, 2.0 * TAU / m as f64 - 1e-3)
+        } else {
+            TAU / m as f64
+        };
+        let phi = init_polar[order[0]].angle - slot_angle(slots[0], m, alpha, biangular);
+        Some(SlotIteration {
+            points,
+            slots,
+            order,
+            total_slots,
+            biangular,
+            center: init,
+            phi,
+            alpha,
+        })
+    }
+
+    /// One Gauss–Newton step. Returns the step length over the unknowns
+    /// `(cx, cy, φ[, α])` and the largest residual at the iterate the step
+    /// started from, or `None` when the system is singular, a point
+    /// collapses onto the center, or `α` leaves the model's domain.
+    fn step(&mut self) -> Option<(f64, f64)> {
+        let m = self.total_slots;
+        let biangular = self.biangular;
+        // Unknowns (cx, cy, φ[, α]) in fixed-size arrays: the equiangular
+        // fit uses the leading 3×3 block only.
+        let unknowns = if biangular { 4 } else { 3 };
         // Build normal equations J^T J x = J^T r.
         let mut ata = [[0.0; 4]; 4];
         let mut atb = [0.0; 4];
         let mut max_resid: f64 = 0.0;
-        for (pos, &pi) in order.iter().enumerate() {
-            let slot = slots[pos];
-            let p = points[pi];
-            let v = p - c;
+        for (pos, &pi) in self.order.iter().enumerate() {
+            let slot = self.slots[pos];
+            let v = self.points[pi] - self.center;
             let r = v.norm();
             if r < 1e-12 {
                 return None;
             }
             let theta = v.angle();
-            let model = phi + slot_angle(slot, m, alpha, biangular);
+            let model = self.phi + slot_angle(slot, m, self.alpha, biangular);
             let resid = signed_angle_diff(normalize_angle(model), normalize_angle(theta));
             max_resid = max_resid.max(resid.abs());
             // d(theta)/d(cx) = sin(theta)/r ; d(theta)/d(cy) = -cos(theta)/r
@@ -471,20 +534,22 @@ pub(crate) fn fit_slot_model(
             }
         }
         let dx = solve_linear(&mut ata, &mut atb, unknowns)?;
-        c = Point::new(c.x - dx[0], c.y - dx[1]);
-        phi -= dx[2];
+        self.center = Point::new(self.center.x - dx[0], self.center.y - dx[1]);
+        self.phi -= dx[2];
         if biangular {
-            alpha -= dx[3];
-            if !(1e-9..TAU).contains(&alpha) {
+            self.alpha -= dx[3];
+            if !(1e-9..TAU).contains(&self.alpha) {
                 return None;
             }
         }
         let step = (dx[..unknowns].iter().map(|d| d * d).sum::<f64>()).sqrt();
-        if step < 1e-14 && max_resid < 1e-10 {
-            break;
-        }
+        Some((step, max_resid))
     }
-    Some(SlotFit { center: c, phi: normalize_angle(phi), alpha })
+
+    /// The current iterate as a fit.
+    fn current(&self) -> SlotFit {
+        SlotFit { center: self.center, phi: normalize_angle(self.phi), alpha: self.alpha }
+    }
 }
 
 /// Angle offset of slot `i` from slot 0, under the gap model.
@@ -821,5 +886,116 @@ mod tests {
         let mut a = [[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0], [0.0; 4], [0.0; 4]];
         let mut b = [1.0, 2.0, 0.0, 0.0];
         assert!(solve_linear(&mut a, &mut b, 2).is_none());
+    }
+
+    /// Three rings of four robots around the origin, each at its own phase:
+    /// a ρ = 4, n = 12 start like the election workloads'.
+    fn rho4_start() -> Vec<Point> {
+        let mut pts = Vec::new();
+        for (r, phase) in [(0.45, 0.31), (0.8, 1.17), (1.2, 0.62)] {
+            pts.extend(equiangular(Point::ORIGIN, 4, phase, &[r]));
+        }
+        pts
+    }
+
+    /// Runs a fit from its start to the iteration cap, as fits ran before
+    /// the stall exit, and requires it to do so: no step fails, none meets
+    /// the convergence rule, and some step stalls on a residual above the
+    /// exit's bound. Returns the center at the first stalled step and the
+    /// fit at the cap.
+    fn run_to_cap(
+        points: &[Point],
+        slots: &[usize],
+        total_slots: usize,
+        biangular: bool,
+        init: Point,
+    ) -> (Point, SlotFit) {
+        let mut fit = SlotIteration::start(points, slots, total_slots, biangular, init).unwrap();
+        let stall_resid = SLOT_FIT_STALL_FACTOR * tol().angle_eps;
+        let mut stalled = None;
+        for k in 0..SLOT_FIT_MAX_ITERATIONS {
+            let (step, max_resid) = fit.step().unwrap_or_else(|| panic!("step {k} failed"));
+            assert!(!(step < 1e-14 && max_resid < 1e-10), "step {k} converged");
+            if stalled.is_none() && step < 1e-12 && max_resid > stall_resid {
+                stalled = Some(fit.center);
+            }
+        }
+        (stalled.expect("the fit never stalled"), fit.current())
+    }
+
+    #[test]
+    fn misfit_with_a_hole_stops_at_the_stall() {
+        // The whole-configuration shifted-set branch on a ρ = 4 start: the
+        // other 11 robots against a 12-slot bi-angled model, the hole at the
+        // innermost robot, seeded from the Weber point.
+        let start = rho4_start();
+        let w = weber_point(&start);
+        let inner = (0..start.len())
+            .min_by(|&a, &b| start[a].dist(w).total_cmp(&start[b].dist(w)))
+            .unwrap();
+        let mut entries: Vec<(f64, Option<Point>)> = start
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (PolarPoint::from_cartesian(p, w).angle, (i != inner).then_some(p)))
+            .collect();
+        entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let hole_slot = entries.iter().position(|(_, p)| p.is_none()).unwrap();
+        let (slots, members): (Vec<usize>, Vec<Point>) =
+            entries.iter().enumerate().filter_map(|(slot, (_, p))| p.map(|p| (slot, p))).unzip();
+
+        assert!(fit_slot_model(&members, &slots, 12, true, w, &tol()).is_none());
+
+        // Run on to the cap: the center barely moves, and the completed set
+        // still fails the caller's check there.
+        let (stalled, cap) = run_to_cap(&members, &slots, 12, true, w);
+        assert!(stalled.dist(cap.center) < 1e-9, "moved {}", stalled.dist(cap.center));
+        let theta = cap.phi + slot_angle(hole_slot, 12, cap.alpha, true);
+        let r = start[inner].dist(cap.center);
+        let mut completed = members.clone();
+        completed.push(Point::new(cap.center.x + r * theta.cos(), cap.center.y + r * theta.sin()));
+        assert!(check_regular_around(&completed, cap.center, &tol()).is_none());
+    }
+
+    #[test]
+    fn polish_stops_at_the_stall() {
+        let start = rho4_start();
+        let w = weber_point(&start);
+        let slots: Vec<usize> = (0..start.len()).collect();
+        for biangular in [false, true] {
+            assert!(polish_regular_center(&start, w, biangular, &tol()).is_none());
+            let (stalled, cap) = run_to_cap(&start, &slots, start.len(), biangular, w);
+            assert!(stalled.dist(cap.center) < 1e-9, "moved {}", stalled.dist(cap.center));
+            assert!(check_regular_around(&start, cap.center, &tol()).is_none());
+        }
+    }
+
+    #[test]
+    fn converging_fits_keep_their_bits() {
+        // Exact sets with a hole, seeded off their center. The bits were
+        // taken before the stall exit existed.
+        let c = Point::new(0.7, -0.4);
+        let init = Point::new(0.71, -0.42);
+        let cases = [
+            (
+                equiangular(c, 9, 0.35, &[1.0, 1.6, 0.8]),
+                4,
+                false,
+                [0x3fe6666666666663, 0xbfd999999999999e, 0x3fd6666666666664, 0x3fe657184ae74487],
+            ),
+            (
+                biangular(c, 5, 0.4, 0.2, &[1.0, 1.6, 0.8]),
+                7,
+                true,
+                [0x3fe6666666666664, 0xbfd999999999999c, 0x3fc999999999999a, 0x3fd999999999999c],
+            ),
+        ];
+        for (full, hole, is_biangular, bits) in cases {
+            let total = full.len();
+            let slots: Vec<usize> = (0..total).filter(|&i| i != hole).collect();
+            let members: Vec<Point> = slots.iter().map(|&i| full[i]).collect();
+            let fit = fit_slot_model(&members, &slots, total, is_biangular, init, &tol()).unwrap();
+            let got = [fit.center.x, fit.center.y, fit.phi, fit.alpha].map(f64::to_bits);
+            assert_eq!(got, bits, "biangular: {is_biangular}");
+        }
     }
 }

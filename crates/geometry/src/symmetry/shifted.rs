@@ -244,7 +244,7 @@ fn try_complete(
     for (theta_raw, biangular) in insertions {
         // Refine the center (and θ') for whole-configuration sets.
         let (c_use, theta) = if fit_center {
-            match refine_center(&member_pts, center, theta_raw, q, biangular) {
+            match refine_center(&member_pts, center, theta_raw, q, biangular, tol) {
                 Some(v) => v,
                 None => continue,
             }
@@ -366,6 +366,7 @@ fn refine_center(
     theta_hint: f64,
     q: usize,
     biangular: bool,
+    tol: &Tol,
 ) -> Option<(Point, f64)> {
     // Build slot assignment: order members and the virtual hole by angle.
     let mut entries: Vec<(f64, Option<usize>)> = member_pts
@@ -384,7 +385,7 @@ fn refine_center(
             ordered_pts.push(member_pts[*i]);
         }
     }
-    let fit = fit_slot_model(&ordered_pts, &slots, q, biangular, init)?;
+    let fit = fit_slot_model(&ordered_pts, &slots, q, biangular, init, tol)?;
     let theta = normalize_angle(fit.phi + slot_angle(hole_slot, q, fit.alpha, biangular));
     Some((fit.center, theta))
 }

@@ -164,16 +164,17 @@ strip_noise < "$SERVE_DIR/result.json" > "$SERVE_DIR/served_report.json"
 diff -u "$SERVE_DIR/expected_report.json" "$SERVE_DIR/served_report.json" \
     || { echo "served aggregate diverges from the direct engine run"; exit 1; }
 # The latency histograms must be live: at least one HTTP request handled and
-# one job queued and executed by now.
-HMETRICS="$(curl -fsS "http://$ADDR/metrics")"
+# one job queued and executed by now. Captured to a file like metrics0.txt:
+# `printf | grep -q` trips pipefail too, whenever grep exits before printf's
+# last write.
+curl -fsS "http://$ADDR/metrics" > "$SERVE_DIR/metrics1.txt"
 for h in apf_http_request_seconds apf_job_queue_wait_seconds apf_job_exec_seconds; do
-    printf '%s\n' "$HMETRICS" | grep -q "^# TYPE $h histogram" \
+    grep -q "^# TYPE $h histogram" "$SERVE_DIR/metrics1.txt" \
         || { echo "/metrics missing histogram $h"; exit 1; }
 done
-printf '%s\n' "$HMETRICS" | grep -q '^apf_job_exec_seconds_count [1-9]' \
+grep -q '^apf_job_exec_seconds_count [1-9]' "$SERVE_DIR/metrics1.txt" \
     || { echo "job execution histogram never observed a job"; exit 1; }
-printf '%s\n' "$HMETRICS" \
-    | grep -q '^apf_http_request_seconds_bucket{le="+Inf"} [1-9]' \
+grep -q '^apf_http_request_seconds_bucket{le="+Inf"} [1-9]' "$SERVE_DIR/metrics1.txt" \
     || { echo "request latency histogram never observed a request"; exit 1; }
 # Same spec again: must be answered from the cache, bit-identically.
 RESP2="$(curl -fsS -X POST --data-binary @"$SERVE_DIR/spec.json" \
@@ -189,13 +190,11 @@ diff -u "$SERVE_DIR/expected_report.json" "$SERVE_DIR/cached_report.json" \
 # wait for the verification to land and require it to have compared clean.
 VERIFIED=""
 for _ in $(seq 1 600); do
-    METRICS="$(curl -fsS "http://$ADDR/metrics")"
-    printf '%s\n' "$METRICS" \
-        | grep -q '^apf_cache_total{event="verify_fail"} 0$' \
-        || { echo "cache re-verification FAILED:"; printf '%s\n' "$METRICS" \
-             | grep '^apf_cache_total'; exit 1; }
-    if printf '%s\n' "$METRICS" \
-        | grep -q '^apf_cache_total{event="verify_ok"} [1-9]'; then
+    curl -fsS "http://$ADDR/metrics" > "$SERVE_DIR/metrics2.txt"
+    grep -q '^apf_cache_total{event="verify_fail"} 0$' "$SERVE_DIR/metrics2.txt" \
+        || { echo "cache re-verification FAILED:"
+             grep '^apf_cache_total' "$SERVE_DIR/metrics2.txt"; exit 1; }
+    if grep -q '^apf_cache_total{event="verify_ok"} [1-9]' "$SERVE_DIR/metrics2.txt"; then
         VERIFIED=1
         break
     fi
@@ -339,7 +338,21 @@ echo "==> repo benchmark smoke: every workload at ~1/20 scale, correctness only"
 # keep Theorem 1's bit budget), when traced and untraced runs disagree on
 # output_digest, or when the metric names and units it prints differ from
 # BENCHMARK.json. See examples/apf_benchmark/README.md for the checks.
-cargo run -q --offline --release --manifest-path examples/apf_benchmark/Cargo.toml -- --smoke
+cargo run -q --offline --release --manifest-path examples/apf_benchmark/Cargo.toml -- --smoke \
+    | tee "$SERVE_DIR/bench-smoke.txt"
+# The smoke's own checks only compare a workload's runs with each other, so
+# pin each workload's output_digest too: a perf change must not alter what
+# the program computes. A change that alters behaviour on purpose updates
+# these values and says why in CHANGES.md.
+for pin in direct-election=f58cf4dc8d5b8f49 direct-formation=a87d97e181714b63 \
+           served-mixed=30fc012c89668c25 served-sharded=57c26694883b06fc; do
+    w="${pin%%=*}"
+    GOT="$(sed -n "s/^smoke $w .* digest=\([0-9a-f]*\) .*/\1/p" "$SERVE_DIR/bench-smoke.txt" \
+        | sort -u | tr '\n' ' ')"
+    [ "$GOT" = "${pin#*=} " ] \
+        || { echo "benchmark smoke: $w output_digest '${GOT% }', pinned ${pin#*=}"; exit 1; }
+done
+echo "    output_digests match the pinned values"
 
 echo "==> perf snapshot vs committed BENCH_*.json (tolerance band)"
 # Regenerate the fixed perf workload and compare campaign throughput against
