@@ -23,6 +23,7 @@
 //!   frame widths add up correctly in the flame.
 
 use crate::engine::Welford;
+use apf_trace::json::Json;
 use apf_trace::span::{Span, SpanLabel, SpanSink, SpanStack};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -223,47 +224,21 @@ impl SpanProfile {
         rows
     }
 
-    /// Hand-rolled JSON object (the workspace ships no serde): per-label
-    /// stats plus the fold table.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"spans\":");
-        out.push_str(&self.span_count().to_string());
-        out.push_str(",\"truncated\":");
-        out.push_str(&self.truncated.to_string());
-        out.push_str(",\"labels\":[");
-        for (i, row) in self.rows().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":\"{}\",\"count\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\"p95_ns\":{},\
-                 \"max_ns\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                row.label.label(),
-                row.count,
-                row.mean_ns,
-                row.p50_ns,
-                row.p95_ns,
-                row.max_ns,
-                row.total_ns,
-                row.self_ns,
-            ));
-        }
-        out.push_str("],\"folded\":[");
-        let mut first = true;
-        for (stack, cell) in &self.folded {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"stack\":\"{}\",\"count\":{},\"self_ns\":{}}}",
-                stack.folded(),
-                cell.count,
-                cell.self_ns
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// Per-label stats plus the fold table, as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let folded = self.folded.iter().map(|(stack, cell)| {
+            Json::obj([
+                ("stack", Json::str(stack.folded())),
+                ("count", Json::u64(cell.count)),
+                ("self_ns", Json::u64(cell.self_ns)),
+            ])
+        });
+        Json::obj([
+            ("spans", Json::u64(self.span_count())),
+            ("truncated", Json::u64(self.truncated)),
+            ("labels", Json::Arr(self.rows().iter().map(ProfileRow::to_json).collect())),
+            ("folded", Json::Arr(folded.collect())),
+        ])
     }
 }
 
@@ -304,6 +279,23 @@ pub struct ProfileRow {
     pub self_ns: u64,
 }
 
+impl ProfileRow {
+    /// The row as a JSON object (the `--json` outputs of `harness` and
+    /// `apf-cli profile` share it).
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("label", Json::str(self.label.label())),
+            ("count", Json::u64(self.count)),
+            ("mean_ns", Json::f64(self.mean_ns)),
+            ("p50_ns", Json::u64(self.p50_ns)),
+            ("p95_ns", Json::u64(self.p95_ns)),
+            ("max_ns", Json::u64(self.max_ns)),
+            ("total_ns", Json::u64(self.total_ns)),
+            ("self_ns", Json::u64(self.self_ns)),
+        ])
+    }
+}
+
 /// Formats nanoseconds human-first: `412ns`, `3.1µs`, `99.9ms`, `2.50s`.
 pub fn fmt_ns(ns: f64) -> String {
     if ns < 1_000.0 {
@@ -320,6 +312,7 @@ pub fn fmt_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apf_trace::json;
 
     fn span(stack: &[SpanLabel], total_ns: u64, self_ns: u64) -> Span {
         let stack = SpanStack::of(stack);
@@ -401,10 +394,15 @@ mod tests {
     fn json_is_well_formed_enough() {
         let mut p = SpanProfile::new();
         p.record_span(&span(&[SpanLabel::Trial, SpanLabel::Views], 42, 42));
-        let j = p.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"label\":\"views\""));
-        assert!(j.contains("\"stack\":\"trial;views\""));
+        p.record_truncated();
+        let j = json::parse(&p.to_json().render()).expect("profile JSON parses");
+        let want = json::parse(
+            r#"{"spans":1,"truncated":1,
+                "labels":[{"label":"views","count":1,"mean_ns":42,"p50_ns":64,"p95_ns":64,
+                           "max_ns":42,"total_ns":42,"self_ns":42}],
+                "folded":[{"stack":"trial;views","count":1,"self_ns":42}]}"#,
+        );
+        assert_eq!(j, want.unwrap());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Experiment reports: printable tables plus machine-readable JSON.
 //!
-//! There is no serde in this workspace (offline build), so JSON is emitted
-//! by hand — the shape is small and fixed: a suite object wrapping one
-//! object per experiment with its table and throughput accounting.
+//! The JSON goes through the workspace's one codec ([`apf_trace::json`]):
+//! a suite object wrapping one object per experiment with its table and
+//! throughput accounting, keys sorted.
 
 use crate::print_table;
 use crate::profile::{fmt_ns, ProfileRow};
+use apf_trace::json::Json;
 
 /// One algorithm phase's share of an experiment's successful trials.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,116 +114,51 @@ impl ExperimentReport {
     }
 
     /// This report as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push('{');
-        s.push_str(&format!("\"id\":{},", json_string(&self.id)));
-        s.push_str(&format!("\"title\":{},", json_string(&self.title)));
-        s.push_str(&format!("\"header\":{},", json_string_array(&self.header)));
-        s.push_str("\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&json_string_array(row));
-        }
-        s.push_str("],");
-        s.push_str(&format!("\"trials\":{},", self.trials));
-        s.push_str(&format!("\"wall_s\":{},", json_f64(self.wall_s)));
-        s.push_str(&format!("\"trials_per_sec\":{},", json_f64(self.trials_per_sec())));
-        s.push_str("\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"phase\":{},\"cycles\":{},\"bits\":{},\"bits_per_cycle\":{}}}",
-                json_string(&p.label),
-                json_f64(p.cycles),
-                json_f64(p.bits),
-                json_f64(p.bits_per_cycle())
-            ));
-        }
-        s.push_str("],");
-        s.push_str("\"kernels\":[");
-        for (i, k) in self.kernels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"label\":{},\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\
-                 \"max_ns\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                json_string(k.label.label()),
-                k.count,
-                json_f64(k.mean_ns),
-                k.p50_ns,
-                k.p95_ns,
-                k.max_ns,
-                k.total_ns,
-                k.self_ns
-            ));
-        }
-        s.push_str("],");
-        s.push_str(&format!("\"traces\":{}", json_string_array(&self.traces)));
-        s.push('}');
-        s
+    pub fn to_json(&self) -> Json {
+        let phases = self.phases.iter().map(|p| {
+            Json::obj([
+                ("phase", Json::str(&p.label)),
+                ("cycles", Json::f64(p.cycles)),
+                ("bits", Json::f64(p.bits)),
+                ("bits_per_cycle", Json::f64(p.bits_per_cycle())),
+            ])
+        });
+        Json::obj([
+            ("id", Json::str(&self.id)),
+            ("title", Json::str(&self.title)),
+            ("header", strings(&self.header)),
+            ("rows", Json::Arr(self.rows.iter().map(|row| strings(row)).collect())),
+            ("trials", Json::usize(self.trials)),
+            ("wall_s", Json::f64(self.wall_s)),
+            ("trials_per_sec", Json::f64(self.trials_per_sec())),
+            ("phases", Json::Arr(phases.collect())),
+            ("kernels", Json::Arr(self.kernels.iter().map(ProfileRow::to_json).collect())),
+            ("traces", strings(&self.traces)),
+        ])
     }
 }
 
-/// The whole suite as one JSON document.
+/// A JSON array of strings.
+fn strings(items: &[String]) -> Json {
+    Json::Arr(items.iter().map(Json::str).collect())
+}
+
+/// The whole suite as one JSON document (newline-terminated).
 pub fn suite_json(reports: &[ExperimentReport], quick: bool, jobs: usize, wall_s: f64) -> String {
-    let trials: usize = reports.iter().map(|r| r.trials).sum();
-    let mut s = String::new();
-    s.push('{');
-    s.push_str(&format!("\"mode\":{},", json_string(if quick { "quick" } else { "full" })));
-    s.push_str(&format!("\"jobs\":{jobs},"));
-    s.push_str(&format!("\"trials\":{trials},"));
-    s.push_str(&format!("\"wall_s\":{},", json_f64(wall_s)));
-    s.push_str("\"experiments\":[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&r.to_json());
-    }
-    s.push_str("]}");
-    s.push('\n');
-    s
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    apf_trace::escape_json_str(s, &mut out);
-    out.push('"');
-    out
-}
-
-fn json_string_array(items: &[String]) -> String {
-    let mut s = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&json_string(item));
-    }
-    s.push(']');
-    s
-}
-
-/// Finite floats print plainly; NaN/inf (not valid JSON) become null.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    let doc = Json::obj([
+        ("mode", Json::str(if quick { "quick" } else { "full" })),
+        ("jobs", Json::usize(jobs)),
+        ("trials", Json::usize(reports.iter().map(|r| r.trials).sum())),
+        ("wall_s", Json::f64(wall_s)),
+        ("experiments", Json::Arr(reports.iter().map(ExperimentReport::to_json).collect())),
+    ]);
+    format!("{}\n", doc.render())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apf_trace::json;
 
     fn sample() -> ExperimentReport {
         ExperimentReport {
@@ -249,16 +185,17 @@ mod tests {
 
     #[test]
     fn report_json_is_well_formed() {
-        let j = sample().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"id\":\"e1\""));
-        assert!(j.contains("\\\"quotes\\\""));
-        assert!(j.contains("\"trials\":16"));
-        assert!(j.contains("\"trials_per_sec\":8"));
-        assert!(j.contains("\"phases\":[{\"phase\":\"rsb-election\""));
-        assert!(j.contains("\"bits_per_cycle\":0.4"));
-        assert!(j.contains("\"kernels\":[{\"label\":\"shifted\",\"count\":12,\"mean_ns\":1500"));
-        assert!(j.contains("\"traces\":[\"out/e1-trial0-failed.jsonl\"]"));
+        let j = json::parse(&sample().to_json().render()).expect("report JSON parses");
+        let want = json::parse(
+            r#"{"id":"e1","title":"title with \"quotes\" and ρ","header":["n","success"],
+                "rows":[["8","1.00"]],"trials":16,"wall_s":2,"trials_per_sec":8,
+                "phases":[{"phase":"rsb-election","cycles":100,"bits":40,"bits_per_cycle":0.4}],
+                "kernels":[{"label":"shifted","count":12,"mean_ns":1500,"p50_ns":2048,
+                            "p95_ns":4096,"max_ns":3900,"total_ns":18000,"self_ns":18000}],
+                "traces":["out/e1-trial0-failed.jsonl"]}"#,
+        );
+        assert_eq!(j, want.unwrap());
+        assert_eq!(j.get("title").and_then(Json::as_str), Some(sample().title.as_str()));
     }
 
     #[test]
@@ -269,18 +206,15 @@ mod tests {
 
     #[test]
     fn suite_json_wraps_reports() {
-        let j = suite_json(&[sample()], true, 4, 2.5);
-        assert!(j.contains("\"mode\":\"quick\""));
-        assert!(j.contains("\"jobs\":4"));
-        assert!(j.contains("\"experiments\":[{"));
-        assert!(j.ends_with("]}\n"));
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+        let doc = suite_json(&[sample()], true, 4, 2.5);
+        assert!(doc.ends_with("}\n") && doc.matches('\n').count() == 1, "one line: {doc}");
+        let j = json::parse(&doc).expect("suite JSON parses");
+        assert_eq!(j.get("mode").and_then(Json::as_str), Some("quick"));
+        assert_eq!(j.get("jobs").and_then(Json::as_u64), Some(4));
+        assert_eq!(j.get("trials").and_then(Json::as_u64), Some(16));
+        assert_eq!(j.get("wall_s").and_then(Json::as_f64), Some(2.5));
+        let experiments = j.get("experiments").and_then(Json::as_arr).expect("experiments array");
+        assert_eq!(experiments, [json::parse(&sample().to_json().render()).unwrap()]);
     }
 
     #[test]

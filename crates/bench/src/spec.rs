@@ -27,6 +27,7 @@
 
 use crate::engine::{trial_seed, Campaign, RunSpec};
 use apf_scheduler::SchedulerKind;
+use apf_trace::json::Json;
 
 /// Upper bound on trials per spec (bounds service queue memory and shard
 /// payload sizes).
@@ -203,25 +204,17 @@ impl CanonicalSpec {
     /// field present, integer tokens exact. Submitting the same values in
     /// any field order yields byte-identical output.
     pub fn canonical_json(&self) -> String {
-        let mut out = String::with_capacity(160);
-        out.push_str("{\"budget\":");
-        out.push_str(&self.budget.to_string());
-        out.push_str(",\"generator\":\"");
-        out.push_str(self.generator.label());
-        out.push_str("\",\"n\":");
-        out.push_str(&self.n.to_string());
-        out.push_str(",\"name\":\"");
-        apf_trace::escape_json_str(&self.name, &mut out);
-        out.push_str("\",\"rho\":");
-        out.push_str(&self.rho.to_string());
-        out.push_str(",\"scheduler\":\"");
-        out.push_str(scheduler_label(self.scheduler));
-        out.push_str("\",\"seed\":");
-        out.push_str(&self.seed.to_string());
-        out.push_str(",\"trials\":");
-        out.push_str(&self.trials.to_string());
-        out.push('}');
-        out
+        Json::obj([
+            ("budget", Json::u64(self.budget)),
+            ("generator", Json::str(self.generator.label())),
+            ("n", Json::usize(self.n)),
+            ("name", Json::str(&self.name)),
+            ("rho", Json::usize(self.rho)),
+            ("scheduler", Json::str(scheduler_label(self.scheduler))),
+            ("seed", Json::u64(self.seed)),
+            ("trials", Json::u64(self.trials)),
+        ])
+        .render()
     }
 
     /// The spec's content address: FNV-1a 64 over the canonical JSON bytes.
@@ -281,6 +274,24 @@ mod tests {
         let other = CanonicalSpec { seed: 2, ..CanonicalSpec::default() };
         assert_ne!(spec.digest(), other.digest());
         assert_eq!(spec.digest(), CanonicalSpec::default().digest());
+    }
+
+    #[test]
+    fn hostile_name_canonical_bytes_and_digest_are_pinned() {
+        // Quote, backslash, newline, a raw control character and non-ASCII:
+        // the escaper's every branch. Bytes and digest as the hand-built
+        // writer produced them before the spec moved onto the shared codec.
+        let spec = CanonicalSpec {
+            name: "q\"b\\s\nn\u{1}c\u{e9}".to_string(),
+            ..CanonicalSpec::default()
+        };
+        assert_eq!(
+            spec.canonical_json(),
+            "{\"budget\":2000000,\"generator\":\"symmetric\",\"n\":8,\
+             \"name\":\"q\\\"b\\\\s\\nn\\u0001c\u{e9}\",\"rho\":4,\
+             \"scheduler\":\"round_robin\",\"seed\":1,\"trials\":8}"
+        );
+        assert_eq!(spec.digest(), 0x3540_c12e_20ac_54d8);
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub fn render_text(findings: &[Finding]) -> String {
     out
 }
 
-/// Machine format: `{"count": N, "findings": [{...}]}`. Hand-rolled like
-/// the trace JSONL codec — the linter stays dependency-free.
+/// Machine format: `{"count": N, "findings": [{...}]}`. Hand-rolled rather
+/// than built on `apf_trace::json`: the linter stays dependency-free.
 #[must_use]
 pub fn render_json(findings: &[Finding]) -> String {
     let mut out = String::new();

@@ -1,13 +1,15 @@
-//! SARIF 2.1.0 shape validation: `render_sarif` output is re-parsed with
-//! apf-serve's JSON parser (a dev-dependency — the linter itself stays
-//! std-only) and walked against the subset of the SARIF schema that code
-//! scanners consume: versioned run, tool driver with a rule index, and
-//! results whose physical locations carry uri + line + column.
+//! Report shape validation: `render_sarif` and `render_json` output is
+//! re-parsed with the workspace's JSON parser (`apf_trace::json`, a
+//! dev-dependency — the linter itself stays std-only). SARIF is walked
+//! against the subset of the 2.1.0 schema that code scanners consume:
+//! versioned run, tool driver with a rule index, and results whose
+//! physical locations carry uri + line + column. The `--json` report must
+//! carry every finding's fields verbatim.
 
-use apf_lint::report::render_sarif;
+use apf_lint::report::{render_json, render_sarif};
 use apf_lint::rules::RULES;
 use apf_lint::{lint_source, Config, Finding};
-use apf_serve::json::{self, Json};
+use apf_trace::json::{self, Json};
 
 fn sample_findings() -> Vec<Finding> {
     // Two real rules firing on a fixture, so results carry distinct ids,
@@ -108,4 +110,25 @@ fn sarif_escapes_hostile_message_content() {
     let findings = lint_source("crates/sim/src/world.rs", "apf-sim", src, &Config::default());
     let log = parse_sarif(&findings);
     assert!(log.get("runs").is_some());
+}
+
+#[test]
+fn json_report_carries_every_finding() {
+    let findings = sample_findings();
+    let text = render_json(&findings);
+    assert!(text.ends_with("}\n") && text.matches('\n').count() == 1, "one line: {text}");
+    let report = json::parse(&text).expect("render_json emits valid JSON");
+    assert_eq!(report.get("count").and_then(Json::as_u64), Some(findings.len() as u64));
+    let items = report.get("findings").and_then(Json::as_arr).expect("findings array");
+    assert_eq!(items.len(), findings.len(), "one entry per finding");
+    for (item, f) in items.iter().zip(&findings) {
+        assert_eq!(item.get("file").and_then(Json::as_str), Some(f.file.as_str()));
+        assert_eq!(item.get("line").and_then(Json::as_u64), Some(f.line as u64));
+        assert_eq!(item.get("col").and_then(Json::as_u64), Some(f.col as u64));
+        assert_eq!(item.get("rule").and_then(Json::as_str), Some(f.rule.as_str()));
+        assert_eq!(item.get("message").and_then(Json::as_str), Some(f.message.as_str()));
+    }
+    let empty = json::parse(&render_json(&[])).expect("an empty report is valid JSON");
+    assert_eq!(empty.get("count").and_then(Json::as_u64), Some(0));
+    assert_eq!(empty.get("findings").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
 }

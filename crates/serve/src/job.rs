@@ -153,7 +153,7 @@ impl JobSpec {
     /// always; transport extensions only when set.
     pub fn to_json(&self) -> Json {
         let c = &self.canonical;
-        let mut obj = match Json::obj([
+        let mut members = vec![
             ("name", Json::str(c.name.clone())),
             ("seed", Json::u64(c.seed)),
             ("trials", Json::u64(c.trials)),
@@ -162,18 +162,14 @@ impl JobSpec {
             ("generator", Json::str(c.generator.label())),
             ("scheduler", Json::str(scheduler_label(c.scheduler))),
             ("budget", Json::u64(c.budget)),
-        ]) {
-            Json::Obj(m) => m,
-            // apf-lint: allow(panic-reachability) — Json::obj always returns Json::Obj; the arm is statically dead
-            _ => unreachable!("Json::obj returns an object"),
-        };
+        ];
         if let Some((lo, hi)) = self.range {
-            obj.insert("range".to_string(), Json::Arr(vec![Json::u64(lo), Json::u64(hi)]));
+            members.push(("range", Json::Arr(vec![Json::u64(lo), Json::u64(hi)])));
         }
         if self.detail {
-            obj.insert("detail".to_string(), Json::Bool(true));
+            members.push(("detail", Json::Bool(true)));
         }
-        Json::Obj(obj)
+        Json::obj(members)
     }
 }
 
@@ -250,7 +246,7 @@ pub struct JobOutcome {
 impl JobOutcome {
     /// The outcome as response JSON.
     pub fn to_json(&self) -> Json {
-        let mut obj = match Json::obj([
+        let mut members = vec![
             ("trials", Json::usize(self.trials)),
             ("requested", Json::usize(self.requested)),
             ("formed", Json::u64(self.formed)),
@@ -262,18 +258,14 @@ impl JobOutcome {
             ("bits_per_cycle", Json::f64(self.bits_per_cycle)),
             ("digests", json::u64_array(&self.digests)),
             ("wall_secs", Json::f64(self.wall_secs)),
-        ]) {
-            Json::Obj(m) => m,
-            // apf-lint: allow(panic-reachability) — Json::obj always returns Json::Obj; the arm is statically dead
-            _ => unreachable!("Json::obj returns an object"),
-        };
+        ];
         if let Some(detail) = &self.detail {
-            obj.insert("detail".to_string(), Json::Arr(detail.iter().map(trial_to_json).collect()));
+            members.push(("detail", Json::Arr(detail.iter().map(trial_to_json).collect())));
         }
         if self.cached {
-            obj.insert("cached".to_string(), Json::Bool(true));
+            members.push(("cached", Json::Bool(true)));
         }
-        Json::Obj(obj)
+        Json::obj(members)
     }
 
     /// Parses an outcome back from its [`JobOutcome::to_json`] form (the
@@ -515,7 +507,7 @@ impl Job {
             Work::Soak(spec) => ("soak", spec.to_json()),
         };
         let snap = self.live.snapshot();
-        let mut obj = match Json::obj([
+        let mut members = vec![
             ("id", Json::u64(self.id)),
             ("status", Json::str(status.label())),
             echo,
@@ -529,14 +521,11 @@ impl Job {
                     ("busy_secs", Json::f64(snap.busy.as_secs_f64())),
                 ]),
             ),
-        ]) {
-            Json::Obj(m) => m,
-            _ => unreachable!("Json::obj returns an object"),
-        };
+        ];
         if let Some(result) = result {
-            obj.insert("result".to_string(), result);
+            members.push(("result", result));
         }
-        Json::Obj(obj)
+        Json::obj(members)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, JobState> {

@@ -47,9 +47,11 @@
 //!   lets in-flight trials finish, records partial (well-formed, prefix)
 //!   results, and returns from [`Server::run`] so the process exits 0.
 //!
-//! The HTTP/1.1 transport (server and client sides) and JSON codec are
-//! hand-rolled std-only subsets — this workspace is offline and vendors no
-//! server or serde dependencies.
+//! The HTTP/1.1 transport (server and client sides) is a hand-rolled
+//! std-only subset — this workspace is offline and vendors no server or
+//! serde dependencies. Bodies and the access log go through the
+//! workspace's one JSON codec, [`apf_trace::json`], re-exported here as
+//! [`json`] and [`Json`].
 //!
 //! The crate contains the workspace's only `unsafe` block (the `signal(2)`
 //! registration in [`signal`]); everything else inherits the workspace-wide
@@ -60,17 +62,17 @@ pub mod client;
 pub mod coordinator;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod metrics;
 pub mod server;
 pub mod shard;
 pub mod signal;
 pub mod soak;
 
+pub use apf_trace::json;
+pub use apf_trace::json::Json;
 pub use cache::{CacheConfig, ClientQuotas, ResultCache};
 pub use coordinator::CoordinatorConfig;
 pub use job::{Job, JobOutcome, JobSpec, JobStatus, Outcome, Work};
-pub use json::Json;
 pub use metrics::{LiveView, Metrics};
 pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use soak::{SoakOutcome, SoakSpec};

@@ -58,7 +58,6 @@ use crate::metrics::{LiveView, Metrics};
 use crate::signal;
 use crate::soak::{self, SoakSpec};
 use apf_bench::engine::{CampaignReport, Engine, LiveSnapshot};
-use apf_trace::escape_json_str;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -666,23 +665,21 @@ fn respond(
     let _ = response.send(&mut stream);
 }
 
-/// One JSONL request-log line on stderr, with the attacker-controlled parts
-/// (method, path) escaped through `apf-trace`'s JSON string escaper so the
-/// log stream stays one parseable event per line.
+/// One JSONL request-log line on stderr, rendered through the shared JSON
+/// codec so the attacker-controlled parts (method, path, request id) are
+/// escaped and the log stream stays one parseable event per line.
 fn log_request(method: &str, path: &str, status: u16, took: Duration, request_id: Option<&str>) {
-    let mut line = String::with_capacity(96);
-    line.push_str("{\"ev\":\"http\",\"method\":\"");
-    escape_json_str(method, &mut line);
-    line.push_str("\",\"path\":\"");
-    escape_json_str(path, &mut line);
+    let mut members = vec![
+        ("ev", Json::str("http")),
+        ("method", Json::str(method)),
+        ("path", Json::str(path)),
+        ("status", Json::u64(u64::from(status))),
+        ("micros", Json::u64(took.as_micros().try_into().unwrap_or(u64::MAX))),
+    ];
     if let Some(id) = request_id {
-        line.push_str("\",\"request_id\":\"");
-        escape_json_str(id, &mut line);
+        members.push(("request_id", Json::str(id)));
     }
-    let _ = std::fmt::Write::write_fmt(
-        &mut line,
-        format_args!("\",\"status\":{status},\"micros\":{}}}", took.as_micros()),
-    );
+    let line = Json::obj(members).render();
     let stderr = std::io::stderr();
     let mut handle = stderr.lock();
     let _ = writeln!(handle, "{line}");

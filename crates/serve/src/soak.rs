@@ -138,20 +138,16 @@ impl SoakSpec {
     /// The spec as response JSON (echoed in job status). `range` only when
     /// set, mirroring [`crate::job::JobSpec::to_json`].
     pub fn to_json(&self) -> Json {
-        let mut obj = match Json::obj([
+        let mut members = vec![
             ("seed", Json::u64(self.seed)),
             ("cases", Json::u64(self.cases)),
             ("seconds", Json::u64(self.seconds)),
             ("robots", Json::usize(self.robots)),
-        ]) {
-            Json::Obj(m) => m,
-            // apf-lint: allow(panic-reachability) — Json::obj always returns Json::Obj; the arm is statically dead
-            _ => unreachable!("Json::obj returns an object"),
-        };
+        ];
         if let Some((lo, hi)) = self.range {
-            obj.insert("range".to_string(), Json::Arr(vec![Json::u64(lo), Json::u64(hi)]));
+            members.push(("range", Json::Arr(vec![Json::u64(lo), Json::u64(hi)])));
         }
-        Json::Obj(obj)
+        Json::obj(members)
     }
 }
 

@@ -99,10 +99,8 @@ fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
 /// NOT affect the canonical form.
 fn render_submission(spec: &CanonicalSpec, order: &[usize], pad: &str) -> String {
     let scheduler = apf_bench::spec::scheduler_label(spec.scheduler);
-    let mut name = String::new();
-    apf_trace::escape_json_str(&spec.name, &mut name);
     let fields: [(&str, String); 8] = [
-        ("name", format!("\"{name}\"")),
+        ("name", Json::str(&spec.name).render()),
         ("seed", spec.seed.to_string()),
         ("trials", spec.trials.to_string()),
         ("n", spec.n.to_string()),

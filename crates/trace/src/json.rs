@@ -1,19 +1,29 @@
-//! A minimal JSON value: parser and deterministic renderer.
+//! The workspace's one JSON codec: a value type, its parser and its
+//! deterministic renderer.
 //!
-//! The workspace is offline (no serde); the service's request and response
-//! bodies are small and flat, so both directions are hand-rolled like the
-//! trace codec in `apf-trace`. Two properties matter here and shaped the
-//! design:
+//! The workspace is offline (no serde), so this hand-rolled codec serves
+//! every JSON reader and writer outside `apf-lint` (which is std-only by
+//! design): the service's request and response bodies and access log, the
+//! trace inspector's line parser ([`crate::jsonl::parse_line`]), the
+//! harness and profile reports, the canonical campaign spec, and the CLI's
+//! bench artifacts. The trace *writer* ([`crate::jsonl::write_json_line`])
+//! stays hand-written: it is the hot path, and every trace digest hashes
+//! its `"ev"`-first bytes. Three properties shaped the design:
 //!
 //! * **Numbers keep their source token.** Seeds and trace digests are full
 //!   `u64`s; routing them through `f64` would silently round anything above
 //!   2^53. [`Json::Num`] stores the validated token text and converts on
 //!   access, so `18446744073709551615` round-trips exactly.
 //! * **Objects render in key order.** [`Json::Obj`] is a `BTreeMap`, so a
-//!   response body is a deterministic function of its contents — the same
-//!   discipline the trace JSONL codec follows.
+//!   rendered document is a deterministic function of its contents, whatever
+//!   order its members were built or submitted in.
+//! * **One number policy.** Integers render as Rust's `Display` prints them,
+//!   finite floats in shortest round-trip form, non-finite floats as
+//!   `null`; the parser accepts exactly RFC 8259's number grammar (no
+//!   leading zeros, no empty fraction or exponent).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Maximum nesting depth the parser accepts (the API uses flat objects; the
 /// cap only bounds hostile input).
@@ -120,11 +130,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(t) => out.push_str(t),
-            Json::Str(s) => {
-                out.push('"');
-                apf_trace::escape_json_str(s, out);
-                out.push('"');
-            }
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -141,15 +147,37 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    apf_trace::escape_json_str(k, out);
-                    out.push_str("\":");
+                    write_str(k, out);
+                    out.push(':');
                     v.render_into(out);
                 }
                 out.push('}');
             }
         }
     }
+}
+
+/// Appends `s` to `out` as a quoted JSON string literal, escaping `"`, `\`
+/// and control characters per RFC 8259, so hostile text (a request path, a
+/// campaign name) can never break out of its string or its line.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Why parsing failed, with a byte offset for context.
@@ -368,6 +396,9 @@ impl Parser<'_> {
         if self.pos == digits0 {
             return Err(self.err("number has no digits"));
         }
+        if self.pos - digits0 > 1 && self.bytes.get(digits0) == Some(&b'0') {
+            return Err(self.err("number has a leading zero"));
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
             let frac0 = self.pos;
@@ -428,6 +459,16 @@ mod tests {
     }
 
     #[test]
+    fn escaping_neutralizes_hostile_text() {
+        let v = Json::str("a\"b\\c\nd\te\u{01}f\u{08}\u{0C}\r");
+        let out = v.render();
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001f\\b\\f\\r\"");
+        // No raw control characters survive: the value stays on one line.
+        assert!(!out.chars().any(char::is_control));
+        assert_eq!(parse(&out).unwrap(), v);
+    }
+
+    #[test]
     fn string_escapes_round_trip() {
         let v = parse(r#""a\"b\\c\nd\u0041\u00e9""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndAé"));
@@ -442,6 +483,10 @@ mod tests {
             "{\"a\":}",
             "{\"a\":1,}",
             "01e",
+            "01",
+            "-01",
+            "00",
+            "[01]",
             "1.",
             "1e",
             "\"\\q\"",
@@ -452,6 +497,21 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn rfc_8259_zero_forms_parse() {
+        for ok in ["0", "-0", "0.5", "0e1"] {
+            assert_eq!(parse(ok).map(|v| v.render()), Ok(ok.to_string()), "rejected: {ok}");
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_become_null() {
+        assert_eq!(Json::f64(f64::NAN), Json::Null);
+        assert_eq!(Json::f64(f64::INFINITY), Json::Null);
+        assert_eq!(Json::f64(f64::NEG_INFINITY), Json::Null);
+        assert_eq!(Json::f64(1.5).render(), "1.5");
     }
 
     #[test]

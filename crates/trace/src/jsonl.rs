@@ -1,12 +1,14 @@
 //! JSONL serialization of trace events, and its parser.
 //!
 //! One event per line, a flat JSON object whose `"ev"` key names the
-//! variant. The workspace is offline (no serde); the format is small and
-//! fixed, so both directions are hand-rolled — like the report code in
-//! `apf-bench`. Floats are printed with Rust's shortest round-trip `{}`
-//! formatting, so a parsed trace is bit-identical to the emitted one.
+//! variant. The writer is hand-rolled: it is the tracing hot path, and its
+//! fixed member order (`"ev"` first) is what every trace digest hashes. The
+//! parser reads each line through the workspace's one JSON codec
+//! ([`crate::json`]). Floats are printed with Rust's shortest round-trip
+//! `{}` formatting, so a parsed trace is bit-identical to the emitted one.
 
 use crate::event::{PhaseKind, TraceEvent};
+use crate::json::{self, Json};
 use std::fmt::Write as _;
 
 /// Serializes one event as a single JSON line (no trailing newline).
@@ -90,31 +92,6 @@ pub fn write_json_line(ev: &TraceEvent, out: &mut String) {
     }
 }
 
-/// Appends `s` to `out` as the inside of a JSON string literal (no quotes),
-/// escaping `"`/`\` and control characters per RFC 8259.
-///
-/// The trace events themselves only carry fixed labels and never need this,
-/// but consumers that embed *arbitrary* text into JSON lines — the campaign
-/// service's request log, for one — must escape it or a hostile path/header
-/// corrupts the stream.
-pub fn escape_json_str(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Finite floats print with round-trip precision; NaN/inf (not valid JSON)
 /// become `null` and parse back as an error — a trace must not contain them.
 fn f64_json(x: f64) -> String {
@@ -146,102 +123,42 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A scanned key/value pair; values keep their raw JSON token text.
-struct Field<'a> {
-    key: &'a str,
-    value: &'a str,
-}
+/// Typed member access on one parsed trace line.
+struct Fields(Json);
 
-/// Scans one flat JSON object (string/number/bool values, no nesting, as
-/// emitted by [`write_json_line`]) into raw fields.
-fn scan_object(line: &str) -> Result<Vec<Field<'_>>, ParseError> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| ParseError::new("not a JSON object"))?;
-    let mut fields = Vec::with_capacity(8);
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        // Key.
-        let r = rest
-            .strip_prefix('"')
-            .ok_or_else(|| ParseError::new(format!("expected a key at: {rest}")))?;
-        let close = r.find('"').ok_or_else(|| ParseError::new("unterminated key"))?;
-        let key = &r[..close];
-        let r = r[close + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| ParseError::new(format!("missing ':' after key {key:?}")))?;
-        let r = r.trim_start();
-        // Value: a string token or a bare token up to the next ',' or end.
-        let (value, tail) = if let Some(v) = r.strip_prefix('"') {
-            let close = v.find('"').ok_or_else(|| ParseError::new("unterminated string value"))?;
-            (&r[..close + 2], &v[close + 1..])
-        } else {
-            let end = r.find(',').unwrap_or(r.len());
-            let token = r[..end].trim();
-            if token.is_empty() {
-                return Err(ParseError::new(format!("empty value for key {key:?}")));
-            }
-            (token, &r[end.min(r.len())..])
-        };
-        fields.push(Field { key, value });
-        let tail = tail.trim_start();
-        rest = match tail.strip_prefix(',') {
-            Some(t) => t.trim_start(),
-            None if tail.is_empty() => tail,
-            None => return Err(ParseError::new(format!("expected ',' at: {tail}"))),
-        };
-    }
-    Ok(fields)
-}
-
-struct Fields<'a>(Vec<Field<'a>>);
-
-impl<'a> Fields<'a> {
-    fn raw(&self, key: &str) -> Result<&'a str, ParseError> {
-        self.0
-            .iter()
-            .find(|f| f.key == key)
-            .map(|f| f.value)
-            .ok_or_else(|| ParseError::new(format!("missing key {key:?}")))
+impl Fields {
+    fn read<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        convert: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, ParseError> {
+        let v = self.0.get(key).ok_or_else(|| ParseError::new(format!("missing key {key:?}")))?;
+        convert(v)
+            .ok_or_else(|| ParseError::new(format!("key {key:?} is not a {what}: {}", v.render())))
     }
 
-    fn str(&self, key: &str) -> Result<&'a str, ParseError> {
-        let raw = self.raw(key)?;
-        raw.strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| ParseError::new(format!("key {key:?} is not a string: {raw}")))
+    fn str(&self, key: &str) -> Result<&str, ParseError> {
+        self.read(key, "string", Json::as_str)
     }
 
     fn u64(&self, key: &str) -> Result<u64, ParseError> {
-        let raw = self.raw(key)?;
-        raw.parse().map_err(|_| ParseError::new(format!("key {key:?} is not a u64: {raw}")))
+        self.read(key, "u64", Json::as_u64)
     }
 
     fn u32(&self, key: &str) -> Result<u32, ParseError> {
-        let raw = self.raw(key)?;
-        raw.parse().map_err(|_| ParseError::new(format!("key {key:?} is not a u32: {raw}")))
+        self.read(key, "u32", |v| v.as_u64().and_then(|x| u32::try_from(x).ok()))
     }
 
     fn f64(&self, key: &str) -> Result<f64, ParseError> {
-        let raw = self.raw(key)?;
-        let x: f64 =
-            raw.parse().map_err(|_| ParseError::new(format!("key {key:?} is not a f64: {raw}")))?;
-        if x.is_finite() {
-            Ok(x)
-        } else {
-            Err(ParseError::new(format!("key {key:?} is not finite: {raw}")))
-        }
+        self.read(key, "finite f64", |v| v.as_f64().filter(|x| x.is_finite()))
     }
 
     fn bool(&self, key: &str) -> Result<bool, ParseError> {
-        match self.raw(key)? {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            other => Err(ParseError::new(format!("key {key:?} is not a bool: {other}"))),
-        }
+        self.read(key, "bool", |v| match v {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        })
     }
 
     fn phase(&self, key: &str) -> Result<PhaseKind, ParseError> {
@@ -258,7 +175,7 @@ impl<'a> Fields<'a> {
 /// Returns [`ParseError`] on anything that [`write_json_line`] would not
 /// emit — the inspector treats that as a corrupted trace.
 pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
-    let f = Fields(scan_object(line)?);
+    let f = Fields(json::parse(line).map_err(|e| ParseError::new(e.to_string()))?);
     match f.str("ev")? {
         "trial_start" => {
             Ok(TraceEvent::TrialStart { robots: f.u32("robots")?, seed: f.u64("seed")? })
@@ -393,16 +310,6 @@ mod tests {
         ] {
             assert!(parse_line(bad).is_err(), "accepted: {bad}");
         }
-    }
-
-    #[test]
-    fn escape_json_str_neutralizes_hostile_text() {
-        let mut out = String::new();
-        escape_json_str("a\"b\\c\nd\te\u{01}f", &mut out);
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001f");
-        // No raw control characters, quotes, or backslashes survive except
-        // as part of an escape sequence — the line stays one line.
-        assert!(!out.contains('\n') && !out.contains('\u{01}'));
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //!   [`HashSink`] (order-sensitive FNV-1a digest of the serialized stream,
 //!   for bit-identical determinism checks), [`CrashDumpSink`] (a flight
 //!   recorder that persists its last-N window to disk on engine invariant
-//!   violations and panic unwinds), [`TeeSink`] (fan-out to two sinks),
-//!   [`CountingSink`] and [`NullSink`] (tests);
+//!   violations and panic unwinds), [`CountingSink`] and [`NullSink`]
+//!   (tests);
 //! * [`jsonl`] — the serialization format and its parser, so captured
 //!   traces round-trip;
+//! * [`json`] — the workspace's one JSON codec ([`json::Json`], its parser
+//!   and its sorted-key renderer), which the trace parser, the bench
+//!   reports, the canonical campaign spec, the service and the CLI share;
 //! * [`inspect`] — [`inspect::TraceSummary`]: replays an event stream,
 //!   validates it (Look/Move legality, monotonic steps, the paper's
 //!   ≤ 1-bit-per-election-cycle claim), and renders per-robot timelines and
@@ -34,22 +37,24 @@
 //!   is installed.
 //!
 //! This crate is a dependency *leaf*: `apf-sim` emits into it, `apf-core`
-//! tags decisions with its [`PhaseKind`], and `apf-bench`/the CLI consume
-//! traces through it.
+//! tags decisions with its [`PhaseKind`], `apf-bench`/the CLI consume
+//! traces through it, and every JSON reader and writer above it (apf-lint
+//! aside, which is std-only) goes through its [`json`] codec.
 
 #![forbid(unsafe_code)]
 
 pub mod event;
 pub mod inspect;
+pub mod json;
 pub mod jsonl;
 pub mod sink;
 pub mod span;
 
 pub use event::{PhaseKind, TraceEvent};
 pub use inspect::{describe, PhaseTally, RobotTally, TraceSummary};
-pub use jsonl::{escape_json_str, parse_line, to_json_line, ParseError};
+pub use jsonl::{parse_line, to_json_line, ParseError};
 pub use sink::{
     fnv1a_64, CountingSink, CrashDumpSink, HashProbe, HashSink, JsonlSink, NullSink, RingSink,
-    TeeSink, TraceSink, VecSink,
+    TraceSink, VecSink,
 };
 pub use span::{NullSpanSink, Span, SpanGuard, SpanLabel, SpanSink, SpanStack, VecSpanSink};

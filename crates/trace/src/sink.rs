@@ -271,42 +271,6 @@ impl<T: TraceSink> TraceSink for Arc<std::sync::Mutex<T>> {
     }
 }
 
-/// Fans every event out to two sinks — e.g. a live in-memory [`VecSink`] for
-/// an invariant checker plus a [`CrashDumpSink`] flight recorder. Compose
-/// tees for more than two consumers.
-pub struct TeeSink {
-    a: Box<dyn TraceSink>,
-    b: Box<dyn TraceSink>,
-}
-
-impl TeeSink {
-    /// A sink forwarding to both `a` and `b` (in that order).
-    pub fn new(a: Box<dyn TraceSink>, b: Box<dyn TraceSink>) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn record(&mut self, event: &TraceEvent) {
-        self.a.record(event);
-        self.b.record(event);
-    }
-
-    fn flush_sink(&mut self) {
-        self.a.flush_sink();
-        self.b.flush_sink();
-    }
-
-    fn crash_dump(&mut self) {
-        self.a.crash_dump();
-        self.b.crash_dump();
-    }
-}
-
 /// A bounded flight recorder that writes its window to disk when the run
 /// dies: a [`RingSink`] plus a dump path.
 ///
@@ -566,21 +530,6 @@ mod tests {
             assert_eq!(got, [i]);
         }
         assert_eq!(s.dropped(), 3);
-    }
-
-    #[test]
-    fn tee_sink_fans_out_to_both() {
-        use std::sync::Mutex;
-        let left = Arc::new(Mutex::new(VecSink::new()));
-        let right = Arc::new(Mutex::new(CountingSink::new()));
-        let mut tee = TeeSink::new(Box::new(Arc::clone(&left)), Box::new(Arc::clone(&right)));
-        assert!(tee.enabled());
-        for i in 0..3 {
-            tee.record(&ev(i));
-        }
-        tee.flush_sink();
-        assert_eq!(left.lock().unwrap().events().len(), 3);
-        assert_eq!(right.lock().unwrap().count(), 3);
     }
 
     #[test]

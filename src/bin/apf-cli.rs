@@ -107,6 +107,7 @@
 use apf::prelude::*;
 use apf::render::{Style, SvgScene};
 use apf::scheduler::SchedulerKind;
+use apf::trace::json::{self, Json};
 use apf::trace::{describe, parse_line, JsonlSink, TraceSummary};
 
 struct Args {
@@ -624,8 +625,7 @@ fn serve_main(args: &[String]) -> ! {
 /// `job-digest --report` and `profile --report-out` so the two renderings
 /// are byte-comparable: `diff` between them proves span recording changed
 /// no digest and no aggregate byte.
-fn job_report_json(report: &apf_bench::engine::CampaignReport) -> apf_serve::Json {
-    use apf_serve::Json;
+fn job_report_json(report: &apf_bench::engine::CampaignReport) -> Json {
     let agg = report.aggregate();
     Json::obj([
         ("trials", Json::usize(report.trials)),
@@ -637,18 +637,7 @@ fn job_report_json(report: &apf_bench::engine::CampaignReport) -> apf_serve::Jso
         ("p95_cycles", Json::f64(agg.p95_cycles)),
         ("mean_bits", Json::f64(agg.mean_bits)),
         ("bits_per_cycle", Json::f64(agg.bits_per_cycle)),
-        (
-            "digests",
-            Json::Arr(
-                report
-                    .digests
-                    .as_deref()
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|&d| Json::u64(d))
-                    .collect(),
-            ),
-        ),
+        ("digests", json::u64_array(report.digests.as_deref().unwrap_or_default())),
     ])
 }
 
@@ -917,7 +906,7 @@ fn profile_main(args: &[String]) -> ! {
         eprintln!("folded stacks written to {path}");
     }
     if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", profile.to_json())) {
+        if let Err(e) = std::fs::write(path, format!("{}\n", profile.to_json().render())) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(2);
         }
@@ -996,10 +985,10 @@ fn perf_snapshot_main(args: &[String]) -> ! {
         let report = engine.run(&campaign(key, alg));
         campaigns.push((
             key,
-            apf_serve::Json::obj([
-                ("trials", apf_serve::Json::usize(report.trials)),
-                ("wall_secs", apf_serve::Json::f64(report.wall.as_secs_f64())),
-                ("trials_per_sec", apf_serve::Json::f64(report.trials_per_sec())),
+            Json::obj([
+                ("trials", Json::usize(report.trials)),
+                ("wall_secs", Json::f64(report.wall.as_secs_f64())),
+                ("trials_per_sec", Json::f64(report.trials_per_sec())),
             ]),
         ));
     }
@@ -1009,17 +998,14 @@ fn perf_snapshot_main(args: &[String]) -> ! {
     for n in [32usize, 128] {
         let keys = ["sec_us", "rho_us", "views_us", "regular_us", "shifted_us"];
         let micros = apf_bench::experiments::time_kernels(n, 20);
-        kernels.push((
-            format!("n{n}"),
-            apf_serve::Json::obj(keys.into_iter().zip(micros.map(apf_serve::Json::f64))),
-        ));
+        kernels.push((format!("n{n}"), Json::obj(keys.into_iter().zip(micros.map(Json::f64)))));
     }
 
-    let doc = apf_serve::Json::obj([
-        ("schema", apf_serve::Json::usize(1)),
-        ("engine_jobs", apf_serve::Json::usize(jobs.max(1))),
-        ("campaigns", apf_serve::Json::obj(campaigns)),
-        ("kernels", apf_serve::Json::Obj(kernels.into_iter().collect())),
+    let doc = Json::obj([
+        ("schema", Json::usize(1)),
+        ("engine_jobs", Json::usize(jobs.max(1))),
+        ("campaigns", Json::obj(campaigns)),
+        ("kernels", Json::Obj(kernels.into_iter().collect())),
     ]);
     let rendered = format!("{}\n", doc.render());
     match out {
