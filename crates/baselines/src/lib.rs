@@ -8,7 +8,7 @@
 //!   the paper's single bit per cycle). The deterministic tail is shared
 //!   with our implementation, so the measured difference isolates the
 //!   randomness interface of the symmetry-breaking phase — which is exactly
-//!   the axis the paper compares on ([13] in the paper).
+//!   the axis the paper compares on (its reference 13).
 //! * [`DeterministicFormation`] — no randomness at all: succeeds from
 //!   asymmetric configurations (unique maximal view), but on configurations
 //!   with `ρ(P) > 1` or an axis of symmetry it *provably cannot make

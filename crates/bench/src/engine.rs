@@ -12,8 +12,8 @@
 //!   third-party dependencies) whose output is **bit-identical** for any
 //!   worker count;
 //! * [`StreamingAggregate`] — mergeable Welford mean/variance plus a bounded
-//!   percentile buffer, so campaigns aggregate without materializing every
-//!   [`RunResult`].
+//!   percentile buffer, and [`StreamingAggregate::replay`], the one fold
+//!   from per-trial [`RunResult`]s to campaign statistics.
 //!
 //! # Determinism
 //!
@@ -22,10 +22,12 @@
 //!
 //! 1. every trial's randomness comes only from its spec (`seed`, derived
 //!    from the campaign seed and the trial **index**, never from scheduling);
-//! 2. trials are claimed in fixed-size chunks whose boundaries depend only
-//!    on the trial count, and each chunk aggregates locally;
-//! 3. chunk aggregates are merged **in chunk order** after all workers
-//!    join, so floating-point reduction order is fixed.
+//! 2. workers claim one trial at a time and store its result and digest by
+//!    trial index, so nothing a worker keeps depends on which worker ran it;
+//! 3. after all workers join, [`StreamingAggregate::replay`] folds the
+//!    results **in trial order**, so floating-point reduction order is
+//!    fixed — and a coordinator replaying the same results gets the same
+//!    bytes by construction.
 
 use crate::profile::SpanProfile;
 use crate::{Aggregate, RunResult};
@@ -42,13 +44,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Trials per work-queue chunk. Fixed (never derived from the worker count)
-/// so chunk boundaries — and therefore merge order — are identical for any
-/// `--jobs` value. One trial per chunk: individual trials are heavy (up to
-/// millions of engine steps) and wildly uneven (early success vs. budget
-/// exhaustion), so fine-grained claiming is what load-balances; the
-/// per-chunk bookkeeping is noise by comparison.
-const CHUNK: usize = 1;
+/// Samples the campaign fold's percentile buffer keeps: the engine, the
+/// coordinator's merge and [`StreamingAggregate::default`] all use it, so
+/// their medians and p95s agree.
+pub const PERCENTILE_CAP: usize = 1 << 16;
 
 /// Splitmix64 finalizer: the per-trial seed function.
 ///
@@ -503,7 +502,8 @@ impl Welford {
     }
 
     /// Merges another accumulator into this one (order-sensitive in the
-    /// last floating-point ulps — the engine always merges in chunk order).
+    /// last floating-point ulps — the campaign fold always merges in trial
+    /// order).
     pub fn merge(&mut self, other: &Welford) {
         if other.count == 0 {
             return;
@@ -543,17 +543,12 @@ impl Welford {
             self.m2 / self.count as f64
         }
     }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// Bounded percentile buffer: keeps at most `cap` samples by deterministic
 /// stride thinning (every `stride`-th sample by arrival order survives), so
-/// memory stays bounded on million-trial campaigns while percentiles remain
-/// **exact** whenever the total sample count fits the cap.
+/// the buffer's own size stays bounded however many samples it sees, while
+/// percentiles remain **exact** whenever the total sample count fits the cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PercentileBuffer {
     cap: usize,
@@ -591,14 +586,13 @@ impl PercentileBuffer {
     }
 
     /// Merges another buffer (samples of `other` follow `self` in arrival
-    /// order; the engine merges chunks in index order, so the result is
+    /// order; the campaign fold merges in trial order, so the result is
     /// independent of the worker count).
     pub fn merge(&mut self, other: &PercentileBuffer) {
         let stride = self.stride.max(other.stride);
         let mut merged: Vec<f64> = Vec::with_capacity(self.samples.len() + other.samples.len());
-        for (buf, own) in [(&*self, true), (other, false)] {
+        for buf in [&*self, other] {
             let step = (stride / buf.stride) as usize;
-            let _ = own;
             merged.extend(buf.samples.iter().step_by(step.max(1)));
         }
         self.samples = merged;
@@ -636,8 +630,11 @@ impl PercentileBuffer {
     }
 }
 
-/// Streaming replacement for collecting `Vec<RunResult>` + [`Aggregate::of`]:
-/// O(1) per trial, mergeable, bounded memory.
+/// Mergeable campaign statistics: O(1) work per trial, and a size of its own
+/// that stays bounded (the percentile buffer is capped). It does not bound a
+/// campaign's memory: [`Engine::run`] and the coordinator first hold every
+/// executed trial's [`RunResult`], then fold them with
+/// [`StreamingAggregate::replay`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingAggregate {
     runs: u64,
@@ -654,7 +651,7 @@ pub struct StreamingAggregate {
 
 impl Default for StreamingAggregate {
     fn default() -> Self {
-        Self::with_capacity(1 << 16)
+        Self::with_capacity(PERCENTILE_CAP)
     }
 }
 
@@ -694,7 +691,8 @@ impl StreamingAggregate {
         }
     }
 
-    /// Merges another aggregate (the engine calls this in chunk order).
+    /// Merges another aggregate ([`StreamingAggregate::replay`] calls this
+    /// in trial order).
     pub fn merge(&mut self, other: &StreamingAggregate) {
         self.runs += other.runs;
         self.formed += other.formed;
@@ -745,32 +743,22 @@ impl StreamingAggregate {
         self.phase_bits[kind.index()]
     }
 
-    /// Per-phase `(kind, cycles, bits)` totals over successful runs, for
-    /// phases that actually occurred.
-    pub fn phase_summary(&self) -> impl Iterator<Item = (PhaseKind, f64, f64)> + '_ {
-        PhaseKind::ALL
-            .into_iter()
-            .map(|k| (k, self.phase_cycles[k.index()], self.phase_bits[k.index()]))
-            .filter(|&(_, c, b)| c > 0.0 || b > 0.0)
-    }
-
-    /// Rebuilds the merged campaign statistics [`Engine::run`] would report
-    /// from per-trial results in trial order — **bit for bit**.
+    /// The campaign fold: per-trial results, in trial order, folded into
+    /// one aggregate. [`Engine::run`] computes `CampaignReport::stats` with
+    /// this call (cap [`PERCENTILE_CAP`]), so a coordinator that transports
+    /// per-trial [`RunResult`]s and replays them reproduces a
+    /// single-process run **bit for bit** by construction.
     ///
-    /// Welford and percentile merges are order-sensitive in the last ulps,
-    /// so a distributed coordinator cannot merge shard-*level* aggregates
-    /// and match a single-process run. Instead it transports per-trial
-    /// [`RunResult`]s and calls this, which reproduces the engine's exact
-    /// fold: the same fixed chunking, a fresh per-chunk accumulator, and
-    /// chunk merges in index order. Equality with `CampaignReport::stats`
-    /// (for the same `percentile_cap`) is asserted by the engine tests.
+    /// Each trial gets a fresh accumulator that is then merged into the
+    /// total, in trial order. Welford's `push` and `merge` differ in the
+    /// last ulps, so pushing every result into one accumulator would change
+    /// every aggregate byte; shard-*level* aggregates cannot be merged for
+    /// the same reason.
     pub fn replay(results: &[RunResult], percentile_cap: usize) -> StreamingAggregate {
         let mut total = StreamingAggregate::with_capacity(percentile_cap);
-        for chunk in results.chunks(CHUNK) {
+        for r in results {
             let mut agg = StreamingAggregate::with_capacity(percentile_cap);
-            for r in chunk {
-                agg.push(r);
-            }
+            agg.push(r);
             total.merge(&agg);
         }
         total
@@ -958,7 +946,6 @@ pub struct Engine {
     digests: bool,
     progress: bool,
     profile: bool,
-    percentile_cap: usize,
     cancel: Option<CancelToken>,
     live: Option<Arc<LiveStats>>,
 }
@@ -979,7 +966,6 @@ impl Engine {
             digests: false,
             progress: false,
             profile: false,
-            percentile_cap: 1 << 16,
             cancel: None,
             live: None,
         }
@@ -1001,15 +987,9 @@ impl Engine {
     }
 
     /// Also returns every per-trial [`RunResult`] (in trial order). Off by
-    /// default: large campaigns aggregate without materializing results.
+    /// default: the engine then keeps them only for the fold.
     pub fn collect_results(mut self, on: bool) -> Self {
         self.collect = on;
-        self
-    }
-
-    /// Caps the percentile buffer (per chunk and merged).
-    pub fn percentile_cap(mut self, cap: usize) -> Self {
-        self.percentile_cap = cap;
         self
     }
 
@@ -1066,8 +1046,7 @@ impl Engine {
     pub fn run(&self, campaign: &Campaign) -> CampaignReport {
         let specs = campaign.specs();
         let n = specs.len();
-        let nchunks = n.div_ceil(CHUNK);
-        let workers = self.jobs.min(nchunks.max(1)).max(1);
+        let workers = self.jobs.min(n.max(1)).max(1);
         let cursor = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         let finished = AtomicBool::new(false);
@@ -1075,12 +1054,11 @@ impl Engine {
         let live = self.live.as_deref();
         let t0 = Instant::now();
 
-        type ChunkData = (StreamingAggregate, Vec<RunResult>, Vec<u64>);
-        type ChunkOut = (usize, ChunkData);
+        type TrialOut = (usize, RunResult, u64);
         type WorkerOut =
-            (Vec<ChunkOut>, WorkerStats, Option<(usize, Duration)>, Option<SpanProfile>);
-        let mut chunks: Vec<Option<ChunkData>> = Vec::new();
-        chunks.resize_with(nchunks, || None);
+            (Vec<TrialOut>, WorkerStats, Option<(usize, Duration)>, Option<SpanProfile>);
+        let mut results = vec![RunResult::default(); n];
+        let mut digests = vec![0; n];
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
         let mut longest_trial: Option<(usize, Duration)> = None;
         let mut profile = self.profile.then(SpanProfile::new);
@@ -1091,12 +1069,12 @@ impl Engine {
                     let cursor = &cursor;
                     let done = &done;
                     scope.spawn(move || -> WorkerOut {
-                        let mut out: Vec<ChunkOut> = Vec::new();
+                        let mut out: Vec<TrialOut> = Vec::new();
                         let mut stats = WorkerStats::default();
                         let mut longest: Option<(usize, Duration)> = None;
                         // Span recording is thread-local: each worker
                         // installs a shared-handle profile once and reads
-                        // it back when it runs out of chunks.
+                        // it back when it runs out of trials.
                         let profile_handle = self.profile.then(|| {
                             let handle = Arc::new(Mutex::new(SpanProfile::new()));
                             drop(span::install(Box::new(Arc::clone(&handle))));
@@ -1106,49 +1084,32 @@ impl Engine {
                             if cancel.is_some_and(CancelToken::is_cancelled) {
                                 break;
                             }
-                            let c = cursor.fetch_add(1, Ordering::Relaxed);
-                            if c >= nchunks {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
                                 break;
                             }
-                            let lo = c * CHUNK;
-                            let hi = (lo + CHUNK).min(n);
-                            let mut agg = StreamingAggregate::with_capacity(self.percentile_cap);
-                            let mut results =
-                                if self.collect { Vec::with_capacity(hi - lo) } else { Vec::new() };
-                            let mut digests =
-                                if self.digests { Vec::with_capacity(hi - lo) } else { Vec::new() };
-                            for (off, spec) in specs[lo..hi].iter().enumerate() {
-                                let t_trial = Instant::now();
-                                span::set_trial(Some((lo + off) as u64));
-                                let _trial_span = span::enter(SpanLabel::Trial);
-                                let r = if self.digests {
-                                    let sink = HashSink::new();
-                                    let probe = sink.probe();
-                                    let r = spec
-                                        .try_run_with_sink(Box::new(sink))
-                                        // apf-lint: allow(panic-policy, panic-reachability) — generators emit valid instances (see run()); an invalid one must abort the campaign, not be skipped
-                                        .expect("experiment instance must be valid");
-                                    digests.push(probe.digest());
-                                    r
-                                } else {
-                                    spec.run()
-                                };
-                                let dt = t_trial.elapsed();
-                                stats.trials += 1;
-                                stats.busy += dt;
-                                if longest.is_none_or(|(_, best)| dt > best) {
-                                    longest = Some((lo + off, dt));
-                                }
-                                if let Some(l) = live {
-                                    l.record(&r, dt);
-                                }
-                                agg.push(&r);
-                                if self.collect {
-                                    results.push(r);
-                                }
-                                done.fetch_add(1, Ordering::Relaxed);
+                            let t_trial = Instant::now();
+                            span::set_trial(Some(i as u64));
+                            let _trial_span = span::enter(SpanLabel::Trial);
+                            let (r, digest) = if self.digests {
+                                specs[i]
+                                    .try_run_digest()
+                                    // apf-lint: allow(panic-policy, panic-reachability) — generators emit valid instances (see run()); an invalid one must abort the campaign, not be skipped
+                                    .expect("experiment instance must be valid")
+                            } else {
+                                (specs[i].run(), 0)
+                            };
+                            let dt = t_trial.elapsed();
+                            stats.trials += 1;
+                            stats.busy += dt;
+                            if longest.is_none_or(|(_, best)| dt > best) {
+                                longest = Some((i, dt));
                             }
-                            out.push((c, (agg, results, digests)));
+                            if let Some(l) = live {
+                                l.record(&r, dt);
+                            }
+                            out.push((i, r, digest));
+                            done.fetch_add(1, Ordering::Relaxed);
                         }
                         let worker_profile = profile_handle.map(|handle| {
                             drop(span::take());
@@ -1186,9 +1147,10 @@ impl Engine {
             for handle in handles {
                 // apf-lint: allow(panic-policy, panic-reachability) — a worker panic must abort the campaign, not hang it; this join runs on the coordinating thread
                 let joined = handle.join().expect("engine worker panicked");
-                let (chunk_outs, stats, longest, worker_profile) = joined;
-                for (c, data) in chunk_outs {
-                    chunks[c] = Some(data);
+                let (trials, stats, longest, worker_profile) = joined;
+                for (i, r, digest) in trials {
+                    results[i] = r;
+                    digests[i] = digest;
                 }
                 worker_stats.push(stats);
                 if let Some((idx, dt)) = longest {
@@ -1203,37 +1165,25 @@ impl Engine {
             finished.store(true, Ordering::Release);
         });
 
+        // Workers claim indices from one cursor and never abandon a claimed
+        // trial, so the executed trials are exactly the prefix
+        // `0..executed`; only cancellation leaves the rest unclaimed.
         let cancelled = cancel.is_some_and(CancelToken::is_cancelled);
-        let mut stats = StreamingAggregate::with_capacity(self.percentile_cap);
-        let mut results = self.collect.then(|| Vec::with_capacity(n));
-        let mut digests = self.digests.then(|| Vec::with_capacity(n));
-        for slot in chunks {
-            let Some((agg, chunk_results, chunk_digests)) = slot else {
-                // Workers claim chunks in cursor order and never abandon a
-                // claimed chunk, so completed chunks form a contiguous
-                // prefix; the only way to see a gap is cancellation, and the
-                // first gap ends the (well-formed) prefix merge.
-                assert!(cancelled, "unclaimed chunk in an uncancelled campaign");
-                break;
-            };
-            stats.merge(&agg);
-            if let Some(all) = results.as_mut() {
-                all.extend(chunk_results);
-            }
-            if let Some(all) = digests.as_mut() {
-                all.extend(chunk_digests);
-            }
-        }
+        let executed: usize = worker_stats.iter().map(|w| w.trials).sum();
+        assert!(cancelled || executed == n, "unclaimed trial in an uncancelled campaign");
+        results.truncate(executed);
+        digests.truncate(executed);
+        let stats = StreamingAggregate::replay(&results, PERCENTILE_CAP);
 
         CampaignReport {
             name: campaign.name().to_string(),
-            trials: stats.runs() as usize,
+            trials: executed,
             requested: n,
             cancelled,
             jobs: workers,
             stats,
-            results,
-            digests,
+            results: self.collect.then_some(results),
+            digests: self.digests.then_some(digests),
             workers: worker_stats,
             longest_trial,
             wall: t0.elapsed(),
@@ -1346,7 +1296,7 @@ mod tests {
         let results: Vec<RunResult> =
             (0..150).map(|i| result(i % 7 != 0, (i * 13) % 300 + 1, i % 40)).collect();
         let reference = Aggregate::of(&results);
-        // Merge in fixed chunk order, as the engine does.
+        // Merge in a fixed order, as the campaign fold does.
         let mut merged = StreamingAggregate::default();
         for chunk in results.chunks(16) {
             let mut part = StreamingAggregate::default();
@@ -1498,6 +1448,10 @@ mod tests {
         assert_eq!(report.results.as_ref().unwrap().len(), k);
         assert_eq!(report.digests.as_ref().unwrap().len(), k);
         assert_eq!(report.digests.as_ref().unwrap()[..], ref_digests[..k]);
+        // The cancelled run's fold is the fold of the reference run's
+        // first k results, bit for bit.
+        let ref_results = reference.results.as_ref().unwrap();
+        assert_eq!(report.stats, StreamingAggregate::replay(&ref_results[..k], PERCENTILE_CAP));
         let agg = report.aggregate();
         assert_eq!(agg.runs, k);
         assert!((0.0..=1.0).contains(&agg.success));

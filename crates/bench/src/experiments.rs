@@ -567,18 +567,6 @@ pub fn e9(ctx: &ExpCtx) -> ExperimentReport {
     }
 }
 
-/// Runs every experiment in registry order.
-pub fn run_all(ctx: &ExpCtx) -> Vec<ExperimentReport> {
-    REGISTRY
-        .iter()
-        .map(|&(_, _, f)| {
-            let report = f(ctx);
-            report.print();
-            report
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

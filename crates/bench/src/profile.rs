@@ -13,10 +13,11 @@
 //!
 //! Two views of the same data:
 //!
-//! * **Per-label stats** ([`LabelStats`]): count, Welford mean/std-dev of
+//! * **Per-label stats** ([`LabelStats`]): count, Welford mean/variance of
 //!   span inclusive time, exclusive/inclusive totals, min/max, and a
-//!   log-2-bucket latency histogram (`bucket i` counts spans with
-//!   `total_ns ∈ [2^i, 2^{i+1})`) from which approximate p50/p95 are read.
+//!   [`Log2Histogram`] of inclusive times (bucket `k` holds
+//!   `(2^(k−1), 2^k]` ns — the same type and buckets the service's
+//!   `/metrics` renders) from which approximate p50/p95 are read.
 //! * **Folded stacks**: `stack;path;leaf  self_ns`, one line per distinct
 //!   ancestry, in collapsed-stacks format — pipe into inferno or
 //!   `flamegraph.pl` to render. Weights are *exclusive* nanoseconds so
@@ -24,47 +25,35 @@
 
 use crate::engine::Welford;
 use apf_trace::json::Json;
-use apf_trace::span::{Span, SpanLabel, SpanSink, SpanStack};
+use apf_trace::span::{Log2Histogram, Span, SpanLabel, SpanSink, SpanStack};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-
-/// Number of log-2 latency buckets: bucket 39 holds spans of ~9.2 minutes
-/// and up, far beyond any kernel this workspace times.
-pub const BUCKETS: usize = 40;
 
 /// Streaming statistics for one [`SpanLabel`].
 #[derive(Debug, Clone)]
 pub struct LabelStats {
     /// Welford accumulator over inclusive span time (nanoseconds).
     pub welford: Welford,
-    /// Total inclusive nanoseconds.
-    pub total_ns: u64,
     /// Total exclusive nanoseconds.
     pub self_ns: u64,
     /// Fastest span (inclusive), `u64::MAX` when empty.
     pub min_ns: u64,
     /// Slowest span (inclusive).
     pub max_ns: u64,
-    /// `buckets[i]` counts spans with `total_ns ∈ [2^i, 2^{i+1})`.
-    pub buckets: [u64; BUCKETS],
+    /// Log-2 histogram of inclusive span times (its sum is their total).
+    pub histogram: Log2Histogram,
 }
 
 impl Default for LabelStats {
     fn default() -> Self {
         LabelStats {
             welford: Welford::default(),
-            total_ns: 0,
             self_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
-            buckets: [0; BUCKETS],
+            histogram: Log2Histogram::default(),
         }
     }
-}
-
-/// Log-2 bucket index for a span duration.
-fn bucket_of(ns: u64) -> usize {
-    (63 - ns.max(1).leading_zeros() as usize).min(BUCKETS - 1)
 }
 
 impl LabelStats {
@@ -75,42 +64,18 @@ impl LabelStats {
 
     fn record(&mut self, span: &Span) {
         self.welford.push(span.total_ns as f64);
-        self.total_ns = self.total_ns.saturating_add(span.total_ns);
         self.self_ns = self.self_ns.saturating_add(span.self_ns);
         self.min_ns = self.min_ns.min(span.total_ns);
         self.max_ns = self.max_ns.max(span.total_ns);
-        self.buckets[bucket_of(span.total_ns)] += 1;
+        self.histogram.record(span.total_ns);
     }
 
     fn merge(&mut self, other: &LabelStats) {
         self.welford.merge(&other.welford);
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
         self.self_ns = self.self_ns.saturating_add(other.self_ns);
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-    }
-
-    /// Approximate quantile from the log-2 histogram: the upper bound
-    /// (`2^{i+1}` ns) of the bucket where the cumulative count crosses
-    /// `q · count`. Within a factor of 2 — plenty for "which kernel
-    /// dominates" questions; use the fold file for exact attribution.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        self.max_ns
+        self.histogram.merge(&other.histogram);
     }
 }
 
@@ -212,10 +177,10 @@ impl SpanProfile {
                     label,
                     count: stats.count(),
                     mean_ns: stats.welford.mean(),
-                    p50_ns: stats.quantile_ns(0.50),
-                    p95_ns: stats.quantile_ns(0.95),
+                    p50_ns: stats.histogram.quantile_ns(0.50),
+                    p95_ns: stats.histogram.quantile_ns(0.95),
                     max_ns: stats.max_ns,
-                    total_ns: stats.total_ns,
+                    total_ns: stats.histogram.sum_ns(),
                     self_ns: stats.self_ns,
                 })
             })
@@ -267,7 +232,7 @@ pub struct ProfileRow {
     pub count: u64,
     /// Mean inclusive time (Welford), nanoseconds.
     pub mean_ns: f64,
-    /// Approximate median inclusive time (log-2 bucket upper bound).
+    /// Approximate median inclusive time (its log-2 bucket's upper bound).
     pub p50_ns: u64,
     /// Approximate 95th percentile inclusive time.
     pub p95_ns: u64,
@@ -328,16 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
-    }
-
-    #[test]
     fn records_fold_and_stats() {
         let mut p = SpanProfile::new();
         p.record_span(&span(&[SpanLabel::Trial, SpanLabel::Look, SpanLabel::Sec], 100, 100));
@@ -345,7 +300,7 @@ mod tests {
         p.record_span(&span(&[SpanLabel::Trial, SpanLabel::Look], 1000, 600));
         let sec = p.label(SpanLabel::Sec).unwrap();
         assert_eq!(sec.count(), 2);
-        assert_eq!(sec.total_ns, 400);
+        assert_eq!(sec.histogram.sum_ns(), 400);
         assert_eq!(sec.min_ns, 100);
         assert_eq!(sec.max_ns, 300);
         let mut out = Vec::new();
@@ -381,13 +336,17 @@ mod tests {
     fn quantiles_come_from_buckets() {
         let mut s = LabelStats::default();
         for _ in 0..99 {
-            s.record(&span(&[SpanLabel::Rho], 100, 100)); // bucket 6: [64,128)
+            s.record(&span(&[SpanLabel::Rho], 100, 100)); // bucket 7: (64,128]
         }
         s.record(&span(&[SpanLabel::Rho], 1_000_000, 1_000_000));
-        assert_eq!(s.quantile_ns(0.50), 128);
-        assert!(s.quantile_ns(0.999) >= 1 << 19);
+        assert_eq!(s.histogram.quantile_ns(0.50), 128);
+        assert!(s.histogram.quantile_ns(0.999) >= 1 << 19);
+        let mut merged = LabelStats::default();
+        merged.merge(&s);
+        assert_eq!(merged.histogram, s.histogram);
+        assert_eq!(merged.count(), 100);
         let empty = LabelStats::default();
-        assert_eq!(empty.quantile_ns(0.5), 0);
+        assert_eq!(empty.histogram.quantile_ns(0.5), 0);
     }
 
     #[test]

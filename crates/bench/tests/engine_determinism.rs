@@ -2,7 +2,9 @@
 //! count. Per-trial results AND merged statistics from `--jobs 1` must equal
 //! those from `--jobs 4` exactly — including every floating-point digit.
 
-use apf_bench::engine::{AlgorithmSpec, Campaign, Engine, RunSpec, StreamingAggregate};
+use apf_bench::engine::{
+    AlgorithmSpec, Campaign, Engine, RunSpec, StreamingAggregate, PERCENTILE_CAP,
+};
 use apf_scheduler::SchedulerKind;
 
 fn campaign() -> Campaign {
@@ -85,13 +87,25 @@ fn replay_rebuilds_merged_stats_bit_for_bit() {
     let c = campaign();
     let report = Engine::new().jobs(4).collect_results(true).run(&c);
     let results = report.results.as_ref().expect("collect_results was on");
-    let replayed = StreamingAggregate::replay(results, 1 << 16);
+    let replayed = StreamingAggregate::replay(results, PERCENTILE_CAP);
     assert_eq!(replayed, report.stats);
-    // And with a thinning-small percentile cap, against an engine using the
-    // same cap (exercises the stride-merge path).
-    let capped = Engine::new().jobs(3).collect_results(true).percentile_cap(4).run(&c);
-    let capped_results = capped.results.as_ref().expect("collect_results was on");
-    assert_eq!(StreamingAggregate::replay(capped_results, 4), capped.stats);
+
+    // A thinning-small percentile cap exercises the stride-merge path. The
+    // cap thins only the percentile samples: runs, the formed count and
+    // every mean stay bit-identical, and the median and p95 it reads are
+    // still cycle counts of formed trials.
+    let capped = StreamingAggregate::replay(results, 4);
+    assert_eq!(capped.formed(), replayed.formed());
+    assert_eq!(capped.distance(), replayed.distance());
+    let formed_cycles: Vec<f64> =
+        results.iter().filter(|r| r.formed).map(|r| r.cycles as f64).collect();
+    assert!(formed_cycles.len() > 4, "the cap must thin: {} formed", formed_cycles.len());
+    let (mut thin, full) = (capped.to_aggregate(), replayed.to_aggregate());
+    assert!(formed_cycles.contains(&thin.median_cycles), "median {}", thin.median_cycles);
+    assert!(formed_cycles.contains(&thin.p95_cycles), "p95 {}", thin.p95_cycles);
+    // Every other field (runs, success, the means) is bit-identical.
+    (thin.median_cycles, thin.p95_cycles) = (full.median_cycles, full.p95_cycles);
+    assert_eq!(thin, full);
 }
 
 #[test]
@@ -113,7 +127,7 @@ fn sharded_slices_concatenate_to_the_full_run() {
     }
     assert_eq!(Some(&results), full.results.as_ref());
     assert_eq!(Some(&digests), full.digests.as_ref());
-    assert_eq!(StreamingAggregate::replay(&results, 1 << 16), full.stats);
+    assert_eq!(StreamingAggregate::replay(&results, PERCENTILE_CAP), full.stats);
 }
 
 #[test]

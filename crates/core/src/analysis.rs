@@ -188,12 +188,6 @@ impl Analysis {
     pub fn denorm_point(&self, p: Point) -> Point {
         (p.to_vector() * self.norm_scale).to_point() + self.norm_center.to_vector()
     }
-
-    /// A straight move of the observer (normalized coordinates) rendered as
-    /// a local-frame decision path.
-    pub fn straight_move(&self, to: Point) -> Path {
-        self.denormalize_path(&Path::straight(self.my_pos(), to))
-    }
 }
 
 #[cfg(test)]

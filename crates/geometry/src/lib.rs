@@ -5,7 +5,7 @@
 //! formation) workspace. It provides everything the Bramas–Tixeuil algorithm
 //! needs to *look* at a configuration of robots and reason about it:
 //!
-//! * primitive types: [`Point`], [`Vector`], [`Angle`] helpers, [`Circle`],
+//! * primitive types: [`Point`], [`Vector`], [`angle`] helpers, [`Circle`],
 //!   polyline-with-arcs [`Path`]s, and similarity [`Frame`]s (local coordinate
 //!   systems including mirrored ones — chirality is *not* assumed anywhere);
 //! * the smallest enclosing circle ([`smallest_enclosing_circle`], Welzl's

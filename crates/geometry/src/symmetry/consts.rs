@@ -21,7 +21,7 @@ pub const COARSE_ANGLE_FACTOR: f64 = 1e3;
 pub const COARSE_ANGLE_CAP: f64 = 1e-3;
 
 /// Stall exit of the Gauss–Newton slot fit
-/// ([`super::regular::fit_slot_model`]): once a step moves the iterate by
+/// (`regular::fit_slot_model`): once a step moves the iterate by
 /// less than 1e-12 while the largest angular residual still exceeds this
 /// factor times `Tol::angle_eps`, the fit gives up. At a stalled iterate the
 /// phase (and the bi-angled gap) are the linear least-squares fit for the

@@ -83,18 +83,6 @@ impl RegularSet {
         self.indices.is_empty()
     }
 
-    /// The paper's `m` for condition (b) of Definition 2: the rotational
-    /// order of the half-line structure — the cardinality for equiangular
-    /// sets, half of it for bi-angled sets (a bi-angled set of `q` robots is
-    /// the paper's "`q/2`-regular" set).
-    pub fn divisor_m(&self) -> usize {
-        if self.kind.is_biangular() {
-            self.indices.len() / 2
-        } else {
-            self.indices.len()
-        }
-    }
-
     /// Virtual axes of symmetry (bi-angled sets only): the bisector lines of
     /// consecutive half-line pairs, as angles in `[0, π)`.
     pub fn virtual_axes(&self, config: &Configuration, tol: &Tol) -> Vec<f64> {

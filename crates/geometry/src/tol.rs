@@ -116,18 +116,6 @@ impl Tol {
             std::cmp::Ordering::Greater
         }
     }
-
-    /// Three-way comparison of angles with the angular tolerance.
-    #[inline]
-    pub fn ang_cmp(&self, a: f64, b: f64) -> std::cmp::Ordering {
-        if self.ang_eq(a, b) {
-            std::cmp::Ordering::Equal
-        } else if a < b {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The workspace call graph and its reachability queries.
 //!
-//! Nodes are the [`Symbols`](crate::symbols::Symbols) function list plus
+//! Nodes are the [`Symbols`] function list plus
 //! one synthetic node per `spawn(...)` closure (thread roots). Edges come
 //! from resolved call sites; each edge remembers the source line of its
 //! call for findings that report a witness chain.

@@ -15,7 +15,7 @@
 //! workspace [symbol table](symbols) resolves callees best-effort, and a
 //! [call graph](callgraph) answers reachability queries for the taint
 //! rules D10–D13 (digest purity, randomness reachability, lock order,
-//! panic reachability — see [`taint`]).
+//! panic reachability — see the private `taint` module).
 //!
 //! The pass is deliberately std-only and dependency-free: it is the first
 //! gate in `scripts/check.sh` and must build in the offline container

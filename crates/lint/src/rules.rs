@@ -23,8 +23,8 @@
 //!
 //! D1–D9 and P1 match token needles over the [lexer's](crate::lexer)
 //! masked text, so comments, strings and char literals can never fire
-//! them. D10–D13 are inter-procedural: they run in [`taint`](crate::taint)
-//! over the workspace [call graph](crate::callgraph) and use
+//! them. D10–D13 are inter-procedural: they run in the private `taint`
+//! module over the workspace [call graph](crate::callgraph) and use
 //! [`Matcher::CallGraph`] here only as a registration marker.
 
 /// How a needle anchors to the surrounding characters.
@@ -63,7 +63,7 @@ pub enum Matcher {
     /// call).
     FloatIntCast,
     /// Inter-procedural rule: findings come from the call-graph analyses
-    /// in [`taint`](crate::taint), not from per-line matching.
+    /// in the private `taint` module, not from per-line matching.
     CallGraph,
 }
 

@@ -18,11 +18,11 @@
 //! Welford/percentile merges are order-sensitive in the last ulps, so
 //! merging shard-*level* aggregates would NOT reproduce a single-process
 //! run bit for bit. Backends instead return per-trial [`RunResult`]s
-//! (`detail: true`), and the coordinator replays the engine's exact fold
-//! over the concatenation in shard order
-//! ([`StreamingAggregate::replay`]) — same chunking, same merge order,
-//! bitwise-equal statistics. Digests concatenate in shard order, which is
-//! trial order. `check.sh` gates on both equalities over real sockets.
+//! (`detail: true`), and the coordinator folds the concatenation in shard
+//! order with [`StreamingAggregate::replay`] — the very call `Engine::run`
+//! makes, so the statistics are bitwise equal by construction. Digests
+//! concatenate in shard order, which is trial order. `check.sh` gates on
+//! both equalities over real sockets.
 //!
 //! # Failure handling
 //!
@@ -40,7 +40,7 @@ use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::shard::{split_trials, Shard};
 use crate::soak::{SoakOutcome, SoakSpec};
-use apf_bench::engine::{CancelToken, LiveStats, StreamingAggregate};
+use apf_bench::engine::{CancelToken, LiveStats, StreamingAggregate, PERCENTILE_CAP};
 use apf_bench::RunResult;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -325,27 +325,17 @@ pub(crate) fn run_job(
         }
     }
 
-    let stats = StreamingAggregate::replay(&records, 1 << 16);
-    let agg = stats.to_aggregate();
-    let executed = records.len();
-    let outcome = JobOutcome {
-        trials: executed,
-        requested: (hi - lo) as usize,
-        formed: stats.formed(),
-        success: agg.success,
-        mean_cycles: agg.mean_cycles,
-        median_cycles: agg.median_cycles,
-        p95_cycles: agg.p95_cycles,
-        mean_bits: agg.mean_bits,
-        bits_per_cycle: agg.bits_per_cycle,
+    let stats = StreamingAggregate::replay(&records, PERCENTILE_CAP);
+    let outcome = JobOutcome::new(
+        &stats,
+        (hi - lo) as usize,
         digests,
         // The coordinator's own wall clock: sharding, dispatch, polling, and
         // the merge — what the submitter actually waited for.
-        wall_secs: t0.elapsed().as_secs_f64(),
-        detail: spec.detail.then_some(records),
-        cached: false,
-    };
-    let cancelled = cancel.is_cancelled() && executed < outcome.requested;
+        t0.elapsed().as_secs_f64(),
+        spec.detail.then_some(records),
+    );
+    let cancelled = cancel.is_cancelled() && outcome.trials < outcome.requested;
     Ok((cancelled, outcome))
 }
 

@@ -18,7 +18,7 @@
 
 use crate::json::{self, Json};
 use crate::soak::{SoakOutcome, SoakSpec};
-use apf_bench::engine::{Campaign, CancelToken, LiveStats};
+use apf_bench::engine::{Campaign, CancelToken, LiveStats, StreamingAggregate};
 use apf_bench::spec::{scheduler_from_label, scheduler_label, CanonicalSpec, Generator};
 use apf_bench::RunResult;
 use apf_trace::PhaseKind;
@@ -244,6 +244,35 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// The outcome of a campaign fold: every statistic comes from `stats`
+    /// (trials executed included), the rest are transport fields. The
+    /// worker, the coordinator's merge and `apf-cli job-digest --report`
+    /// all build their outcome here, so they cannot disagree on a field.
+    pub fn new(
+        stats: &StreamingAggregate,
+        requested: usize,
+        digests: Vec<u64>,
+        wall_secs: f64,
+        detail: Option<Vec<RunResult>>,
+    ) -> JobOutcome {
+        let agg = stats.to_aggregate();
+        JobOutcome {
+            trials: agg.runs,
+            requested,
+            formed: stats.formed(),
+            success: agg.success,
+            mean_cycles: agg.mean_cycles,
+            median_cycles: agg.median_cycles,
+            p95_cycles: agg.p95_cycles,
+            mean_bits: agg.mean_bits,
+            bits_per_cycle: agg.bits_per_cycle,
+            digests,
+            wall_secs,
+            detail,
+            cached: false,
+        }
+    }
+
     /// The outcome as response JSON.
     pub fn to_json(&self) -> Json {
         let mut members = vec![

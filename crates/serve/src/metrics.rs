@@ -8,89 +8,24 @@
 //! the life of the process, so the sums never go backwards); per-phase
 //! totals and the longest-trial gauge are folded in when a job finishes.
 //!
-//! Latency is tracked by [`Histo`]: fixed log-2 second buckets (the same
-//! power-of-two bucketing the engine's span profiler uses) over atomics, so
-//! `observe` is lock-free on the request path and a scrape renders the
-//! cumulative `_bucket{le=...}` / `_sum` / `_count` triplet Prometheus
-//! expects from a `histogram`.
+//! Latency is tracked by [`Log2Histogram`], the same log-2 nanosecond
+//! histogram the engine's span profile keeps per label: `observe` is two
+//! relaxed atomic adds, lock-free on the request path. A scrape renders
+//! the cumulative `_bucket{le=...}` / `_sum` / `_count` triplet Prometheus
+//! expects from a `histogram`, over a fixed window of its buckets.
 
 use apf_bench::engine::StreamingAggregate;
-use apf_trace::PhaseKind;
+use apf_trace::{Log2Histogram, PhaseKind};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Log-2 bucket count for [`Histo`]: bounds 2⁻¹⁴ s (~61 µs) … 2¹ s, then
-/// `+Inf`. Doubling bounds keep the bucket table tiny while spanning
-/// sub-millisecond HTTP handling and multi-second campaign execution.
-const HISTO_BUCKETS: usize = 16;
-
-/// A lock-free wall-time histogram with fixed log-2 second buckets.
-///
-/// Buckets store per-band counts; [`Histo::render`] emits the cumulative
-/// counts the Prometheus `histogram` type requires. Observations beyond the
-/// last finite bound land only in `+Inf` (i.e. `_count`).
-#[derive(Debug)]
-pub struct Histo {
-    buckets: [AtomicU64; HISTO_BUCKETS],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-}
-
-impl Default for Histo {
-    fn default() -> Self {
-        Histo {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histo {
-    /// The `le` bound of bucket `i`, in seconds: `2^(i - 14)`.
-    fn bound(i: usize) -> f64 {
-        f64::powi(2.0, i as i32 - 14)
-    }
-
-    /// Records one duration. Lock-free; relaxed ordering is fine because a
-    /// scrape only needs eventually-consistent totals.
-    pub fn observe(&self, took: Duration) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let ns = u64::try_from(took.as_nanos()).unwrap_or(u64::MAX);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        let secs = took.as_secs_f64();
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            if secs <= Self::bound(i) {
-                bucket.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Renders the `# HELP`/`# TYPE histogram` block with cumulative
-    /// buckets, `+Inf`, `_sum` (seconds), and `_count`.
-    fn render(&self, out: &mut String, name: &str, help: &str) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", num(Self::bound(i)));
-        }
-        let count = self.count.load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
-        let sum_secs = self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9;
-        let _ = writeln!(out, "{name}_sum {}", num(sum_secs));
-        let _ = writeln!(out, "{name}_count {count}");
-    }
-}
+/// The log-2 buckets a scrape renders as finite `le` bounds: 2^16 ns
+/// (65.5 µs) through 2^31 ns (2.15 s), then `+Inf`. Doubling bounds keep
+/// the table small while spanning sub-millisecond HTTP handling and
+/// multi-second campaign execution.
+const LE_BUCKETS: std::ops::RangeInclusive<usize> = 16..=31;
 
 /// Process-wide counters the request path and workers update.
 #[derive(Debug, Default)]
@@ -136,14 +71,14 @@ pub struct Metrics {
     /// 5xx responses.
     pub http_5xx: AtomicU64,
     /// Wall time from accepting a connection to having its response ready.
-    pub http_request_seconds: Histo,
+    pub http_request_seconds: Log2Histogram,
     /// Wall time jobs spent queued before a worker claimed them.
-    pub job_queue_wait_seconds: Histo,
+    pub job_queue_wait_seconds: Log2Histogram,
     /// Wall time workers spent executing jobs (local engine or coordinated).
-    pub job_exec_seconds: Histo,
+    pub job_exec_seconds: Log2Histogram,
     /// Wall time of one successful shard round-trip: submit, poll to
     /// completion, fetch the detail result (coordinator mode).
-    pub shard_roundtrip_seconds: Histo,
+    pub shard_roundtrip_seconds: Log2Histogram,
     folded: Mutex<Folded>,
 }
 
@@ -266,25 +201,29 @@ impl Metrics {
             ],
         );
 
-        self.http_request_seconds.render(
+        histogram(
             &mut out,
             "apf_http_request_seconds",
             "HTTP request handling latency (accept to response ready).",
+            &self.http_request_seconds,
         );
-        self.job_queue_wait_seconds.render(
+        histogram(
             &mut out,
             "apf_job_queue_wait_seconds",
             "Time jobs waited in the queue before a worker claimed them.",
+            &self.job_queue_wait_seconds,
         );
-        self.job_exec_seconds.render(
+        histogram(
             &mut out,
             "apf_job_exec_seconds",
             "Job execution wall time (local engine run or coordinated fan-out).",
+            &self.job_exec_seconds,
         );
-        self.shard_roundtrip_seconds.render(
+        histogram(
             &mut out,
             "apf_shard_roundtrip_seconds",
             "Successful shard round-trips: submit, poll, result fetch (coordinator mode).",
+            &self.shard_roundtrip_seconds,
         );
 
         gauge(&mut out, "apf_queue_depth", "Jobs waiting in the queue.", live.queued as f64);
@@ -419,6 +358,21 @@ fn counter(out: &mut String, name: &str, help: &str, samples: &[(&str, &str, f64
     }
 }
 
+/// Renders one `histogram` block: cumulative counts at the `LE_BUCKETS`
+/// bounds (in seconds), `+Inf`, `_sum` in seconds, and `_count`.
+fn histogram(out: &mut String, name: &str, help: &str, h: &Log2Histogram) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} histogram");
+    for k in LE_BUCKETS {
+        let le = Log2Histogram::upper_bound_ns(k) as f64 / 1e9;
+        let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {}", num(le), h.cumulative(k));
+    }
+    let count = h.count();
+    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
+    let _ = writeln!(out, "{name}_sum {}", num(h.sum_ns() as f64 / 1e9));
+    let _ = writeln!(out, "{name}_count {count}");
+}
+
 fn gauge(out: &mut String, name: &str, help: &str, value: f64) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} gauge");
@@ -521,30 +475,39 @@ mod tests {
     fn histograms_render_cumulative_buckets() {
         let m = Metrics::default();
         m.http_request_seconds.observe(Duration::from_micros(50)); // below first bound
+        m.http_request_seconds.observe(Duration::from_nanos(1 << 16)); // on the first bound
         m.http_request_seconds.observe(Duration::from_millis(3)); // mid-table
         m.http_request_seconds.observe(Duration::from_secs(60)); // beyond last bound
         let text = m.render(&LiveView::default());
         assert_valid_prometheus(&text);
         assert!(text.contains("# TYPE apf_http_request_seconds histogram"), "{text}");
 
+        // The window's bounds, in seconds: 2^16 ns .. 2^31 ns, then +Inf.
+        let bounds: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("apf_http_request_seconds_bucket{le=\""))
+            .map(|l| l.split('"').next().unwrap())
+            .collect();
+        assert_eq!(bounds.len(), LE_BUCKETS.count() + 1);
+        assert_eq!(bounds[0], "0.000065536");
+        assert_eq!(bounds[bounds.len() - 2], "2.147483648");
+        assert_eq!(bounds[bounds.len() - 1], "+Inf");
+
         // Cumulative bucket counts never decrease, and +Inf equals _count.
         let mut prev = 0u64;
-        let mut finite_buckets = 0;
         for line in text.lines().filter(|l| l.starts_with("apf_http_request_seconds_bucket")) {
             let v: u64 = line.rsplit_once(' ').unwrap().1.parse().unwrap();
             assert!(v >= prev, "non-monotonic cumulative bucket: {line}");
             prev = v;
-            if !line.contains("+Inf") {
-                finite_buckets += 1;
-            }
         }
-        assert_eq!(finite_buckets, HISTO_BUCKETS);
-        assert!(text.contains("apf_http_request_seconds_bucket{le=\"+Inf\"} 3"), "{text}");
-        assert!(text.contains("apf_http_request_seconds_count 3"), "{text}");
+        // An observation of exactly 2^16 ns counts at le = 2^16 ns.
+        assert!(text.contains("apf_http_request_seconds_bucket{le=\"0.000065536\"} 2"), "{text}");
+        assert!(text.contains("apf_http_request_seconds_bucket{le=\"0.004194304\"} 3"), "{text}");
         // The 60s observation overflows every finite bucket.
-        let last_finite = format!("{{le=\"{}\"}} 2", num(Histo::bound(HISTO_BUCKETS - 1)));
-        assert!(text.contains(&last_finite), "{text}");
-        assert_eq!(m.http_request_seconds.count(), 3);
+        assert!(text.contains("apf_http_request_seconds_bucket{le=\"2.147483648\"} 3"), "{text}");
+        assert!(text.contains("apf_http_request_seconds_bucket{le=\"+Inf\"} 4"), "{text}");
+        assert!(text.contains("apf_http_request_seconds_count 4"), "{text}");
+        assert_eq!(m.http_request_seconds.count(), 4);
 
         // The other three histograms are always announced, even when empty,
         // so scrapers (and check.sh) can rely on their presence.
@@ -558,11 +521,11 @@ mod tests {
 
     #[test]
     fn histogram_sum_accumulates_seconds() {
-        let h = Histo::default();
+        let h = Log2Histogram::default();
         h.observe(Duration::from_millis(250));
         h.observe(Duration::from_millis(750));
         let mut out = String::new();
-        h.render(&mut out, "x_seconds", "test");
+        histogram(&mut out, "x_seconds", "test", &h);
         assert!(out.contains("x_seconds_sum 1"), "{out}");
         assert!(out.contains("x_seconds_count 2"), "{out}");
     }

@@ -57,7 +57,7 @@ use crate::json::Json;
 use crate::metrics::{LiveView, Metrics};
 use crate::signal;
 use crate::soak::{self, SoakSpec};
-use apf_bench::engine::{CampaignReport, Engine, LiveSnapshot};
+use apf_bench::engine::{Engine, LiveSnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -519,7 +519,15 @@ fn run_local(shared: &Shared, job: &Job, spec: &JobSpec) -> (bool, JobOutcome) {
         .live_stats(Arc::clone(&job.live));
     let report = engine.run(&campaign);
     shared.metrics.fold_report(&report.stats, report.longest_trial.map(|(_, d)| d));
-    (report.cancelled && report.trials < report.requested, outcome_of(&report, spec.detail))
+    let cancelled = report.cancelled && report.trials < report.requested;
+    let outcome = JobOutcome::new(
+        &report.stats,
+        report.requested,
+        report.digests.unwrap_or_default(),
+        report.wall.as_secs_f64(),
+        report.results,
+    );
+    (cancelled, outcome)
 }
 
 /// Records a finished job, feeding a campaign's outcome to the cache and
@@ -572,25 +580,6 @@ fn same_result(cached: &JobOutcome, fresh: &JobOutcome) -> bool {
         && cached.mean_bits.to_bits() == fresh.mean_bits.to_bits()
         && cached.bits_per_cycle.to_bits() == fresh.bits_per_cycle.to_bits()
         && cached.digests == fresh.digests
-}
-
-fn outcome_of(report: &CampaignReport, detail: bool) -> JobOutcome {
-    let agg = report.aggregate();
-    JobOutcome {
-        trials: report.trials,
-        requested: report.requested,
-        formed: report.stats.formed(),
-        success: agg.success,
-        mean_cycles: agg.mean_cycles,
-        median_cycles: agg.median_cycles,
-        p95_cycles: agg.p95_cycles,
-        mean_bits: agg.mean_bits,
-        bits_per_cycle: agg.bits_per_cycle,
-        digests: report.digests.clone().unwrap_or_default(),
-        wall_secs: report.wall.as_secs_f64(),
-        detail: if detail { report.results.clone() } else { None },
-        cached: false,
-    }
 }
 
 fn handle_connection(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {

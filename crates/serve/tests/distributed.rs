@@ -452,22 +452,13 @@ proptest! {
         prop_assert!(spec.validate().is_ok());
 
         let report = Engine::new().trace_digests(true).run(&spec.to_campaign());
-        let agg = report.aggregate();
-        let outcome = JobOutcome {
-            trials: report.trials,
-            requested: report.requested,
-            formed: report.stats.formed(),
-            success: agg.success,
-            mean_cycles: agg.mean_cycles,
-            median_cycles: agg.median_cycles,
-            p95_cycles: agg.p95_cycles,
-            mean_bits: agg.mean_bits,
-            bits_per_cycle: agg.bits_per_cycle,
-            digests: report.digests.clone().expect("digests"),
-            wall_secs: report.wall.as_secs_f64(),
-            detail: None,
-            cached: false,
-        };
+        let outcome = JobOutcome::new(
+            &report.stats,
+            report.requested,
+            report.digests.clone().expect("digests"),
+            report.wall.as_secs_f64(),
+            None,
+        );
 
         let dir = std::env::temp_dir()
             .join(format!("apf-cache-prop-{}-{seed:016x}", std::process::id()));

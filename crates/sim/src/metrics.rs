@@ -24,9 +24,6 @@ pub struct PhaseMetrics {
     /// Move phases cut short by the adversary (traveled ≥ δ but < full
     /// path), attributed to the phase that computed the path.
     pub interrupted_moves: u64,
-    /// Wall-clock nanoseconds spent in Compute (only accumulated when
-    /// `WorldConfig::time_compute` is set; 0 otherwise).
-    pub compute_ns: u64,
 }
 
 impl PhaseMetrics {
@@ -99,12 +96,6 @@ impl Metrics {
         p.interrupted_moves = p.interrupted_moves.saturating_add(1);
     }
 
-    /// Records Compute wall time for phase `kind`.
-    pub fn record_compute_ns(&mut self, kind: PhaseKind, ns: u64) {
-        let p = &mut self.per_phase[kind.index()];
-        p.compute_ns = p.compute_ns.saturating_add(ns);
-    }
-
     /// Look events (= LCM cycles started) across all robots and phases.
     pub fn cycles(&self) -> u64 {
         self.per_phase.iter().fold(0u64, |a, p| a.saturating_add(p.cycles))
@@ -128,11 +119,6 @@ impl Metrics {
     /// Move phases cut short by the adversary (traveled ≥ δ but < full path).
     pub fn interrupted_moves(&self) -> u64 {
         self.per_phase.iter().fold(0u64, |a, p| a.saturating_add(p.interrupted_moves))
-    }
-
-    /// Total Compute wall time (0 unless timing was enabled).
-    pub fn compute_ns(&self) -> u64 {
-        self.per_phase.iter().fold(0u64, |a, p| a.saturating_add(p.compute_ns))
     }
 
     /// Random bits per cycle — the paper's headline randomness measure.

@@ -25,11 +25,6 @@ pub struct WorldConfig {
     pub randomize_frames: bool,
     /// Whether to record every configuration for later rendering.
     pub record_trace: bool,
-    /// Whether to measure Compute wall time into the per-phase metrics
-    /// (via [`apf_trace::span::clock_ns`], the workspace's one sanctioned
-    /// wall-clock site). Off by default: a clock-read pair per cycle is
-    /// measurable overhead in million-trial campaigns.
-    pub time_compute: bool,
 }
 
 impl Default for WorldConfig {
@@ -40,7 +35,6 @@ impl Default for WorldConfig {
             multiplicity_detection: false,
             randomize_frames: true,
             record_trace: false,
-            time_compute: false,
         }
     }
 }
@@ -271,18 +265,6 @@ impl World {
         &self.trace
     }
 
-    /// The robots' local frames (test/diagnostic use).
-    #[doc(hidden)]
-    pub fn debug_frames(&self) -> &[Frame] {
-        &self.frames
-    }
-
-    /// The robots' local pattern copies (test/diagnostic use).
-    #[doc(hidden)]
-    pub fn debug_patterns(&self) -> &[Vec<Point>] {
-        &self.pattern_local
-    }
-
     /// Whether some robot is mid-cycle (pending path).
     pub fn any_pending(&self) -> bool {
         self.pending.iter().any(Option::is_some)
@@ -467,10 +449,6 @@ impl World {
         let step = self.metrics.steps;
         let snapshot = self.snapshot_at(robot, observed);
         let bits_before = self.bits[robot].bits_drawn();
-        // Timing reads go through the span module's clock — the workspace's
-        // only sanctioned wall-clock site (lint rule D3). Opt-in metric
-        // only; never steers the sim.
-        let timer = self.config.time_compute.then(apf_trace::span::clock_ns);
         let result = {
             let _compute_span = apf_trace::span::enter(apf_trace::SpanLabel::Compute);
             match self.sink.as_deref_mut() {
@@ -499,9 +477,6 @@ impl World {
         };
         self.metrics.record_cycle(phase);
         self.metrics.record_bits(phase, drawn);
-        if let Some(t0) = timer {
-            self.metrics.record_compute_ns(phase, apf_trace::span::clock_ns().saturating_sub(t0));
-        }
         let mut moved = false;
         let mut path_len = 0.0;
         match decision {

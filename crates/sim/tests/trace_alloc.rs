@@ -1,5 +1,7 @@
 //! A disabled trace sink must be free: installing [`apf_trace::NullSink`]
 //! adds zero events and zero heap allocations to the simulation hot path.
+//! And the digest sink every campaign runs must not allocate per event once
+//! its line buffer is warm, float fields included.
 //!
 //! This file holds exactly one test because it swaps the global allocator
 //! for a counting wrapper — other tests in the same binary would race the
@@ -13,7 +15,7 @@
 use apf_core::FormPattern;
 use apf_scheduler::SchedulerKind;
 use apf_sim::{World, WorldConfig};
-use apf_trace::NullSink;
+use apf_trace::{HashSink, NullSink, PhaseKind, TraceEvent, TraceSink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,4 +90,37 @@ fn disabled_sink_adds_no_events_and_no_allocations() {
     let b = min_allocations(true);
     assert!(a > 0, "sanity: the simulation allocates (snapshots, analysis)");
     assert_eq!(a, b, "a disabled sink must add zero allocations to the hot path");
+
+    // Float fields are written straight into the digest sink's line buffer:
+    // once a first pass has grown that buffer, recording allocates nothing
+    // (the minimum of five passes, as in `min_allocations`).
+    let events = [
+        TraceEvent::MoveSlice {
+            step: 12,
+            robot: 3,
+            advanced: 0.1 + 0.2,
+            traveled: 1.0 / 3.0,
+            length: 2.5e-7,
+            end_phase: false,
+            arrived: true,
+        },
+        TraceEvent::Interrupt { step: 13, robot: 3, traveled: 0.75, length: f64::NAN },
+        TraceEvent::Decide {
+            step: 14,
+            robot: 5,
+            phase: PhaseKind::DpfRotate,
+            moved: true,
+            path_len: 1e-12,
+        },
+    ];
+    let mut sink = HashSink::new();
+    events.iter().for_each(|ev| sink.record(ev));
+    let warm = (0..5)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            events.iter().for_each(|ev| sink.record(ev));
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        })
+        .min();
+    assert_eq!(warm, Some(0), "a warm HashSink must not allocate");
 }

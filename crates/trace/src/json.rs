@@ -201,7 +201,7 @@ impl std::error::Error for JsonError {}
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] on malformed input, nesting beyond [`MAX_DEPTH`],
+/// Returns [`JsonError`] on malformed input, nesting beyond `MAX_DEPTH`,
 /// or invalid escapes.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0 };

@@ -52,7 +52,7 @@ pub fn write_json_line(ev: &TraceEvent, out: &mut String) {
                 out,
                 "{{\"ev\":\"decide\",\"step\":{step},\"robot\":{robot},\"phase\":\"{}\",\"moved\":{moved},\"path_len\":{}}}",
                 phase.label(),
-                f64_json(path_len)
+                JsonF64(path_len)
             );
         }
         TraceEvent::PhaseChange { step, robot, from, to } => {
@@ -67,17 +67,17 @@ pub fn write_json_line(ev: &TraceEvent, out: &mut String) {
             let _ = write!(
                 out,
                 "{{\"ev\":\"move\",\"step\":{step},\"robot\":{robot},\"advanced\":{},\"traveled\":{},\"length\":{},\"end_phase\":{end_phase},\"arrived\":{arrived}}}",
-                f64_json(advanced),
-                f64_json(traveled),
-                f64_json(length)
+                JsonF64(advanced),
+                JsonF64(traveled),
+                JsonF64(length)
             );
         }
         TraceEvent::Interrupt { step, robot, traveled, length } => {
             let _ = write!(
                 out,
                 "{{\"ev\":\"interrupt\",\"step\":{step},\"robot\":{robot},\"traveled\":{},\"length\":{}}}",
-                f64_json(traveled),
-                f64_json(length)
+                JsonF64(traveled),
+                JsonF64(length)
             );
         }
         TraceEvent::Formed { step } => {
@@ -92,13 +92,18 @@ pub fn write_json_line(ev: &TraceEvent, out: &mut String) {
     }
 }
 
+/// A float field, written straight into the line buffer (no allocation).
 /// Finite floats print with round-trip precision; NaN/inf (not valid JSON)
 /// become `null` and parse back as an error — a trace must not contain them.
-fn f64_json(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+struct JsonF64(f64);
+
+impl std::fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 

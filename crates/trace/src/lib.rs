@@ -34,7 +34,8 @@
 //! * [`span`] — wall-time span profiling ([`Span`]/[`SpanSink`]): a
 //!   *separate* channel from the event stream, so timing data can never
 //!   perturb trace digests. Zero-allocation and branch-cheap when no sink
-//!   is installed.
+//!   is installed. Its [`Log2Histogram`] is the one latency histogram: the
+//!   span profile's quantiles and the service's `/metrics` both read it.
 //!
 //! This crate is a dependency *leaf*: `apf-sim` emits into it, `apf-core`
 //! tags decisions with its [`PhaseKind`], `apf-bench`/the CLI consume
@@ -57,4 +58,6 @@ pub use sink::{
     fnv1a_64, CountingSink, CrashDumpSink, HashProbe, HashSink, JsonlSink, NullSink, RingSink,
     TraceSink, VecSink,
 };
-pub use span::{NullSpanSink, Span, SpanGuard, SpanLabel, SpanSink, SpanStack, VecSpanSink};
+pub use span::{
+    Log2Histogram, NullSpanSink, Span, SpanGuard, SpanLabel, SpanSink, SpanStack, VecSpanSink,
+};

@@ -36,8 +36,9 @@
 //! code that needs a timestamp calls [`clock_ns`].
 
 use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Maximum nesting depth a recorded span can carry. Deeper spans are not
 /// recorded (the drop is counted via [`take`]'s sink — see
@@ -59,7 +60,7 @@ pub enum SpanLabel {
     Move,
     /// Welzl smallest-enclosing-circle kernel.
     Sec,
-    /// View ordering kernel ([`ViewAnalysis::compute`]-shaped).
+    /// View ordering kernel (`ViewAnalysis::compute`-shaped).
     Views,
     /// Symmetricity ρ(P) kernel.
     Rho,
@@ -332,14 +333,125 @@ thread_local! {
 ///
 /// This is the workspace's single sanctioned wall-clock read for
 /// simulation-side timing (see the module docs and lint rule D3): sim code
-/// wanting an opt-in timestamp (e.g. `WorldConfig::time_compute`) calls
-/// this instead of `Instant::now`.
+/// wanting a timestamp calls this instead of `Instant::now`.
 #[must_use]
 pub fn clock_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = *EPOCH.get_or_init(Instant::now);
     // u128 → u64 nanosecond narrowing: saturates after ~584 years of uptime.
     u64::try_from(Instant::now().duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A lock-free log-2 latency histogram over nanoseconds: the span profile's
+/// per-label quantiles and the service's Prometheus histograms both read
+/// it.
+///
+/// Bucket `k` holds observations in `(2^(k−1), 2^k]` ns (bucket 0 holds 0
+/// and 1 ns; the last ends at `u64::MAX`). Upper bounds are inclusive, so
+/// [`Log2Histogram::cumulative`]`(k)` is exactly a Prometheus `le = 2^k ns`
+/// count. Counts are relaxed atomics, so recording takes `&self`; the
+/// total count is the buckets' sum, so it always agrees with them.
+#[derive(Debug)]
+pub struct Log2Histogram {
+    buckets: [AtomicU64; Log2Histogram::BUCKETS],
+    sum_ns: AtomicU64,
+}
+
+impl Log2Histogram {
+    /// Number of buckets: enough for every `u64` nanosecond count.
+    const BUCKETS: usize = 65;
+
+    /// The bucket holding an observation of `ns` nanoseconds.
+    fn bucket_of(ns: u64) -> usize {
+        (u64::BITS - ns.saturating_sub(1).leading_zeros()) as usize
+    }
+
+    /// Bucket `k`'s inclusive upper bound, 2^k ns (`u64::MAX` for the last).
+    #[must_use]
+    pub fn upper_bound_ns(k: usize) -> u64 {
+        u32::try_from(k).ok().and_then(|k| 1u64.checked_shl(k)).unwrap_or(u64::MAX)
+    }
+
+    /// Records one observation of `ns` nanoseconds.
+    pub fn record(&self, ns: u64) {
+        self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Records one duration (saturating at `u64::MAX` ns).
+    pub fn observe(&self, took: Duration) {
+        self.record(u64::try_from(took.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    /// Adds every observation of `other` to this histogram.
+    pub fn merge(&self, other: &Log2Histogram) {
+        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.sum_ns.fetch_add(other.sum_ns(), Ordering::Relaxed);
+    }
+
+    /// Observations recorded.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Sum of every observation, in nanoseconds (wraps past `u64::MAX`).
+    #[must_use]
+    pub fn sum_ns(&self) -> u64 {
+        self.sum_ns.load(Ordering::Relaxed)
+    }
+
+    /// Observations of at most 2^k ns: buckets `0..=k`.
+    #[must_use]
+    pub fn cumulative(&self, k: usize) -> u64 {
+        self.buckets.iter().take(k.saturating_add(1)).map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// The `q`-quantile, within a factor of 2: the upper bound of the first
+    /// non-empty bucket whose cumulative count reaches `q · count` (0 when
+    /// empty).
+    #[must_use]
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        let want = q.clamp(0.0, 1.0) * self.count() as f64;
+        let mut seen = 0u64;
+        for (k, bucket) in self.buckets.iter().enumerate() {
+            seen += bucket.load(Ordering::Relaxed);
+            if seen > 0 && seen as f64 >= want {
+                return Self::upper_bound_ns(k);
+            }
+        }
+        0
+    }
+}
+
+impl Default for Log2Histogram {
+    fn default() -> Self {
+        Log2Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum_ns: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Clone for Log2Histogram {
+    fn clone(&self) -> Self {
+        let copy = Log2Histogram::default();
+        copy.merge(self);
+        copy
+    }
+}
+
+impl PartialEq for Log2Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.sum_ns() == other.sum_ns()
+            && self
+                .buckets
+                .iter()
+                .zip(&other.buckets)
+                .all(|(a, b)| a.load(Ordering::Relaxed) == b.load(Ordering::Relaxed))
+    }
 }
 
 /// Installs `sink` as this thread's span recorder and returns the previous
@@ -538,6 +650,47 @@ mod tests {
         assert!(prev.is_some());
         drop(take());
         assert!(!is_active());
+    }
+
+    #[test]
+    fn log2_buckets_include_their_upper_bound() {
+        for k in 0..64 {
+            let h = Log2Histogram::default();
+            h.record(1 << k);
+            assert_eq!(Log2Histogram::bucket_of(1 << k), k);
+            assert_eq!(h.cumulative(k), 1, "2^{k} ns counts at le = 2^{k}");
+            if k > 0 {
+                assert_eq!(h.cumulative(k - 1), 0, "2^{k} ns is above le = 2^{}", k - 1);
+            }
+            assert_eq!(h.quantile_ns(0.5), Log2Histogram::upper_bound_ns(k));
+            assert_eq!(Log2Histogram::bucket_of((1 << k) + 1), k + 1);
+        }
+        assert_eq!(Log2Histogram::bucket_of(0), 0);
+        assert_eq!(Log2Histogram::bucket_of(u64::MAX), Log2Histogram::BUCKETS - 1);
+        assert_eq!(Log2Histogram::upper_bound_ns(Log2Histogram::BUCKETS - 1), u64::MAX);
+        assert_eq!(Log2Histogram::default().quantile_ns(0.5), 0);
+    }
+
+    #[test]
+    fn log2_merge_and_clone_equal_the_union() {
+        let (left, right) = ([0, 1, 7, 64, 65, 1 << 40], [2, 3, 64, u64::MAX]);
+        let (a, b, union) =
+            (Log2Histogram::default(), Log2Histogram::default(), Log2Histogram::default());
+        for ns in left {
+            a.record(ns);
+            union.record(ns);
+        }
+        for ns in right {
+            b.observe(Duration::from_nanos(ns));
+            union.record(ns);
+        }
+        a.merge(&b);
+        assert_eq!(a, union);
+        assert_eq!(a.clone(), union);
+        assert_eq!(a.count(), 10);
+        assert_eq!(a.cumulative(Log2Histogram::BUCKETS - 1), a.count());
+        assert_eq!(a.sum_ns(), union.sum_ns());
+        assert_ne!(a, b);
     }
 
     #[test]

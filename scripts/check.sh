@@ -29,6 +29,12 @@ echo "    SARIF artifact: target/apf-lint.sarif"
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Catches doc links left stale by a rename or deletion. The vendored
+# stand-in crates are excluded for the reason lint.toml excludes vendor/.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps \
+    --exclude rand --exclude proptest --exclude criterion
+
 echo "==> cargo test -q (tier-1)"
 cargo test -q
 

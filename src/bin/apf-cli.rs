@@ -107,7 +107,7 @@
 use apf::prelude::*;
 use apf::render::{Style, SvgScene};
 use apf::scheduler::SchedulerKind;
-use apf::trace::json::{self, Json};
+use apf::trace::json::Json;
 use apf::trace::{describe, parse_line, JsonlSink, TraceSummary};
 
 struct Args {
@@ -626,19 +626,13 @@ fn serve_main(args: &[String]) -> ! {
 /// are byte-comparable: `diff` between them proves span recording changed
 /// no digest and no aggregate byte.
 fn job_report_json(report: &apf_bench::engine::CampaignReport) -> Json {
-    let agg = report.aggregate();
-    Json::obj([
-        ("trials", Json::usize(report.trials)),
-        ("requested", Json::usize(report.requested)),
-        ("formed", Json::u64(report.stats.formed())),
-        ("success", Json::f64(agg.success)),
-        ("mean_cycles", Json::f64(agg.mean_cycles)),
-        ("median_cycles", Json::f64(agg.median_cycles)),
-        ("p95_cycles", Json::f64(agg.p95_cycles)),
-        ("mean_bits", Json::f64(agg.mean_bits)),
-        ("bits_per_cycle", Json::f64(agg.bits_per_cycle)),
-        ("digests", json::u64_array(report.digests.as_deref().unwrap_or_default())),
-    ])
+    let digests = report.digests.clone().unwrap_or_default();
+    let outcome = apf_serve::JobOutcome::new(&report.stats, report.requested, digests, 0.0, None);
+    let mut json = outcome.to_json();
+    if let Json::Obj(members) = &mut json {
+        members.remove("wall_secs");
+    }
+    json
 }
 
 fn job_digest_main(args: &[String]) -> ! {
