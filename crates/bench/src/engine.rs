@@ -588,12 +588,23 @@ impl PercentileBuffer {
     /// Merges another buffer (samples of `other` follow `self` in arrival
     /// order; the campaign fold merges in trial order, so the result is
     /// independent of the worker count).
+    ///
+    /// A retained sample survives when its global arrival index — counted
+    /// from `self`'s first sample, with `other`'s offset by `self.seen()` —
+    /// is a multiple of the merged stride, the rule [`Self::push`] keeps.
+    /// So a fold of one-sample buffers equals pushing the same samples in
+    /// order.
     pub fn merge(&mut self, other: &PercentileBuffer) {
         let stride = self.stride.max(other.stride);
         let mut merged: Vec<f64> = Vec::with_capacity(self.samples.len() + other.samples.len());
-        for buf in [&*self, other] {
-            let step = (stride / buf.stride) as usize;
-            merged.extend(buf.samples.iter().step_by(step.max(1)));
+        for (offset, buf) in [(0, &*self), (self.seen, other)] {
+            merged.extend(
+                buf.samples
+                    .iter()
+                    .zip((offset..).step_by(buf.stride as usize))
+                    .filter(|&(_, index)| index.is_multiple_of(stride))
+                    .map(|(&x, _)| x),
+            );
         }
         self.samples = merged;
         self.stride = stride;
@@ -1270,6 +1281,22 @@ mod tests {
         assert_eq!(a.seen(), 1000);
         // Approximate but sane: the thinned median is within 15% of truth.
         assert!((a.percentile(0.5) - 500.0).abs() < 150.0, "median {}", a.percentile(0.5));
+    }
+
+    #[test]
+    fn replay_keeps_the_samples_sequential_pushes_keep() {
+        for (cap, trials) in [(4, 200), (16, 1_000), (4, 1_000), (16, 200)] {
+            let results: Vec<RunResult> =
+                (0..trials).map(|i| result(true, (i * 37) % 1_009 + 1, 0)).collect();
+            let folded = StreamingAggregate::replay(&results, cap).cycle_percentiles;
+            let mut pushed = PercentileBuffer::new(cap);
+            for r in &results {
+                pushed.push(r.cycles as f64);
+            }
+            // The same samples, stride and count: so the same retained
+            // count, median and p95.
+            assert_eq!(folded, pushed, "cap {cap}, {trials} trials");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@
 pub mod analysis;
 pub mod builder;
 mod completion;
+mod decision;
 pub mod dpf;
 pub mod multiplicity;
 pub mod pattern;
@@ -53,23 +54,27 @@ pub use completion::completion_move;
 pub use pattern::{PatternAnalysis, PatternMemo};
 
 use apf_sim::{BitSource, ComputeError, Decision, PhaseKind, RobotAlgorithm, Snapshot};
+use decision::DecisionMemo;
 
 /// The paper's algorithm as an oblivious robot algorithm.
 ///
-/// Every decision is a function of the snapshot alone, which is exactly the
-/// oblivious-robot model. What depends only on the snapshot's pattern — the
-/// algorithm's input — is analysed once per distinct pattern and kept in a
-/// [`PatternMemo`]; the memo never sees a robot position.
+/// Every decision is a function of the snapshot alone (and, in the
+/// election, one coin), which is exactly the oblivious-robot model. Two
+/// memos keep pure functions of the snapshot between Computes, each keyed
+/// by the exact bits of what it reads, so a hit returns exactly what
+/// recomputation would:
+///
+/// * a [`PatternMemo`] holds what depends only on the snapshot's pattern —
+///   the algorithm's input — analysed once per distinct pattern; it never
+///   sees a robot position;
+/// * a decision memo holds the `(Decision, PhaseKind)` of the last `2·n`
+///   Computes that returned `Ok` and drew no random bit, so a robot that
+///   Looks again before anything moved is answered without a new
+///   [`Analysis`]. A result that drew a bit is never kept.
 #[derive(Debug, Default)]
 pub struct FormPattern {
     memo: PatternMemo,
-}
-
-impl FormPattern {
-    /// Creates the algorithm.
-    pub fn new() -> Self {
-        FormPattern::default()
-    }
+    decisions: DecisionMemo,
 }
 
 impl RobotAlgorithm for FormPattern {
@@ -82,6 +87,27 @@ impl RobotAlgorithm for FormPattern {
     }
 
     fn compute_tagged(
+        &self,
+        snapshot: &Snapshot,
+        bits: &mut dyn BitSource,
+    ) -> Result<(Decision, PhaseKind), ComputeError> {
+        self.decisions.get_or_compute(snapshot, bits, |bits| self.decide(snapshot, bits))
+    }
+
+    fn name(&self) -> &'static str {
+        "bramas-tixeuil-apf"
+    }
+}
+
+impl FormPattern {
+    /// Creates the algorithm.
+    pub fn new() -> Self {
+        FormPattern::default()
+    }
+
+    /// One full Compute: the paper's dispatch on a fresh [`Analysis`] of
+    /// `snapshot`.
+    fn decide(
         &self,
         snapshot: &Snapshot,
         bits: &mut dyn BitSource,
@@ -129,9 +155,5 @@ impl RobotAlgorithm for FormPattern {
             None => rsb::select_a_robot(&a, bits),
             Some(rs) => dpf::act(&a, rs),
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "bramas-tixeuil-apf"
     }
 }

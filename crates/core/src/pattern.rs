@@ -9,7 +9,9 @@
 //! keeps one analysis per distinct pattern input, keyed by its exact bits.
 //! A memo hit returns exactly what recomputation would, so every decision
 //! is still a function of the snapshot alone: obliviousness erases past
-//! configurations, and the memo never sees a robot position.
+//! configurations, and this memo never sees a robot position. (Whole
+//! snapshots are `FormPattern`'s second memo, of bit-free decisions; it
+//! keeps only the last `2·n` and returns what recomputation would too.)
 
 use crate::dpf::TargetPlan;
 use crate::multiplicity::PatternMultiplicity;

@@ -161,6 +161,11 @@ fn find_shifted_whole(config: &Configuration, tol: &Tol) -> Option<ShiftedRegula
 ///   0, so the hole takes a different slot). That fit's floats differ from
 ///   the fit for `t*` by a few ulps, so filtering on `t` alone would change
 ///   the detected center and `ε` in their last bits.
+/// * Approximate center: the slot fit sees an insertion angle only through
+///   its rank among the members' angles (the hole's slot) and the model.
+///   An insertion whose rank and model an earlier one of this call already
+///   had fits the same slots to the same points, so it would return the
+///   same center and `θ'` and fail the same checks; it is skipped.
 fn try_complete(
     config: &Configuration,
     center: Point,
@@ -241,10 +246,24 @@ fn try_complete(
     }
 
     let r_pos = config.point(r_idx);
+    // Whole-configuration fits: the members in angular order, and the
+    // (hole slot, model) pairs already fitted.
+    let (ordered_pts, mut fitted): (Vec<Point>, Vec<[bool; 2]>) = if fit_center {
+        (polar.iter().map(|&(i, _)| member_pts[i]).collect(), vec![[false; 2]; q])
+    } else {
+        (Vec::new(), Vec::new())
+    };
     for (theta_raw, biangular) in insertions {
         // Refine the center (and θ') for whole-configuration sets.
         let (c_use, theta) = if fit_center {
-            match refine_center(&member_pts, center, theta_raw, q, biangular, tol) {
+            // The hole's slot: the insertion angles are normalized, and the
+            // hole goes after members at an equal angle.
+            let hole_slot = angles.partition_point(|a| a.total_cmp(&theta_raw).is_le());
+            let seen = &mut fitted[hole_slot][usize::from(biangular)];
+            if std::mem::replace(seen, true) {
+                continue;
+            }
+            match refine_center(&ordered_pts, center, hole_slot, q, biangular, tol) {
                 Some(v) => v,
                 None => continue,
             }
@@ -358,34 +377,19 @@ fn biangular_insertion(
 }
 
 /// Whole-configuration center refinement: fit the slot model to the members
-/// (slots leave a hole where θ' goes) and return the polished center and
-/// hole angle.
+/// (`ordered_pts`, in angular order around `init`), leaving slot
+/// `hole_slot` for θ', and return the polished center and hole angle.
 fn refine_center(
-    member_pts: &[Point],
+    ordered_pts: &[Point],
     init: Point,
-    theta_hint: f64,
+    hole_slot: usize,
     q: usize,
     biangular: bool,
     tol: &Tol,
 ) -> Option<(Point, f64)> {
-    // Build slot assignment: order members and the virtual hole by angle.
-    let mut entries: Vec<(f64, Option<usize>)> = member_pts
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (PolarPoint::from_cartesian(p, init).angle, Some(i)))
-        .collect();
-    entries.push((normalize_angle(theta_hint), None));
-    entries.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let hole_slot = entries.iter().position(|(_, i)| i.is_none())?;
-    let mut slots: Vec<usize> = Vec::with_capacity(member_pts.len());
-    let mut ordered_pts: Vec<Point> = Vec::with_capacity(member_pts.len());
-    for (slot, (_, idx)) in entries.iter().enumerate() {
-        if let Some(i) = idx {
-            slots.push(slot);
-            ordered_pts.push(member_pts[*i]);
-        }
-    }
-    let fit = fit_slot_model(&ordered_pts, &slots, q, biangular, init, tol)?;
+    let slots: Vec<usize> =
+        (0..ordered_pts.len()).map(|j| if j < hole_slot { j } else { j + 1 }).collect();
+    let fit = fit_slot_model(ordered_pts, &slots, q, biangular, init, tol)?;
     let theta = normalize_angle(fit.phi + slot_angle(hole_slot, q, fit.alpha, biangular));
     Some((fit.center, theta))
 }

@@ -12,7 +12,13 @@
 //! * whole-configuration bi-angled shifted sets (n = 8–16);
 //! * subset shifted sets inside an outer ring (center `c(P)`);
 //! * near misses: unshifted regular sets, shifts beyond 1/4, perturbed
-//!   shifted sets and random configurations.
+//!   shifted sets and random configurations;
+//! * 400 election states of a ρ = 4 start (two or three rings of four
+//!   robots, the inner ring pushed radially as `ψ_RSB`'s election leaves
+//!   it, a third of them with the closest member shifted), where the
+//!   whole-configuration slot fits misfit and repeat. These lines follow
+//!   the first 2,000 and come from a stream of their own, so the earlier
+//!   lines do not depend on them.
 //!
 //! A line holds `None`, or the shifted robot, the member indices, the kind
 //! and the `to_bits()` of every float in the detection. Regenerate the
@@ -29,6 +35,8 @@ use std::fmt::Write as _;
 
 const INSTANCES: u64 = 2_000;
 const SEED: u64 = 0x5_41F7;
+const ELECTION_INSTANCES: u64 = 400;
+const ELECTION_SEED: u64 = 0xE1EC_7105;
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/shifted_golden.txt");
 
 /// SplitMix64: a self-contained generator, so the fixture does not depend on
@@ -181,6 +189,53 @@ fn subset(rng: &mut Rng, eps: f64) -> Vec<Point> {
     pts
 }
 
+/// An election state of a ρ = 4 start: two or three rings of four robots
+/// around `c`, each a square at its own phase. Each member of the inner
+/// ring has taken up to five of the election's radial moves: in by `|r|/8`,
+/// or out by `min((d − |r|)/2, |r|/7)` below `0.9·d`, where `d` is the next
+/// ring's radius. A third of the instances then shift the closest member
+/// on its circle, toward a neighbouring half-line, as the elected robot
+/// does.
+fn election(rng: &mut Rng) -> Vec<Point> {
+    let rings = 2 + rng.below(2);
+    let c = Point::new(rng.range(-3.0, 3.0), rng.range(-3.0, 3.0));
+    let scale = rng.range(0.5, 10.0);
+    let mut radii: Vec<f64> = Vec::with_capacity(rings);
+    while radii.len() < rings {
+        let r = rng.range(0.3, 1.5);
+        if radii.iter().all(|&q| (q - r).abs() > 0.05) {
+            radii.push(r);
+        }
+    }
+    radii.sort_by(f64::total_cmp);
+    let quarter = TAU / 4.0;
+    let mut polar: Vec<(f64, f64)> = Vec::with_capacity(4 * rings);
+    for &r in &radii {
+        let phase = rng.range(0.02, quarter - 0.02);
+        polar.extend((0..4).map(|k| (r, phase + quarter * k as f64)));
+    }
+    let d = radii[1];
+    for (r, _) in &mut polar[..4] {
+        for _ in 0..rng.below(6) {
+            *r = if rng.below(2) == 0 {
+                *r * (1.0 - 0.125)
+            } else {
+                *r + ((d - *r) / 2.0).min(*r / 7.0).min(0.9 * d - *r).max(0.0)
+            };
+        }
+    }
+    if rng.below(3) == 0 {
+        let closest = (0..4).min_by(|&i, &j| polar[i].0.total_cmp(&polar[j].0)).unwrap_or(0);
+        let mut angles: Vec<f64> = polar.iter().map(|&(_, a)| a).collect();
+        angles.sort_by(f64::total_cmp);
+        let alpha_min = (0..angles.len())
+            .map(|i| angles.get(i + 1).map_or(angles[0] + TAU, |&b| b) - angles[i])
+            .fold(f64::INFINITY, f64::min);
+        polar[closest].1 += rng.sign() * shift_fraction(rng) * alpha_min;
+    }
+    polar.into_iter().map(|(r, a)| at(c, scale * r, a)).collect()
+}
+
 fn random_points(rng: &mut Rng) -> Vec<Point> {
     let n = 5 + rng.below(12);
     (0..n).map(|_| Point::new(rng.range(-1.0, 1.0), rng.range(-1.0, 1.0))).collect()
@@ -188,6 +243,10 @@ fn random_points(rng: &mut Rng) -> Vec<Point> {
 
 /// Instance `i`: its family name and its positions.
 fn instance(i: u64) -> (&'static str, Vec<Point>) {
+    if i >= INSTANCES {
+        let mut rng = Rng(ELECTION_SEED ^ i.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        return ("election", election(&mut rng));
+    }
     let mut rng = Rng(SEED ^ i.wrapping_mul(0xD1B5_4A32_D192_ED03));
     match i % 10 {
         0..=2 => {
@@ -250,7 +309,7 @@ fn describe(found: &Option<ShiftedRegularSet>) -> String {
 fn live_output() -> String {
     let tol = Tol::default();
     let mut out = String::from("# instance family detection (floats as to_bits hex)\n");
-    for i in 0..INSTANCES {
+    for i in 0..INSTANCES + ELECTION_INSTANCES {
         let (family, pts) = instance(i);
         let found = find_shifted_regular(&Configuration::new(pts), &tol);
         // Writing into a String cannot fail.
@@ -273,8 +332,9 @@ fn detector_output_matches_the_golden_fixture() {
         (0..golden.len()).filter(|&i| golden[i] != live[i]).map(|i| (golden[i], live[i])).collect();
     assert!(
         drifted.is_empty(),
-        "{} of {INSTANCES} detections drifted; first:\n{}",
+        "{} of {} detections drifted; first:\n{}",
         drifted.len(),
+        golden.len() - 1,
         drifted
             .iter()
             .take(5)
@@ -289,7 +349,7 @@ fn fixture_covers_every_family_with_detections() {
     // Guards the fixture's value as a regression net: each shifted family
     // must contribute real detections, not just `None` lines.
     let golden = std::fs::read_to_string(FIXTURE).expect("read the golden fixture");
-    for family in ["whole-eq", "whole-bi", "subset"] {
+    for family in ["whole-eq", "whole-bi", "subset", "election"] {
         let hits = golden
             .lines()
             .filter(|l| l.split(' ').nth(1) == Some(family) && !l.ends_with("None"))

@@ -31,7 +31,9 @@ pub mod metrics;
 pub mod snapshot;
 pub mod world;
 
-pub use algorithm::{BitSource, ComputeError, CountingBits, Decision, NullBits, RobotAlgorithm};
+pub use algorithm::{
+    BitSource, ComputeError, CountingBits, Decision, NullBits, RobotAlgorithm, WatchedBits,
+};
 pub use metrics::{Metrics, PhaseMetrics};
 pub use snapshot::Snapshot;
 pub use world::{Outcome, StopReason, World, WorldConfig};
