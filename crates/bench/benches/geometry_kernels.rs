@@ -1,9 +1,12 @@
-//! Criterion micro-benchmarks of the geometric analysis kernels (E9's
-//! precision companion): smallest enclosing circle, symmetricity, views,
-//! regular-set detection, shifted-set detection, similarity testing.
+//! Criterion micro-benchmarks of the geometry cases that
+//! `apf_bench::experiments::time_kernels` does not time: shifted-set
+//! detection on a shifted ring (`time_kernels` runs it on E9's asymmetric
+//! input only) and similarity testing. SEC, symmetricity, views and
+//! regular-set detection are timed by `time_kernels`, which E9,
+//! `apf-cli perf-snapshot` and `apf-cli profile --kernels` share.
 
-use apf_geometry::symmetry::{find_shifted_regular, regular_set_of, symmetricity, ViewAnalysis};
-use apf_geometry::{are_similar, smallest_enclosing_circle, Configuration, Point, Tol};
+use apf_geometry::symmetry::find_shifted_regular;
+use apf_geometry::{are_similar, Configuration, Point, Tol};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::f64::consts::TAU;
 
@@ -24,28 +27,12 @@ fn bench_kernels(c: &mut Criterion) {
     let tol = Tol::default();
     let mut group = c.benchmark_group("geometry");
     for &n in &[8usize, 32, 128] {
-        let pts = apf_patterns::asymmetric_configuration(n, n as u64);
-        let cfg = Configuration::new(pts.clone());
-        let center = cfg.sec().center;
-
-        group.bench_with_input(BenchmarkId::new("sec", n), &pts, |b, pts| {
-            b.iter(|| smallest_enclosing_circle(std::hint::black_box(pts)))
-        });
-        group.bench_with_input(BenchmarkId::new("symmetricity", n), &cfg, |b, cfg| {
-            b.iter(|| symmetricity(std::hint::black_box(cfg), center, &tol))
-        });
-        group.bench_with_input(BenchmarkId::new("views", n), &cfg, |b, cfg| {
-            b.iter(|| ViewAnalysis::compute(std::hint::black_box(cfg), center, &tol))
-        });
-        group.bench_with_input(BenchmarkId::new("regular_set", n), &cfg, |b, cfg| {
-            b.iter(|| regular_set_of(std::hint::black_box(cfg), &tol))
-        });
-
         let shifted = Configuration::new(shifted_ring(n));
         group.bench_with_input(BenchmarkId::new("shifted_detect", n), &shifted, |b, cfg| {
             b.iter(|| find_shifted_regular(std::hint::black_box(cfg), &tol))
         });
 
+        let pts = apf_patterns::asymmetric_configuration(n, n as u64);
         let pat = apf_patterns::random_pattern(n, 2 * n as u64);
         group.bench_with_input(BenchmarkId::new("similarity", n), &(pts, pat), |b, (p, f)| {
             b.iter(|| are_similar(std::hint::black_box(p), std::hint::black_box(f), &tol))

@@ -46,6 +46,7 @@ use apf_geometry::{smallest_enclosing_circle, Configuration, Point, Tol, Vector}
 use apf_scheduler::{Action, SchedulerKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// The degenerate instance families the classifiers must survive.
@@ -798,9 +799,34 @@ pub fn geo_fuzz_rounds(
     })
 }
 
-/// Runs rounds of cases until `budget` elapses (at least one round always
-/// runs). Case indices are contiguous from 0, so every case is
-/// deterministic; only the *count* of cases depends on wall time.
+/// Runs case indices `cases` in rounds of `round` cases (the last round
+/// cut at `cases.end`), asking `go_on` before each round whether to run it;
+/// `go_on` sees the report so far. A campaign bounded only by its caller
+/// (a wall-clock budget, cancellation) passes `u64::MAX` as the end. Every
+/// case is deterministic in its index, so the report equals
+/// [`geo_fuzz_rounds`] over the cases that ran.
+pub fn geo_fuzz_until(
+    cfg: &GeoFuzzConfig,
+    oracle: &GeoOracle,
+    campaign_seed: u64,
+    cases: Range<u64>,
+    round: u64,
+    jobs: usize,
+    mut go_on: impl FnMut(&FuzzReport) -> bool,
+) -> FuzzReport {
+    let mut report = FuzzReport::default();
+    let mut next = cases.start;
+    while next < cases.end && go_on(&report) {
+        let count = round.max(1).min(cases.end - next);
+        report.merge(geo_fuzz_rounds(cfg, oracle, campaign_seed, next, count, jobs));
+        next += count;
+    }
+    report
+}
+
+/// Runs rounds of `2 · jobs` cases from case 0 while `budget` has not
+/// elapsed (`conformance geo-fuzz --budget`); only the *count* of cases
+/// depends on wall time.
 pub fn geo_fuzz_timed(
     cfg: &GeoFuzzConfig,
     oracle: &GeoOracle,
@@ -810,16 +836,7 @@ pub fn geo_fuzz_timed(
 ) -> FuzzReport {
     let t0 = Instant::now();
     let round = (jobs.max(1) * 2) as u64;
-    let mut report = FuzzReport::default();
-    let mut next = 0u64;
-    loop {
-        let r = geo_fuzz_rounds(cfg, oracle, campaign_seed, next, round, jobs);
-        next += round;
-        report.merge(r);
-        if t0.elapsed() >= budget {
-            return report;
-        }
-    }
+    geo_fuzz_until(cfg, oracle, campaign_seed, 0..u64::MAX, round, jobs, |_| t0.elapsed() < budget)
 }
 
 #[cfg(test)]
@@ -963,6 +980,18 @@ mod tests {
         assert_eq!(a.cases, b.cases);
         assert_eq!(a.clean, b.clean);
         assert_eq!(a.counterexamples.len(), b.counterexamples.len());
+    }
+
+    #[test]
+    fn timed_run_equals_the_counted_run_of_its_cases() {
+        // Rounds folded under a clock report exactly what one counted run
+        // of the same case indices reports.
+        let cfg = GeoFuzzConfig::default();
+        let oracle = GeoOracle::default();
+        let timed = geo_fuzz_timed(&cfg, &oracle, 99, Duration::from_millis(100), 2);
+        assert!(timed.cases > 0 && timed.cases.is_multiple_of(4), "{} cases", timed.cases);
+        let counted = geo_fuzz_rounds(&cfg, &oracle, 99, 0, timed.cases, 2);
+        assert_eq!(format!("{timed:?}"), format!("{counted:?}"));
     }
 
     #[test]

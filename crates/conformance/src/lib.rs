@@ -54,6 +54,6 @@ pub use driver::{
 };
 pub use fuzz::{fuzz_campaign, replay_violates, FuzzConfig};
 pub use geometry_fuzz::{
-    check_instance, degenerate_instance, geo_fuzz_rounds, geo_fuzz_timed, shrink_geometry,
-    Expectation, GeoFamily, GeoFuzzConfig, GeoInstance, GeoOracle,
+    check_instance, degenerate_instance, geo_fuzz_rounds, geo_fuzz_timed, geo_fuzz_until,
+    shrink_geometry, Expectation, GeoFamily, GeoFuzzConfig, GeoInstance, GeoOracle,
 };

@@ -20,8 +20,9 @@
 ///
 /// A pragma that shares its line with code suppresses findings on **that
 /// line**; a pragma standing alone suppresses findings on **exactly the one
-/// line that follows** (never more — long regions belong in `lint.toml`
-/// allowlists, where they are visible in review).
+/// line that follows** (never more — a whole file belongs in its rule's
+/// [`allow_files`](crate::RuleDef::allow_files), where it is visible in
+/// review).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pragma {
     /// 1-based source line of the comment.

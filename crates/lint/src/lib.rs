@@ -29,7 +29,6 @@
 
 pub mod baseline;
 pub mod callgraph;
-pub mod config;
 pub mod lexer;
 pub mod parser;
 pub mod report;
@@ -37,8 +36,8 @@ pub mod rules;
 pub mod symbols;
 mod taint;
 
-pub use config::{AnalysisConfig, Config, ConfigError, RuleConfig};
 pub use rules::{RuleDef, BAD_PRAGMA, RULES};
+pub use taint::{DIGEST_ROOTS, ELECTION_ENTRYPOINTS};
 
 use lexer::Scanned;
 use rules::Matcher;
@@ -99,15 +98,12 @@ pub struct SourceFile {
 
 /// Lints one source text as if it lived at `rel_path` inside `crate_name`.
 #[must_use]
-pub fn lint_source(rel_path: &str, crate_name: &str, source: &str, cfg: &Config) -> Vec<Finding> {
-    lint_files(
-        &[SourceFile {
-            rel_path: rel_path.to_string(),
-            crate_name: crate_name.to_string(),
-            source: source.to_string(),
-        }],
-        cfg,
-    )
+pub fn lint_source(rel_path: &str, crate_name: &str, source: &str) -> Vec<Finding> {
+    lint_files(&[SourceFile {
+        rel_path: rel_path.to_string(),
+        crate_name: crate_name.to_string(),
+        source: source.to_string(),
+    }])
 }
 
 /// Lints a set of sources as one workspace: per-line rules on each file,
@@ -115,7 +111,7 @@ pub fn lint_source(rel_path: &str, crate_name: &str, source: &str, cfg: &Config)
 /// then pragma hygiene — including *stale* pragmas (well-formed `allow`s
 /// that suppressed nothing anywhere in the run).
 #[must_use]
-pub fn lint_files(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
+pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
     let entries: Vec<taint::FileEntry> = files
         .iter()
         .map(|f| taint::FileEntry {
@@ -138,26 +134,9 @@ pub fn lint_files(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
 
     for (fi, e) in entries.iter().enumerate() {
         for rule in RULES {
-            if matches!(rule.matcher, Matcher::CallGraph) {
-                continue;
+            if !matches!(rule.matcher, Matcher::CallGraph) && rule.applies_to(e) {
+                run_rule(rule, &e.scanned, &e.rel_path, &mut pragma_used[fi], &mut findings);
             }
-            let rc = cfg.rules.get(rule.name);
-            if rc.is_some_and(|rc| rc.disabled) {
-                continue;
-            }
-            if !crate_in_scope(rule, rc, &e.crate_name) {
-                continue;
-            }
-            if rc.is_some_and(|rc| rc.allow_files.iter().any(|f| f == &e.rel_path)) {
-                continue;
-            }
-            if e.kind == FileKind::Test && !rule.applies_in_tests {
-                continue;
-            }
-            if e.kind == FileKind::Binary && !rule.applies_in_bins {
-                continue;
-            }
-            run_rule(rule, &e.scanned, &e.rel_path, &mut pragma_used[fi], &mut findings);
         }
     }
 
@@ -166,23 +145,7 @@ pub fn lint_files(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
         let mut emit =
             |rule: &'static RuleDef, fi: usize, line: usize, col: usize, message: String| {
                 let e = &entries[fi];
-                let rc = cfg.rules.get(rule.name);
-                if rc.is_some_and(|rc| rc.disabled) {
-                    return;
-                }
-                if !crate_in_scope(rule, rc, &e.crate_name) {
-                    return;
-                }
-                if rc.is_some_and(|rc| rc.allow_files.iter().any(|f| f == &e.rel_path)) {
-                    return;
-                }
-                if e.kind == FileKind::Test && !rule.applies_in_tests {
-                    return;
-                }
-                if e.kind == FileKind::Binary && !rule.applies_in_bins {
-                    return;
-                }
-                if e.scanned.is_test_line(line) && !rule.applies_in_tests {
+                if !rule.applies_to(e) || (e.scanned.is_test_line(line) && !rule.applies_in_tests) {
                     return;
                 }
                 if let Some(pi) = find_suppressor(&e.scanned, rule.name, line) {
@@ -197,7 +160,7 @@ pub fn lint_files(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
                     message,
                 });
             };
-        taint::run(&ws, cfg, &mut emit);
+        taint::run(&ws, &mut emit);
     }
 
     for (fi, e) in entries.iter().enumerate() {
@@ -233,17 +196,6 @@ pub fn lint_files(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
     });
     findings.dedup();
     findings
-}
-
-fn crate_in_scope(rule: &RuleDef, rc: Option<&RuleConfig>, crate_name: &str) -> bool {
-    let configured = rc.and_then(|rc| rc.crates.as_deref());
-    match configured {
-        Some(list) => list.iter().any(|c| c == crate_name),
-        None => match rule.default_crates {
-            Some(list) => list.contains(&crate_name),
-            None => true,
-        },
-    }
 }
 
 fn run_rule(
@@ -366,13 +318,18 @@ pub fn package_name(cargo_toml: &str) -> Option<String> {
     None
 }
 
+/// The directory holding the workspace's member crates. The root package
+/// is scanned only in its [`SOURCE_DIRS`], so the vendored stand-in crates
+/// (`vendor/`) and build output (`target/`) are never linted.
+const CRATE_ROOT: &str = "crates";
+
 /// Discovers the packages to lint: the root package plus every crate under
-/// the configured `crate_roots`, minus `exclude`d directories.
+/// `crates/`.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from directory walking.
-pub fn discover_packages(root: &Path, cfg: &Config) -> io::Result<Vec<Package>> {
+pub fn discover_packages(root: &Path) -> io::Result<Vec<Package>> {
     let mut packages = Vec::new();
     let root_manifest = root.join("Cargo.toml");
     if root_manifest.is_file() {
@@ -380,36 +337,27 @@ pub fn discover_packages(root: &Path, cfg: &Config) -> io::Result<Vec<Package>> 
             packages.push(Package { name, rel_dir: String::new(), dir: root.to_path_buf() });
         }
     }
-    for crate_root in &cfg.crate_roots {
-        if cfg.exclude.iter().any(|e| e == crate_root) {
+    let dir = root.join(CRATE_ROOT);
+    if !dir.is_dir() {
+        return Ok(packages);
+    }
+    let mut entries: Vec<PathBuf> =
+        std::fs::read_dir(&dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
+    entries.sort();
+    for entry in entries {
+        let Some(dir_name) = entry.file_name().and_then(|n| n.to_str()).map(String::from) else {
+            continue;
+        };
+        let manifest = entry.join("Cargo.toml");
+        if !manifest.is_file() {
             continue;
         }
-        let dir = root.join(crate_root);
-        if !dir.is_dir() {
-            continue;
-        }
-        let mut entries: Vec<PathBuf> =
-            std::fs::read_dir(&dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        entries.sort();
-        for entry in entries {
-            let Some(dir_name) = entry.file_name().and_then(|n| n.to_str()).map(String::from)
-            else {
-                continue;
-            };
-            if cfg.exclude.iter().any(|e| e == &dir_name) {
-                continue;
-            }
-            let manifest = entry.join("Cargo.toml");
-            if !manifest.is_file() {
-                continue;
-            }
-            if let Some(name) = package_name(&std::fs::read_to_string(&manifest)?) {
-                packages.push(Package {
-                    name,
-                    rel_dir: format!("{crate_root}/{dir_name}"),
-                    dir: entry,
-                });
-            }
+        if let Some(name) = package_name(&std::fs::read_to_string(&manifest)?) {
+            packages.push(Package {
+                name,
+                rel_dir: format!("{CRATE_ROOT}/{dir_name}"),
+                dir: entry,
+            });
         }
     }
     Ok(packages)
@@ -438,9 +386,9 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 ///
 /// Propagates I/O errors; unreadable files fail the run rather than being
 /// silently skipped (a gate that skips is not a gate).
-pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Finding>> {
+pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut sources = Vec::new();
-    for pkg in discover_packages(root, cfg)? {
+    for pkg in discover_packages(root)? {
         let mut files = Vec::new();
         for sub in SOURCE_DIRS {
             let dir = pkg.dir.join(sub);
@@ -458,29 +406,7 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Finding>> {
             sources.push(SourceFile { rel_path: rel, crate_name: pkg.name.clone(), source });
         }
     }
-    Ok(lint_files(&sources, cfg))
-}
-
-/// Loads `lint.toml` from `root` (or defaults when absent) and lints.
-///
-/// # Errors
-///
-/// Returns a string error for config parse failures or I/O failures.
-pub fn lint_with_config_file(
-    root: &Path,
-    config_path: Option<&Path>,
-) -> Result<Vec<Finding>, String> {
-    let path = config_path.map_or_else(|| root.join("lint.toml"), Path::to_path_buf);
-    let cfg = if path.is_file() {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        Config::from_toml(&text).map_err(|e| e.to_string())?
-    } else if config_path.is_some() {
-        return Err(format!("config file {} not found", path.display()));
-    } else {
-        Config::default()
-    };
-    lint_workspace(root, &cfg).map_err(|e| format!("scanning {}: {e}", root.display()))
+    Ok(lint_files(&sources))
 }
 
 #[cfg(test)]

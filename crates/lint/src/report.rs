@@ -1,7 +1,7 @@
 //! Rendering findings for humans (`file:line:col · rule · message`) and
 //! machines (`--json`, `--sarif`), plus the `--explain <rule>` pages.
 
-use crate::rules::RULES;
+use crate::rules::{RuleDef, RULES};
 use crate::Finding;
 use std::fmt::Write as _;
 
@@ -44,22 +44,26 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-/// The rule table for `--list-rules`.
+/// A rule's crate scope as printed: `all crates` or the crate list.
+fn scope(r: &RuleDef) -> String {
+    r.crates.map_or_else(|| "all crates".to_string(), |list| list.join(", "))
+}
+
+/// The rule table for `--list-rules`: each rule's scope, summary, and
+/// allowlisted files when it has any.
 #[must_use]
 pub fn render_rules() -> String {
     let mut out = String::new();
     for r in RULES {
-        let scope = match r.default_crates {
-            None => "all crates".to_string(),
-            Some(list) => list.join(", "),
-        };
-        let _ = writeln!(out, "{:>3}  {:<36} [{}]", r.code, r.name, scope);
+        let _ = writeln!(out, "{:>3}  {:<36} [{}]", r.code, r.name, scope(r));
         let _ = writeln!(out, "     {}", r.summary);
+        if !r.allow_files.is_empty() {
+            let _ = writeln!(out, "     allowlisted: {}", r.allow_files.join(", "));
+        }
     }
     out.push_str(
         "\npragma: // apf-lint: allow(<rule>[, <rule>]) — <reason>\n\
-         scope:  trailing comment = that line; own line = the next line only\n\
-         config: lint.toml (per-rule crates/allow_files; see repo root)\n",
+         scope:  trailing comment = that line; own line = the next line only\n",
     );
     out
 }
@@ -113,18 +117,17 @@ pub fn render_sarif(findings: &[Finding]) -> String {
     out
 }
 
-/// The `--explain <rule>` page: code, scope, and the long-form rationale.
-/// Returns `None` for an unknown rule name or code.
+/// The `--explain <rule>` page: code, scope, allowlisted files, and the
+/// long-form rationale. Returns `None` for an unknown rule name or code.
 #[must_use]
 pub fn render_explain(rule: &str) -> Option<String> {
     let r = RULES.iter().find(|r| r.name == rule || r.code == rule)?;
-    let scope = match r.default_crates {
-        None => "all crates".to_string(),
-        Some(list) => list.join(", "),
-    };
+    let allowlisted =
+        if r.allow_files.is_empty() { "none".to_string() } else { r.allow_files.join(", ") };
     let mut out = String::new();
     let _ = writeln!(out, "{} · {}", r.code, r.name);
-    let _ = writeln!(out, "scope: {scope}");
+    let _ = writeln!(out, "scope: {}", scope(r));
+    let _ = writeln!(out, "allowlisted: {allowlisted}");
     let _ = writeln!(out, "in tests: {} · in bins: {}", r.applies_in_tests, r.applies_in_bins);
     let _ = writeln!(out, "\n{}\n", r.summary);
     let _ = writeln!(out, "{}", r.explain);

@@ -26,6 +26,19 @@
 //! them. D10–D13 are inter-procedural: they run in the private `taint`
 //! module over the workspace [call graph](crate::callgraph) and use
 //! [`Matcher::CallGraph`] here only as a registration marker.
+//!
+//! Each [`RuleDef`] is the whole statement of its rule's policy: the crates
+//! it covers and the files it exempts are fields of the table below, and
+//! `apf-cli lint --list-rules` / `--explain` print exactly those fields.
+//! Suppression granularity, narrowest first:
+//!
+//! 1. an inline [pragma](crate::lexer::Pragma), with its reason (one line);
+//! 2. [`RuleDef::allow_files`] (a whole file whose job is what the rule
+//!    forbids elsewhere, with the reason in a comment beside the entry);
+//! 3. [`RuleDef::crates`] (the rule's scope: the invariant's blast radius).
+
+use crate::taint::FileEntry;
+use crate::FileKind;
 
 /// How a needle anchors to the surrounding characters.
 #[derive(Debug, Clone, Copy)]
@@ -70,15 +83,17 @@ pub enum Matcher {
 /// A static-analysis rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleDef {
-    /// Stable rule name — used in pragmas and `lint.toml`.
+    /// Stable rule name — used in pragmas and the findings baseline.
     pub name: &'static str,
-    /// Short code used in docs (D1…D5, P1).
+    /// Short code used in docs (D1…D13, P1).
     pub code: &'static str,
     /// One-line description for `--list-rules`.
     pub summary: &'static str,
-    /// Default crate scope; `None` means every scanned crate. `lint.toml`
-    /// `crates = [...]` overrides this.
-    pub default_crates: Option<&'static [&'static str]>,
+    /// The crates the rule applies to, by package name; `None` means every
+    /// scanned crate.
+    pub crates: Option<&'static [&'static str]>,
+    /// Workspace-relative files exempt from the rule as a whole.
+    pub allow_files: &'static [&'static str],
     /// The rule also applies inside `#[cfg(test)]` items and `tests/`,
     /// `benches/`, `examples/` sources.
     pub applies_in_tests: bool,
@@ -94,9 +109,35 @@ pub struct RuleDef {
     pub explain: &'static str,
 }
 
+impl RuleDef {
+    /// Whether `crate_name` is in the rule's crate scope.
+    pub(crate) fn covers_crate(&self, crate_name: &str) -> bool {
+        self.crates.is_none_or(|list| list.contains(&crate_name))
+    }
+
+    /// Whether the rule reports findings in `file`: its crate is in scope,
+    /// it is not allowlisted, and a test or binary source only when the
+    /// rule applies there.
+    pub(crate) fn applies_to(&self, file: &FileEntry) -> bool {
+        self.covers_crate(&file.crate_name)
+            && !self.allow_files.contains(&file.rel_path.as_str())
+            && match file.kind {
+                FileKind::Library => true,
+                FileKind::Binary => self.applies_in_bins,
+                FileKind::Test => self.applies_in_tests,
+            }
+    }
+}
+
 /// Diagnostics about the pragmas themselves (malformed, reasonless,
 /// unknown rule) are reported under this pseudo-rule name.
 pub const BAD_PRAGMA: &str = "bad-pragma";
+
+/// The digest blast radius, shared by D4, D6 and D7: everything these
+/// crates compute can end up in a trace event and therefore in a
+/// conformance digest.
+const DIGEST_FEEDING_CRATES: &[&str] =
+    &["apf-core", "apf-sim", "apf-scheduler", "apf-geometry", "apf-trace", "apf-conformance"];
 
 /// The rule table. Order is the reporting order for same-position findings.
 pub const RULES: &[RuleDef] = &[
@@ -105,7 +146,8 @@ pub const RULES: &[RuleDef] = &[
         code: "D1",
         summary: "ambient entropy sources are forbidden everywhere; randomness must \
                   derive from the engine's splitmix64 per-trial seeds",
-        default_crates: None,
+        crates: None,
+        allow_files: &[],
         applies_in_tests: true,
         applies_in_bins: true,
         matcher: Matcher::Needles(&[
@@ -131,8 +173,10 @@ pub const RULES: &[RuleDef] = &[
         code: "D2",
         summary: "random draws are permitted only in the ψ_RSB election module; \
                   mechanizes the paper's ≤ 1 bit per robot per election cycle",
-        // Overridden by lint.toml; kept in sync with Config::default().
-        default_crates: Some(&["apf-core"]),
+        // The algorithm is what Theorem 1's budget is about; see `explain`.
+        crates: Some(&["apf-core"]),
+        // The one module allowed to draw: the ψ_RSB election.
+        allow_files: &["crates/core/src/rsb.rs"],
         applies_in_tests: false,
         applies_in_bins: true,
         matcher: Matcher::Needles(&[
@@ -148,24 +192,26 @@ pub const RULES: &[RuleDef] = &[
         explain: "Bramas & Tixeuil's Theorem 1 bounds the algorithm's randomness at one \
                   fair coin flip per robot per election cycle, all of it inside the \
                   ψ_RSB leader-election phase. This rule pins the *textual* budget: \
-                  draw primitives (.gen/.bit()/gen_bool/…) may appear only in the \
-                  election module (rsb.rs, via lint.toml allow_files). Its \
-                  inter-procedural upgrade is D11 randomness-reachability, which pins \
-                  the *call paths*. Fix: route the decision through the election \
-                  entrypoint instead of drawing locally.",
+                  draw primitives (.gen/.bit()/gen_bool/…) may appear in apf-core only \
+                  in the election module, crates/core/src/rsb.rs, the rule's one \
+                  allowlisted file. The scope is apf-core alone because the budget is \
+                  about the algorithm: scheduler and fuzzer draws (apf-scheduler, \
+                  apf-conformance) model the adversary, and apf-sim's frame \
+                  randomization models the robots' unknown local coordinate systems; \
+                  both are separately seeded per trial and spend none of the \
+                  algorithm's randomness. Its inter-procedural upgrade is D11 \
+                  randomness-reachability, which pins the *call paths*. Fix: route the \
+                  decision through the election entrypoint instead of drawing locally.",
     },
     RuleDef {
         name: "no-wallclock-in-sim",
         code: "D3",
         summary: "simulation crates must not read wall clocks; time only exists as \
                   scheduler steps",
-        default_crates: Some(&[
-            "apf-core",
-            "apf-sim",
-            "apf-scheduler",
-            "apf-geometry",
-            "apf-trace",
-        ]),
+        crates: Some(&["apf-core", "apf-sim", "apf-scheduler", "apf-geometry", "apf-trace"]),
+        // The span profiler's monotonic clock: the only wall-clock read in
+        // scope, structurally separate from every digest path.
+        allow_files: &["crates/trace/src/span.rs"],
         applies_in_tests: false,
         applies_in_bins: true,
         matcher: Matcher::Needles(&[Needle::Exact("Instant::now"), Needle::Ident("SystemTime")]),
@@ -175,8 +221,11 @@ pub const RULES: &[RuleDef] = &[
                   the ASYNC adversary decides who moves, not the host clock. An \
                   Instant::now()/SystemTime read in apf-core/sim/scheduler/geometry/\
                   trace leaks host timing into supposedly deterministic results. \
-                  Wall-clock profiling belongs in apf-bench's span layer (span.rs is \
-                  allowlisted): it measures *around* the simulation, never inside it. \
+                  apf-bench (worker timing, harness wall-clock reporting) is outside \
+                  the scope on purpose: that is where timing code belongs. apf-trace \
+                  is in scope because its event and digest paths must stay clock-free; \
+                  its span profiler (crates/trace/src/span.rs, the rule's one \
+                  allowlisted file) measures *around* the simulation, never inside it. \
                   Fix: move the measurement to the bench harness or count steps.",
     },
     RuleDef {
@@ -184,14 +233,8 @@ pub const RULES: &[RuleDef] = &[
         code: "D4",
         summary: "crates feeding trace digests must use BTreeMap/BTreeSet or sorted \
                   vectors, never hash containers",
-        default_crates: Some(&[
-            "apf-core",
-            "apf-sim",
-            "apf-scheduler",
-            "apf-geometry",
-            "apf-trace",
-            "apf-conformance",
-        ]),
+        crates: Some(DIGEST_FEEDING_CRATES),
+        allow_files: &[],
         applies_in_tests: false,
         applies_in_bins: true,
         matcher: Matcher::Needles(&[Needle::Ident("HashMap"), Needle::Ident("HashSet")]),
@@ -200,17 +243,18 @@ pub const RULES: &[RuleDef] = &[
         explain: "Trace digests are FNV-1a folds over iteration order, so a \
                   HashMap/HashSet anywhere the digested values flow makes the digest a \
                   function of the hasher's random state. This rule scopes by *crate \
-                  list* (the digest-feeding crates in lint.toml); D10 \
-                  digest-purity-taint re-derives the same invariant by *reachability* \
-                  from the digest fold itself, which also covers helpers outside the \
-                  listed crates. Fix: BTreeMap/BTreeSet, or collect-and-sort before \
-                  iterating.",
+                  list* (the digest-feeding crates, whose values can reach a trace \
+                  event); D10 digest-purity-taint re-derives the same invariant by \
+                  *reachability* from the digest fold itself, which also covers \
+                  helpers outside the listed crates. Fix: BTreeMap/BTreeSet, or \
+                  collect-and-sort before iterating.",
     },
     RuleDef {
         name: "no-float-eq",
         code: "D5",
         summary: "float `==`/`!=` in geometry/core; use the Tol epsilon helpers",
-        default_crates: Some(&["apf-geometry", "apf-core"]),
+        crates: Some(&["apf-geometry", "apf-core"]),
+        allow_files: &[],
         applies_in_tests: false,
         applies_in_bins: true,
         matcher: Matcher::FloatEq,
@@ -228,15 +272,8 @@ pub const RULES: &[RuleDef] = &[
         code: "D6",
         summary: "digest-feeding crates avoid `as` float↔int casts; truncation and f32 \
                   narrowing make digested values representation-fragile",
-        // Overridden by lint.toml; kept in sync with Config::default().
-        default_crates: Some(&[
-            "apf-core",
-            "apf-sim",
-            "apf-scheduler",
-            "apf-geometry",
-            "apf-trace",
-            "apf-conformance",
-        ]),
+        crates: Some(DIGEST_FEEDING_CRATES),
+        allow_files: &[],
         applies_in_tests: false,
         applies_in_bins: true,
         matcher: Matcher::FloatIntCast,
@@ -256,15 +293,8 @@ pub const RULES: &[RuleDef] = &[
         code: "D7",
         summary: "digest-feeding crates sort stably; `sort_unstable` reorders equal keys \
                   implementation-dependently",
-        // Overridden by lint.toml; kept in sync with Config::default().
-        default_crates: Some(&[
-            "apf-core",
-            "apf-sim",
-            "apf-scheduler",
-            "apf-geometry",
-            "apf-trace",
-            "apf-conformance",
-        ]),
+        crates: Some(DIGEST_FEEDING_CRATES),
+        allow_files: &[],
         applies_in_tests: false,
         applies_in_bins: true,
         matcher: Matcher::Needles(&[Needle::Exact(".sort_unstable")]),
@@ -282,8 +312,9 @@ pub const RULES: &[RuleDef] = &[
         code: "D8",
         summary: "the geometric substrate computes in f64 only; any `f32` silently \
                   halves precision under every tolerance in the crate",
-        // Overridden by lint.toml; kept in sync with Config::default().
-        default_crates: Some(&["apf-geometry"]),
+        crates: Some(&["apf-geometry"]),
+        allow_files: &[],
+        // An f32 comparison in a geometry test weakens the assertion it makes.
         applies_in_tests: true,
         applies_in_bins: true,
         matcher: Matcher::Needles(&[Needle::Ident("f32")]),
@@ -301,8 +332,10 @@ pub const RULES: &[RuleDef] = &[
         code: "D9",
         summary: "`Iterator::zip` silently truncates to the shorter side; per-robot \
                   folds must justify equal lengths with a pragma",
-        // Overridden by lint.toml; kept in sync with Config::default().
-        default_crates: Some(&["apf-core", "apf-geometry", "apf-sim"]),
+        // The crates that fold over robot collections.
+        crates: Some(&["apf-core", "apf-geometry", "apf-sim"]),
+        allow_files: &[],
+        // A truncating zip weakens a test's assertion loop.
         applies_in_tests: true,
         applies_in_bins: true,
         matcher: Matcher::Needles(&[Needle::Exact(".zip(")]),
@@ -321,7 +354,9 @@ pub const RULES: &[RuleDef] = &[
         name: "panic-policy",
         code: "P1",
         summary: "unwrap/expect in non-test library code needs a pragma with a reason",
-        default_crates: None,
+        crates: None,
+        // No file allowlist on purpose: reasons belong next to the call sites.
+        allow_files: &[],
         applies_in_tests: false,
         applies_in_bins: false,
         matcher: Matcher::Needles(&[Needle::Exact(".unwrap()"), Needle::Exact(".expect(")]),
@@ -339,50 +374,59 @@ pub const RULES: &[RuleDef] = &[
         code: "D10",
         summary: "functions reachable from digest/trace-hash computation must not reach \
                   wall clocks, hash iteration, or float↔int casts",
-        default_crates: None,
+        // No crate scope on purpose: reachability follows the calls wherever
+        // they go, which is what the D4/D6/D7 crate lists cannot do.
+        crates: None,
+        allow_files: &[],
         applies_in_tests: false,
         applies_in_bins: true,
         matcher: Matcher::CallGraph,
         message: "impure sink reachable from digest computation",
-        explain: "The digest roots ([analysis] digest_roots in lint.toml: the HashSink \
-                  fold, fnv1a_64, CanonicalSpec addressing) define a forward cone in \
-                  the call graph: everything those functions can transitively call. \
+        explain: "The digest roots (the HashSink fold, fnv1a_64 and CanonicalSpec \
+                  addressing; DIGEST_ROOTS in apf-lint) define a forward cone in the \
+                  call graph: everything those functions can transitively call. \
                   Anything in that cone that reads a wall clock, iterates a hash \
                   container, or does a float↔int `as` cast makes the digest a function \
                   of host state instead of the trace — which breaks replay, the \
                   content-addressed result cache and cross-shard agreement at once. \
                   Unlike D4/D6/D7 this is not scoped by crate lists; reachability \
-                  follows the calls wherever they go. Escape hatches: add the function \
-                  to digest_sink_allow (audited boundary), or pragma the site with the \
-                  determinism argument.",
+                  follows the calls wherever they go. Fix: keep the cone pure, or \
+                  pragma the site with the determinism argument.",
     },
     RuleDef {
         name: "randomness-reachability",
         code: "D11",
         summary: "every call path to a random draw passes through the ψ_RSB election \
                   entrypoint — the call-graph form of the Theorem 1 budget",
-        default_crates: None,
+        crates: None,
+        // The election module hosts the draws; findings anchor at functions
+        // outside it that sneak past the entrypoint.
+        allow_files: &["crates/core/src/rsb.rs"],
         applies_in_tests: false,
         applies_in_bins: true,
         matcher: Matcher::CallGraph,
         message: "reaches a random draw without passing through an election entrypoint",
         explain: "Theorem 1's ≤ 1 bit per robot per election cycle budget holds only if \
-                  the election entrypoint ([analysis] rng_entrypoints in lint.toml: \
-                  select_a_robot) is the sole gateway to the draw sites. The check: \
-                  find every function whose body performs a draw (the D2 needles, in \
-                  the D2 crate scope), delete the entrypoints from the call graph, and \
-                  walk the reverse edges. Any function that still reaches a draw has a \
-                  path around the election — a static counterexample to the budget \
-                  argument. Fix: call through the entrypoint; if a new sanctioned \
-                  gateway is introduced, add it to rng_entrypoints.",
+                  the election entrypoint (select_a_robot; ELECTION_ENTRYPOINTS in \
+                  apf-lint) is the sole gateway to the draw sites. The check: find \
+                  every function whose body performs a draw (the D2 needles, in D2's \
+                  crates; D2's allowlist does not apply, since the draws live in \
+                  rsb.rs), delete the entrypoints from the call graph, and walk the \
+                  reverse edges. Any function that still reaches a draw has a path \
+                  around the election — a static counterexample to the budget \
+                  argument. The election module itself, crates/core/src/rsb.rs, hosts \
+                  the draws and is the rule's one allowlisted file. Fix: call through \
+                  the entrypoint; a new sanctioned gateway goes into \
+                  ELECTION_ENTRYPOINTS.",
     },
     RuleDef {
         name: "lock-order",
         code: "D12",
         summary: "the mutex-acquisition order graph across the service crates must be \
                   acyclic; a cycle is a potential deadlock",
-        // Overridden by lint.toml; kept in sync with Config::default().
-        default_crates: Some(&["apf-serve", "apf-bench"]),
+        // The crates that run multi-threaded with shared locks.
+        crates: Some(&["apf-serve", "apf-bench"]),
+        allow_files: &[],
         applies_in_tests: false,
         applies_in_bins: false,
         matcher: Matcher::CallGraph,
@@ -402,8 +446,9 @@ pub const RULES: &[RuleDef] = &[
         code: "D13",
         summary: "panic sites (unwrap/expect/panic!) reachable from worker-thread \
                   closures outside a catch_unwind boundary",
-        // Overridden by lint.toml; kept in sync with Config::default().
-        default_crates: Some(&["apf-serve", "apf-bench"]),
+        // Same scope as D12: the crates whose worker threads outlive a request.
+        crates: Some(&["apf-serve", "apf-bench"]),
+        allow_files: &[],
         applies_in_tests: false,
         applies_in_bins: false,
         matcher: Matcher::CallGraph,

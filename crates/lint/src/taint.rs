@@ -3,16 +3,16 @@
 //! All four run over the workspace [`CallGraph`]:
 //!
 //! * **D10 `digest-purity-taint`** — forward reachability from the digest
-//!   roots (`[analysis] digest_roots` in `lint.toml`: the `HashSink` fold,
-//!   `fnv1a_64`, `CanonicalSpec` addressing). Every reachable function must
+//!   roots ([`DIGEST_ROOTS`]: the `HashSink` fold, `fnv1a_64`,
+//!   `CanonicalSpec` addressing). Every reachable function must
 //!   stay digest-pure: no wall clocks, no hash-container iteration, no
 //!   float↔int `as` casts — regardless of which crate it lives in. This is
 //!   the call-graph upgrade of the D4/D6/D7 crate lists: those guard the
 //!   *producers* of digested values by crate, D10 guards the digest
 //!   *computation* itself by reachability.
 //! * **D11 `randomness-reachability`** — every call path to a random draw
-//!   must pass through an election entrypoint (`rng_entrypoints`,
-//!   `rsb::select_a_robot`). Draw sites are functions in the D2 scope whose
+//!   must pass through an election entrypoint ([`ELECTION_ENTRYPOINTS`]:
+//!   `rsb::select_a_robot`). Draw sites are functions in D2's crates whose
 //!   bodies hit a D2 needle. The entrypoints are removed from the graph;
 //!   any function that still reaches a draw found a way around the
 //!   election — a static witness against Theorem 1's ≤ 1 bit per election
@@ -32,7 +32,6 @@
 //! means for each rule's verdicts.
 
 use crate::callgraph::CallGraph;
-use crate::config::Config;
 use crate::lexer::Scanned;
 use crate::parser::{self, ParsedFile};
 use crate::rules::{self, Matcher, Needle, RuleDef};
@@ -60,33 +59,33 @@ pub(crate) struct Ws<'a> {
 /// applies scoping, test/bin exemptions and pragma suppression.
 pub(crate) type Emit<'a> = dyn FnMut(&'static RuleDef, usize, usize, usize, String) + 'a;
 
+/// D10's roots: the digest and trace-hash computation whose forward call
+/// cone must stay digest-pure. A pattern names a function bare
+/// (`fnv1a_64`) or qualified (`HashSink::record`); a qualified pattern
+/// matches any function whose qualified name ends with it on a `::`
+/// boundary.
+pub const DIGEST_ROOTS: &[&str] =
+    &["HashSink::record", "HashSink::digest", "fnv1a_64", "CanonicalSpec::digest"];
+
+/// D11's gateways: the sanctioned ψ_RSB election entrypoints that every
+/// call path to a random draw must pass through. Patterns as in
+/// [`DIGEST_ROOTS`].
+pub const ELECTION_ENTRYPOINTS: &[&str] = &["select_a_robot"];
+
 /// Runs all four inter-procedural rules.
-pub(crate) fn run(ws: &Ws<'_>, cfg: &Config, emit: &mut Emit<'_>) {
+pub(crate) fn run(ws: &Ws<'_>, emit: &mut Emit<'_>) {
     let lines: Vec<Vec<&str>> =
         ws.files.iter().map(|f| f.scanned.masked.split('\n').collect()).collect();
     let owned = owned_lines(ws);
-    digest_purity(ws, cfg, &lines, &owned, emit);
-    randomness_reachability(ws, cfg, &lines, &owned, emit);
-    lock_order(ws, cfg, emit);
-    panic_reachability(ws, cfg, &lines, &owned, emit);
+    digest_purity(ws, &lines, &owned, emit);
+    randomness_reachability(ws, &lines, &owned, emit);
+    lock_order(ws, emit);
+    panic_reachability(ws, &lines, &owned, emit);
 }
 
 fn rule(name: &str) -> &'static RuleDef {
     // apf-lint: allow(panic-policy) — rule names here come from the static RULES table
     rules::RULES.iter().find(|r| r.name == name).expect("registered rule")
-}
-
-/// The crates a rule applies to (`None` = every crate), honoring
-/// `lint.toml` overrides.
-fn scope_crates<'a>(r: &'a RuleDef, cfg: &'a Config) -> Option<Vec<&'a str>> {
-    match cfg.rules.get(r.name).and_then(|rc| rc.crates.as_ref()) {
-        Some(list) => Some(list.iter().map(String::as_str).collect()),
-        None => r.default_crates.map(<[&str]>::to_vec),
-    }
-}
-
-fn crate_in(scope: Option<&[&str]>, name: &str) -> bool {
-    scope.is_none_or(|list| list.contains(&name))
 }
 
 /// For every fn node: the 1-based lines it owns — its `line..=end_line`
@@ -151,28 +150,13 @@ fn node_label(ws: &Ws<'_>, n: usize) -> String {
 const WALLCLOCK_NEEDLES: &[Needle] = &[Needle::Exact("Instant::now"), Needle::Ident("SystemTime")];
 const HASH_NEEDLES: &[Needle] = &[Needle::Ident("HashMap"), Needle::Ident("HashSet")];
 
-fn digest_purity(
-    ws: &Ws<'_>,
-    cfg: &Config,
-    lines: &[Vec<&str>],
-    owned: &[Vec<usize>],
-    emit: &mut Emit<'_>,
-) {
+fn digest_purity(ws: &Ws<'_>, lines: &[Vec<&str>], owned: &[Vec<usize>], emit: &mut Emit<'_>) {
     let d10 = rule("digest-purity-taint");
-    let mut roots: Vec<usize> = Vec::new();
-    for pat in &cfg.analysis.digest_roots {
-        roots.extend(ws.sym.matching(pat));
-    }
+    let roots: Vec<usize> = DIGEST_ROOTS.iter().flat_map(|pat| ws.sym.matching(pat)).collect();
     if roots.is_empty() {
         return;
     }
-    let mut blocked = vec![false; ws.graph.len()];
-    for pat in &cfg.analysis.digest_sink_allow {
-        for n in ws.sym.matching(pat) {
-            blocked[n] = true;
-        }
-    }
-    let reach = ws.graph.reach_forward(&roots, &blocked);
+    let reach = ws.graph.reach_forward(&roots, &vec![false; ws.graph.len()]);
     for (node, fsym) in ws.sym.fns.iter().enumerate() {
         if reach[node].is_none() {
             continue;
@@ -207,19 +191,19 @@ fn digest_purity(
 
 fn randomness_reachability(
     ws: &Ws<'_>,
-    cfg: &Config,
     lines: &[Vec<&str>],
     owned: &[Vec<usize>],
     emit: &mut Emit<'_>,
 ) {
     let d11 = rule("randomness-reachability");
+    // Draw sites are read from D2's crates but not D2's allowlist: the
+    // draws live in the allowlisted election module.
     let d2 = rule("randomness-budget");
-    let draw_scope = scope_crates(d2, cfg);
     let Matcher::Needles(d2_needles) = d2.matcher else { return };
 
     let mut draws: Vec<usize> = Vec::new();
     for (node, fsym) in ws.sym.fns.iter().enumerate() {
-        if !crate_in(draw_scope.as_deref(), &fsym.crate_name) || fsym.is_test {
+        if !d2.covers_crate(&fsym.crate_name) || fsym.is_test {
             continue;
         }
         if ws.files[fsym.file].kind == FileKind::Test {
@@ -234,7 +218,7 @@ fn randomness_reachability(
     }
     let mut blocked = vec![false; ws.graph.len()];
     let mut entrypoints: BTreeSet<usize> = BTreeSet::new();
-    for pat in &cfg.analysis.rng_entrypoints {
+    for pat in ELECTION_ENTRYPOINTS {
         for n in ws.sym.matching(pat) {
             blocked[n] = true;
             entrypoints.insert(n);
@@ -292,19 +276,10 @@ impl LockKey {
 /// Site of the first occurrence of a lock-order edge.
 type EdgeMap = BTreeMap<(LockKey, LockKey), (usize, usize)>;
 
-fn lock_order(ws: &Ws<'_>, cfg: &Config, emit: &mut Emit<'_>) {
+fn lock_order(ws: &Ws<'_>, emit: &mut Emit<'_>) {
     let d12 = rule("lock-order");
-    let scope = scope_crates(d12, cfg);
-    let in_scope: Vec<bool> = ws
-        .sym
-        .fns
-        .iter()
-        .map(|f| {
-            crate_in(scope.as_deref(), &f.crate_name)
-                && ws.files[f.file].kind == FileKind::Library
-                && !f.is_test
-        })
-        .collect();
+    let in_scope: Vec<bool> =
+        ws.sym.fns.iter().map(|f| d12.applies_to(&ws.files[f.file]) && !f.is_test).collect();
 
     let mut local: Vec<BTreeSet<LockKey>> = vec![BTreeSet::new(); ws.sym.fns.len()];
     let mut edges: EdgeMap = BTreeMap::new();
@@ -644,31 +619,20 @@ const PANIC_NEEDLES: &[Needle] = &[
     Needle::Exact("unreachable!"),
 ];
 
-fn panic_reachability(
-    ws: &Ws<'_>,
-    cfg: &Config,
-    lines: &[Vec<&str>],
-    owned: &[Vec<usize>],
-    emit: &mut Emit<'_>,
-) {
+fn panic_reachability(ws: &Ws<'_>, lines: &[Vec<&str>], owned: &[Vec<usize>], emit: &mut Emit<'_>) {
     let d13 = rule("panic-reachability");
-    let scope = scope_crates(d13, cfg);
     let nf = ws.sym.fns.len();
     let mut blocked = vec![false; ws.graph.len()];
     for (node, fsym) in ws.sym.fns.iter().enumerate() {
         let f = &ws.parsed[fsym.file].fns[fsym.fn_idx];
-        if f.has_catch_unwind || !crate_in(scope.as_deref(), &fsym.crate_name) {
+        if f.has_catch_unwind || !d13.covers_crate(&fsym.crate_name) {
             blocked[node] = true;
         }
     }
     let mut reported: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
     for (k, cl) in ws.graph.closures.iter().enumerate() {
         let file = &ws.files[cl.file];
-        if cl.guarded
-            || cl.is_test
-            || file.kind != FileKind::Library
-            || !crate_in(scope.as_deref(), &file.crate_name)
-        {
+        if cl.guarded || cl.is_test || !d13.applies_to(file) {
             continue;
         }
         let root = nf + k;

@@ -4,14 +4,14 @@
 //! lexer blanks out — so these fixtures can never trip the linter on this
 //! file itself.
 
-use apf_lint::{lint_source, Config, FileKind, Finding};
+use apf_lint::{lint_source, FileKind, Finding};
 
 fn rules_fired(findings: &[Finding]) -> Vec<&str> {
     findings.iter().map(|f| f.rule.as_str()).collect()
 }
 
 fn lint(rel_path: &str, crate_name: &str, source: &str) -> Vec<Finding> {
-    lint_source(rel_path, crate_name, source, &Config::default())
+    lint_source(rel_path, crate_name, source)
 }
 
 // ---------------------------------------------------------------- D1
@@ -391,39 +391,4 @@ fn pragma_naming_unknown_rule_is_a_finding() {
     let f = lint("crates/sim/src/a.rs", "apf-sim", src);
     assert_eq!(rules_fired(&f), vec!["bad-pragma"]);
     assert!(f[0].message.contains("no-such-rule"));
-}
-
-// ---------------------------------------------------------------- config
-
-#[test]
-fn config_crate_override_rescopes_a_rule() {
-    let toml = "[rules.no-float-eq]\ncrates = [\"apf-bench\"]\n";
-    let cfg = Config::from_toml(toml).expect("valid toml");
-    let src = "fn f(x: f64) -> bool { x == 0.0 }\n";
-    // Rescoped away from geometry, onto bench.
-    assert!(lint_source("crates/geometry/src/tol.rs", "apf-geometry", src, &cfg).is_empty());
-    let f = lint_source("crates/bench/src/lib.rs", "apf-bench", src, &cfg);
-    assert_eq!(rules_fired(&f), vec!["no-float-eq"]);
-}
-
-#[test]
-fn config_allow_files_suppresses_whole_file() {
-    let toml = "[rules.panic-policy]\nallow_files = [\"crates/sim/src/a.rs\"]\n";
-    let cfg = Config::from_toml(toml).expect("valid toml");
-    let src = "fn f(o: Option<u8>) -> u8 { o.unwrap() }\n";
-    assert!(lint_source("crates/sim/src/a.rs", "apf-sim", src, &cfg).is_empty());
-    assert!(!lint_source("crates/sim/src/b.rs", "apf-sim", src, &cfg).is_empty());
-}
-
-#[test]
-fn config_disabled_rule_never_fires() {
-    let toml = "[rules.panic-policy]\nenabled = false\n";
-    let cfg = Config::from_toml(toml).expect("valid toml");
-    let src = "fn f(o: Option<u8>) -> u8 { o.unwrap() }\n";
-    assert!(lint_source("crates/sim/src/a.rs", "apf-sim", src, &cfg).is_empty());
-}
-
-#[test]
-fn config_rejects_unknown_rule_section() {
-    assert!(Config::from_toml("[rules.not-a-rule]\ndisabled = true\n").is_err());
 }

@@ -6,7 +6,7 @@
 //! `\`, so a generated payload can neither form an accidental pragma nor
 //! escape the literal it is embedded in.
 
-use apf_lint::{lexer, lint_source, Config};
+use apf_lint::{lexer, lint_source};
 use proptest::prelude::*;
 
 /// Every needle any rule matches on, plus a float comparison for D5.
@@ -68,7 +68,7 @@ proptest! {
     #[test]
     fn needles_never_fire_inside_non_code_regions(kind in 0..6usize, p in payload()) {
         let src = embed(kind, &p);
-        let findings = lint_source(HOT_PATH, HOT_CRATE, &src, &Config::default());
+        let findings = lint_source(HOT_PATH, HOT_CRATE, &src);
         prop_assert!(findings.is_empty(), "{src:?} -> {findings:?}");
     }
 
@@ -90,7 +90,7 @@ proptest! {
         // Real code before a comment stuffed with needles: exactly the code's
         // own finding must survive, nothing from the comment.
         let src = format!("fn f(o: Option<u8>) -> u8 {{ o.unwrap() }} // {p}\n");
-        let findings = lint_source(HOT_PATH, HOT_CRATE, &src, &Config::default());
+        let findings = lint_source(HOT_PATH, HOT_CRATE, &src);
         prop_assert_eq!(findings.len(), 1, "{findings:?}");
         prop_assert_eq!(findings[0].rule.as_str(), "panic-policy");
         prop_assert_eq!(findings[0].line, 1);
@@ -104,7 +104,7 @@ proptest! {
         for _ in 0..k {
             src.push_str("fn f(o: Option<u8>) -> u8 { o.unwrap() }\n");
         }
-        let findings = lint_source(HOT_PATH, HOT_CRATE, &src, &Config::default());
+        let findings = lint_source(HOT_PATH, HOT_CRATE, &src);
         prop_assert_eq!(findings.len(), k - 1, "{findings:?}");
         for (i, f) in findings.iter().enumerate() {
             prop_assert_eq!(f.line, i + 3); // line 2 is the suppressed one
@@ -132,11 +132,11 @@ fn char_literal_and_lifetime_disambiguation() {
     // `'a` in a generic position is a lifetime, not an unterminated char —
     // the needle after it must still fire.
     let src = "fn f<'a>(o: &'a Option<u8>) -> u8 { o.unwrap() }\n";
-    let findings = lint_source(HOT_PATH, HOT_CRATE, src, &Config::default());
+    let findings = lint_source(HOT_PATH, HOT_CRATE, src);
     assert_eq!(findings.len(), 1, "{findings:?}");
     // A real char literal containing a quote-ish escape must be masked.
     let src2 = "fn g() -> char { '\\'' }\nfn h(o: Option<u8>) -> u8 { o.unwrap() }\n";
-    let f2 = lint_source(HOT_PATH, HOT_CRATE, src2, &Config::default());
+    let f2 = lint_source(HOT_PATH, HOT_CRATE, src2);
     assert_eq!(f2.len(), 1, "{f2:?}");
     assert_eq!(f2[0].line, 2);
 }

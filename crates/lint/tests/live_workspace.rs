@@ -1,8 +1,7 @@
-//! Self-test against the real workspace: the committed tree must lint clean
-//! under the committed `lint.toml`, and the config on disk must stay in sync
-//! with the built-in defaults.
+//! Self-test against the real workspace: the committed tree must lint clean,
+//! and the call-graph analyses' anchors must resolve in its sources.
 
-use apf_lint::{lint_with_config_file, Config};
+use apf_lint::{lint_workspace, DIGEST_ROOTS, ELECTION_ENTRYPOINTS};
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
@@ -15,23 +14,11 @@ fn workspace_root() -> &'static Path {
 
 #[test]
 fn workspace_lints_clean() {
-    let findings = lint_with_config_file(workspace_root(), None).expect("lint run succeeds");
+    let findings = lint_workspace(workspace_root()).expect("lint run succeeds");
     assert!(
         findings.is_empty(),
         "the committed workspace must lint clean; found:\n{}",
         apf_lint::report::render_text(&findings)
-    );
-}
-
-#[test]
-fn committed_lint_toml_parses_and_matches_defaults() {
-    let path = workspace_root().join("lint.toml");
-    let text = std::fs::read_to_string(&path).expect("lint.toml exists at the workspace root");
-    let cfg = Config::from_toml(&text).expect("lint.toml parses");
-    assert_eq!(
-        cfg,
-        Config::default(),
-        "lint.toml drifted from Config::default(); update whichever is stale"
     );
 }
 
@@ -40,13 +27,13 @@ fn committed_lint_toml_parses_and_matches_defaults() {
 /// still suppress at least one finding.
 #[test]
 fn workspace_has_no_stale_pragmas() {
-    let findings = lint_with_config_file(workspace_root(), None).expect("lint run succeeds");
+    let findings = lint_workspace(workspace_root()).expect("lint run succeeds");
     let stale: Vec<_> = findings.iter().filter(|f| f.message.starts_with("stale pragma")).collect();
     assert!(stale.is_empty(), "stale pragmas in the committed tree: {stale:?}");
 }
 
-/// The `[analysis]` anchors must resolve against the live sources — a root
-/// that matches nothing would silently turn D10/D11 into a no-op.
+/// D10's roots and D11's entrypoints must resolve against the live sources —
+/// a root that matches nothing would silently turn D10/D11 into a no-op.
 #[test]
 fn analysis_anchors_resolve_in_live_sources() {
     let root = workspace_root();
@@ -63,19 +50,17 @@ fn analysis_anchors_resolve_in_live_sources() {
         files.push((rel.to_string(), krate.to_string()));
     }
     let sym = apf_lint::symbols::Symbols::build(&files, &parsed);
-    let cfg = Config::default();
-    for pat in &cfg.analysis.digest_roots {
+    for pat in DIGEST_ROOTS {
         assert!(!sym.matching(pat).is_empty(), "digest root `{pat}` matches no function");
     }
-    for pat in &cfg.analysis.rng_entrypoints {
-        assert!(!sym.matching(pat).is_empty(), "rng entrypoint `{pat}` matches no function");
+    for pat in ELECTION_ENTRYPOINTS {
+        assert!(!sym.matching(pat).is_empty(), "election entrypoint `{pat}` matches no function");
     }
 }
 
 #[test]
 fn workspace_discovers_every_crate() {
-    let cfg = Config::default();
-    let pkgs = apf_lint::discover_packages(workspace_root(), &cfg).expect("discovery succeeds");
+    let pkgs = apf_lint::discover_packages(workspace_root()).expect("discovery succeeds");
     let names: Vec<&str> = pkgs.iter().map(|p| p.name.as_str()).collect();
     for expected in [
         "apf",

@@ -8,14 +8,14 @@
 
 use apf_lint::report::{render_json, render_sarif};
 use apf_lint::rules::RULES;
-use apf_lint::{lint_source, Config, Finding};
+use apf_lint::{lint_source, Finding};
 use apf_trace::json::{self, Json};
 
 fn sample_findings() -> Vec<Finding> {
     // Two real rules firing on a fixture, so results carry distinct ids,
     // lines and messages.
     let src = "fn f(o: Option<u8>) -> u8 { let mut rng = rand::thread_rng(); o.unwrap() }\n";
-    let findings = lint_source("crates/sim/src/world.rs", "apf-sim", src, &Config::default());
+    let findings = lint_source("crates/sim/src/world.rs", "apf-sim", src);
     assert!(findings.len() >= 2, "fixture must produce several findings: {findings:?}");
     findings
 }
@@ -107,7 +107,7 @@ fn sarif_escapes_hostile_message_content() {
     // Pragma reasons and file content can inject quotes/backslashes into
     // messages; the emitted SARIF must survive a round-trip regardless.
     let src = "fn f() { let x = \"\\\\ \\\" payload\"; let mut rng = rand::thread_rng(); }\n";
-    let findings = lint_source("crates/sim/src/world.rs", "apf-sim", src, &Config::default());
+    let findings = lint_source("crates/sim/src/world.rs", "apf-sim", src);
     let log = parse_sarif(&findings);
     assert!(log.get("runs").is_some());
 }

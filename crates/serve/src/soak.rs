@@ -18,8 +18,8 @@
 use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use apf_bench::engine::CancelToken;
-use apf_conformance::geometry_fuzz::{geo_fuzz_rounds, GeoFuzzConfig, GeoOracle};
-use apf_conformance::{MAX_ROBOTS, MIN_ROBOTS};
+use apf_conformance::geometry_fuzz::{geo_fuzz_until, GeoFuzzConfig, GeoOracle};
+use apf_conformance::{FuzzReport, MAX_ROBOTS, MIN_ROBOTS};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -209,9 +209,9 @@ impl SoakOutcome {
 }
 
 /// Runs a soak job on the local machine: chunks of geometry-fuzz cases,
-/// with cancellation, the deadline, and `apf_soak_*` metrics checked and
-/// published between chunks. Returns whether cancellation cut it short,
-/// plus the outcome.
+/// with cancellation and the deadline checked, and the `apf_soak_*`
+/// metrics published, between chunks. Returns whether cancellation cut it
+/// short, plus the outcome.
 pub fn run_soak(
     spec: &SoakSpec,
     jobs: usize,
@@ -222,41 +222,42 @@ pub fn run_soak(
     let cfg = GeoFuzzConfig { robots: spec.robots, ..GeoFuzzConfig::default() };
     let oracle = GeoOracle::default();
     let deadline = (spec.seconds > 0).then(|| t0 + Duration::from_secs(spec.seconds));
-    let (mut next, target) = match (deadline.is_some(), spec.range) {
+    let cases = match (deadline.is_some(), spec.range) {
         // Timed soaks run contiguous case indices until the clock runs out.
-        (true, _) => (0, u64::MAX),
-        (false, Some((lo, hi))) => (lo, hi),
-        (false, None) => (0, spec.cases),
+        (true, _) => 0..u64::MAX,
+        (false, Some((lo, hi))) => lo..hi,
+        (false, None) => 0..spec.cases,
     };
-
-    let mut outcome = SoakOutcome::default();
+    // What this soak has added to the `apf_soak_*` metrics so far; each
+    // publication adds what the report so far holds beyond it.
+    let mut shown = SoakOutcome::default();
+    let mut shown_micros = 0u64;
+    let mut publish = |so_far: &FuzzReport| {
+        let wall = t0.elapsed();
+        let now = SoakOutcome {
+            cases: so_far.cases,
+            clean: so_far.clean,
+            violations: so_far.counterexamples.len() as u64,
+            shrink_steps: so_far.shrink_steps,
+            wall_secs: wall.as_secs_f64(),
+        };
+        let micros = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
+        metrics.soak_cases.fetch_add(now.cases - shown.cases, Ordering::Relaxed);
+        metrics.soak_violations.fetch_add(now.violations - shown.violations, Ordering::Relaxed);
+        metrics
+            .soak_shrink_steps
+            .fetch_add(now.shrink_steps - shown.shrink_steps, Ordering::Relaxed);
+        metrics.soak_wall_micros.fetch_add(micros - shown_micros, Ordering::Relaxed);
+        (shown, shown_micros) = (now, micros);
+    };
     let mut cancelled = false;
-    while next < target {
-        if cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                break;
-            }
-        }
-        let chunk_t0 = Instant::now();
-        let count = CHUNK_CASES.min(target - next);
-        let report = geo_fuzz_rounds(&cfg, &oracle, spec.seed, next, count, jobs);
-        next += count;
-        outcome.cases += report.cases;
-        outcome.clean += report.clean;
-        outcome.violations += report.counterexamples.len() as u64;
-        outcome.shrink_steps += report.shrink_steps;
-        metrics.soak_cases.fetch_add(report.cases, Ordering::Relaxed);
-        metrics.soak_violations.fetch_add(report.counterexamples.len() as u64, Ordering::Relaxed);
-        metrics.soak_shrink_steps.fetch_add(report.shrink_steps, Ordering::Relaxed);
-        let micros = u64::try_from(chunk_t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-        metrics.soak_wall_micros.fetch_add(micros, Ordering::Relaxed);
-    }
-    outcome.wall_secs = t0.elapsed().as_secs_f64();
-    (cancelled, outcome)
+    let report = geo_fuzz_until(&cfg, &oracle, spec.seed, cases, CHUNK_CASES, jobs, |so_far| {
+        publish(so_far);
+        cancelled = cancel.is_cancelled();
+        !cancelled && deadline.is_none_or(|d| Instant::now() < d)
+    });
+    publish(&report);
+    (cancelled, shown)
 }
 
 #[cfg(test)]

@@ -936,24 +936,25 @@ mod tests {
 
     #[test]
     fn take_sink_flushes_and_detaches() {
-        use apf_trace::CountingSink;
+        use apf_trace::VecSink;
         use std::sync::{Arc, Mutex};
 
         let mut w = world_with(Box::new(BitBurner), Box::new(FsyncScheduler::new()));
-        let shared = Arc::new(Mutex::new(CountingSink::new()));
+        let shared = Arc::new(Mutex::new(VecSink::new()));
+        let count = || shared.lock().unwrap().events().len();
         w.set_sink(Box::new(Arc::clone(&shared)));
         w.step().unwrap();
         let sink = w.take_sink();
         assert!(sink.is_some());
         assert!(!w.has_sink());
-        let after_take = shared.lock().unwrap().count();
+        let after_take = count();
         assert!(after_take > 0);
         w.step().unwrap();
-        assert_eq!(shared.lock().unwrap().count(), after_take, "detached sink sees no more events");
+        assert_eq!(count(), after_take, "detached sink sees no more events");
         // The boxed handle still forwards if reinstalled.
         let mut sink = sink.unwrap();
         sink.record(&apf_trace::TraceEvent::Formed { step: 1 });
-        assert_eq!(shared.lock().unwrap().count(), after_take + 1);
+        assert_eq!(count(), after_take + 1);
     }
 
     #[test]

@@ -50,11 +50,11 @@ pub struct RobotTally {
 }
 
 /// What the inspector knows about a robot's position in the LCM cycle.
-/// `Unknown` is the entry state for windowed traces (e.g. a [`RingSink`]
-/// capture that starts mid-run) — no legality checks fire until the
-/// robot's first Look re-synchronizes it.
+/// `Unknown` is the entry state for windowed traces (e.g. a
+/// [`CrashDumpSink`] window that starts mid-run) — no legality checks fire
+/// until the robot's first Look re-synchronizes it.
 ///
-/// [`RingSink`]: crate::sink::RingSink
+/// [`CrashDumpSink`]: crate::sink::CrashDumpSink
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RobotState {
     Unknown,

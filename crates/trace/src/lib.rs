@@ -14,14 +14,13 @@
 //!   through `World::step`. A sink reporting [`TraceSink::enabled`]` ==
 //!   false` is dropped at installation time, so a disabled trace costs one
 //!   `Option` branch per event site and constructs no events at all;
-//! * sinks: [`VecSink`] (collect everything), [`RingSink`] (bounded
-//!   last-N window), [`JsonlSink`] (streaming JSON-lines writer, one event
-//!   per line, hand-rolled — no serde in this offline workspace),
-//!   [`HashSink`] (order-sensitive FNV-1a digest of the serialized stream,
-//!   for bit-identical determinism checks), [`CrashDumpSink`] (a flight
-//!   recorder that persists its last-N window to disk on engine invariant
-//!   violations and panic unwinds), [`CountingSink`] and [`NullSink`]
-//!   (tests);
+//! * sinks: [`VecSink`] (collect everything), [`JsonlSink`] (streaming
+//!   JSON-lines writer, one event per line, hand-rolled — no serde in this
+//!   offline workspace), [`HashSink`] (order-sensitive FNV-1a digest of the
+//!   serialized stream, for bit-identical determinism checks),
+//!   [`CrashDumpSink`] (a flight recorder that keeps a bounded last-N
+//!   window and persists it to disk on engine invariant violations and
+//!   panic unwinds) and [`NullSink`] (tests);
 //! * [`jsonl`] — the serialization format and its parser, so captured
 //!   traces round-trip;
 //! * [`json`] — the workspace's one JSON codec ([`json::Json`], its parser
@@ -55,8 +54,7 @@ pub use event::{PhaseKind, TraceEvent};
 pub use inspect::{describe, PhaseTally, RobotTally, TraceSummary};
 pub use jsonl::{parse_line, to_json_line, ParseError};
 pub use sink::{
-    fnv1a_64, CountingSink, CrashDumpSink, HashProbe, HashSink, JsonlSink, NullSink, RingSink,
-    TraceSink, VecSink,
+    fnv1a_64, CrashDumpSink, HashProbe, HashSink, JsonlSink, NullSink, TraceSink, VecSink,
 };
 pub use span::{
     Log2Histogram, NullSpanSink, Span, SpanGuard, SpanLabel, SpanSink, SpanStack, VecSpanSink,

@@ -51,7 +51,7 @@ impl TraceSink for NullSink {
 
 /// Collects every event in memory. For tests and short runs — an unbounded
 /// trace of a budget-exhausted trial can reach millions of events; prefer
-/// [`RingSink`] or [`JsonlSink`] there.
+/// [`CrashDumpSink`]'s bounded window or [`JsonlSink`] there.
 #[derive(Debug, Clone, Default)]
 pub struct VecSink {
     events: Vec<TraceEvent>,
@@ -77,88 +77,6 @@ impl VecSink {
 impl TraceSink for VecSink {
     fn record(&mut self, event: &TraceEvent) {
         self.events.push(*event);
-    }
-}
-
-/// Keeps the *last* `cap` events — a bounded flight recorder: memory stays
-/// fixed on arbitrarily long runs, and on failure the window ending at the
-/// failure is exactly what a post-mortem wants.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    cap: usize,
-    dropped: u64,
-    events: VecDeque<TraceEvent>,
-}
-
-impl RingSink {
-    /// A ring keeping at most `cap` events. `cap == 0` is legal and retains
-    /// nothing (every event counts as dropped) — useful to disable a crash
-    /// window without special-casing the caller.
-    pub fn new(cap: usize) -> Self {
-        RingSink { cap, dropped: 0, events: VecDeque::with_capacity(cap) }
-    }
-
-    /// The configured window capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// The retained window, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Events evicted from the front of the window.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(*event);
-    }
-}
-
-/// Counts events without storing them (tests, throughput probes).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountingSink {
-    count: u64,
-}
-
-impl CountingSink {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Events seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn record(&mut self, _event: &TraceEvent) {
-        self.count += 1;
     }
 }
 
@@ -272,7 +190,9 @@ impl<T: TraceSink> TraceSink for Arc<std::sync::Mutex<T>> {
 }
 
 /// A bounded flight recorder that writes its window to disk when the run
-/// dies: a [`RingSink`] plus a dump path.
+/// dies. It keeps the *last* `cap` events, so memory stays fixed on
+/// arbitrarily long runs, and on failure the window ending at the failure
+/// is exactly what a post-mortem wants.
 ///
 /// The window is persisted as plain JSONL (replayable by the inspector as a
 /// windowed trace) through three triggers:
@@ -289,16 +209,26 @@ impl<T: TraceSink> TraceSink for Arc<std::sync::Mutex<T>> {
 /// paths (a crash dump must never turn one failure into two) and surfaced by
 /// `dump_now`.
 pub struct CrashDumpSink {
-    ring: RingSink,
+    cap: usize,
+    dropped: u64,
+    /// The retained window, oldest first.
+    events: VecDeque<TraceEvent>,
     path: PathBuf,
     dumped: bool,
 }
 
 impl CrashDumpSink {
     /// A crash dump sink retaining the last `cap` events, writing them to
-    /// `path` when triggered.
+    /// `path` when triggered. `cap == 0` is legal and retains nothing
+    /// (every event counts as dropped).
     pub fn new(path: impl Into<PathBuf>, cap: usize) -> Self {
-        CrashDumpSink { ring: RingSink::new(cap), path: path.into(), dumped: false }
+        CrashDumpSink {
+            cap,
+            dropped: 0,
+            events: VecDeque::with_capacity(cap),
+            path: path.into(),
+            dumped: false,
+        }
     }
 
     /// The dump destination.
@@ -313,12 +243,12 @@ impl CrashDumpSink {
 
     /// Events currently retained in the window.
     pub fn window_len(&self) -> usize {
-        self.ring.len()
+        self.events.len()
     }
 
     /// Events evicted from the window so far.
     pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
+        self.dropped
     }
 
     /// Writes the retained window to the dump path now (idempotent: later
@@ -329,9 +259,9 @@ impl CrashDumpSink {
     /// Propagates filesystem errors from creating or writing the dump file.
     pub fn dump_now(&mut self) -> std::io::Result<&Path> {
         if !self.dumped {
-            let mut text = String::with_capacity(self.ring.len() * 96);
+            let mut text = String::with_capacity(self.events.len() * 96);
             let mut line = String::with_capacity(96);
-            for event in self.ring.events() {
+            for event in &self.events {
                 write_json_line(event, &mut line);
                 text.push_str(&line);
                 text.push('\n');
@@ -345,7 +275,15 @@ impl CrashDumpSink {
 
 impl TraceSink for CrashDumpSink {
     fn record(&mut self, event: &TraceEvent) {
-        self.ring.record(event);
+        if self.cap == 0 {
+            self.dropped += 1;
+            return;
+        }
+        if self.events.len() == self.cap {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(*event);
     }
 
     fn crash_dump(&mut self) {
@@ -475,59 +413,63 @@ mod tests {
         assert_eq!(s.into_events().len(), 4);
     }
 
-    #[test]
-    fn ring_sink_keeps_the_tail() {
-        let mut s = RingSink::new(3);
-        for i in 0..10 {
-            s.record(&ev(i));
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.dropped(), 7);
-        let steps: Vec<u64> = s.events().map(TraceEvent::step).collect();
-        assert_eq!(steps, [7, 8, 9]);
+    /// A crash dump sink that is never dumped, for window tests.
+    fn window_sink(cap: usize) -> CrashDumpSink {
+        CrashDumpSink::new(std::env::temp_dir().join("apf-crash-window-unused.jsonl"), cap)
+    }
+
+    /// The retained window's steps, oldest first.
+    fn window(s: &CrashDumpSink) -> Vec<u64> {
+        s.events.iter().map(TraceEvent::step).collect()
     }
 
     #[test]
-    fn ring_sink_window_is_exact_across_many_wrap_cycles() {
+    fn crash_window_keeps_the_tail() {
+        let mut s = window_sink(3);
+        for i in 0..10 {
+            s.record(&ev(i));
+        }
+        assert_eq!(s.window_len(), 3);
+        assert_eq!(s.dropped(), 7);
+        assert_eq!(window(&s), [7, 8, 9]);
+    }
+
+    #[test]
+    fn crash_window_is_exact_across_many_wrap_cycles() {
         // The retained window must be exactly the last `cap` events no
         // matter how many times the ring wrapped.
         for cap in [1usize, 2, 3, 7] {
-            let mut s = RingSink::new(cap);
+            let mut s = window_sink(cap);
             let total: u64 = (cap as u64) * 5 + 3; // several full wrap cycles
             for i in 0..total {
                 s.record(&ev(i));
                 // Invariant after every record: window = last min(i+1, cap).
                 let expect_len = ((i + 1) as usize).min(cap);
-                assert_eq!(s.len(), expect_len, "cap {cap} after {i}");
+                assert_eq!(s.window_len(), expect_len, "cap {cap} after {i}");
             }
-            assert_eq!(s.capacity(), cap);
             assert_eq!(s.dropped(), total - cap as u64);
-            let got: Vec<u64> = s.events().map(TraceEvent::step).collect();
             let want: Vec<u64> = (total - cap as u64..total).collect();
-            assert_eq!(got, want, "cap {cap}");
+            assert_eq!(window(&s), want, "cap {cap}");
         }
     }
 
     #[test]
-    fn ring_sink_cap_zero_retains_nothing() {
-        let mut s = RingSink::new(0);
+    fn crash_window_cap_zero_retains_nothing() {
+        let mut s = window_sink(0);
         for i in 0..10 {
             s.record(&ev(i));
         }
-        assert_eq!(s.len(), 0);
-        assert!(s.is_empty());
+        assert_eq!(s.window_len(), 0);
         assert_eq!(s.dropped(), 10, "every event counts as dropped");
-        assert_eq!(s.events().count(), 0);
     }
 
     #[test]
-    fn ring_sink_cap_one_keeps_only_the_newest() {
-        let mut s = RingSink::new(1);
-        assert!(s.is_empty());
+    fn crash_window_cap_one_keeps_only_the_newest() {
+        let mut s = window_sink(1);
+        assert_eq!(s.window_len(), 0);
         for i in 0..4 {
             s.record(&ev(i));
-            let got: Vec<u64> = s.events().map(TraceEvent::step).collect();
-            assert_eq!(got, [i]);
+            assert_eq!(window(&s), [i]);
         }
         assert_eq!(s.dropped(), 3);
     }
@@ -575,15 +517,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2, "window flushed by Drop during unwind");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn counting_sink_counts() {
-        let mut s = CountingSink::new();
-        for i in 0..5 {
-            s.record(&ev(i));
-        }
-        assert_eq!(s.count(), 5);
     }
 
     #[test]

@@ -8,30 +8,35 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> apf-lint (determinism & randomness-budget static analysis)"
-# Rules and per-crate scopes live in lint.toml at the repo root; suppress a
+# Each rule's crate scope and allowlisted files are part of its entry in
+# crates/lint/src/rules.rs (`lint --list-rules` prints them); suppress a
 # single line with `// apf-lint: allow(<rule>) — <reason>`. The run gates on
 # drift against the checked-in baseline (both directions: new findings AND
 # findings the baseline still lists but the tree no longer produces), so
-# this fails before clippy. Exit 1 = findings/drift, 2 = config error.
+# this fails before clippy. Exit 1 = findings/drift, 2 = usage or I/O error.
 cargo run -q --release --bin apf-cli -- lint --json --baseline lint-baseline.txt
 # Publish the same run as a SARIF 2.1.0 artifact for code-scanning UIs.
 mkdir -p target
 ./target/release/apf-cli lint --sarif > target/apf-lint.sarif
 echo "    SARIF artifact: target/apf-lint.sarif"
-# --explain smoke: every registered rule must resolve to a rationale page.
-./target/release/apf-cli lint --list-rules \
-    | awk '$1 ~ /^[A-Z][0-9]+$/ { print $2 }' \
-    | while read -r rule; do
-        ./target/release/apf-cli lint --explain "$rule" > /dev/null \
-            || { echo "lint --explain $rule failed"; exit 1; }
-    done
+# --explain smoke: every registered rule (the 14 of apf-lint's RULES) must
+# resolve to a rationale page. The count check fails the step when the
+# listing stops parsing, instead of explaining nothing and passing.
+explained=0
+for rule in $(./target/release/apf-cli lint --list-rules | awk '$1 ~ /^[A-Z][0-9]+$/ { print $2 }'); do
+    ./target/release/apf-cli lint --explain "$rule" > /dev/null \
+        || { echo "lint --explain $rule failed"; exit 1; }
+    explained=$((explained + 1))
+done
+[ "$explained" -eq 14 ] || { echo "lint --explain covered $explained rules, expected 14"; exit 1; }
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 # Catches doc links left stale by a rename or deletion. The vendored
-# stand-in crates are excluded for the reason lint.toml excludes vendor/.
+# stand-in crates are excluded: they are third-party API surface, which
+# apf-lint does not scan either.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps \
     --exclude rand --exclude proptest --exclude criterion
 

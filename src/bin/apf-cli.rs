@@ -40,16 +40,18 @@
 //! randomness-budget static analysis (`apf-lint`):
 //!
 //! ```text
-//! apf-cli lint [--json] [--root DIR] [--config PATH] [--list-rules]
+//! apf-cli lint [--json|--sarif] [--root DIR] [--list-rules] [--explain RULE]
+//!              [--baseline PATH] [--write-baseline PATH]
 //! ```
 //!
-//! It scans every workspace crate's sources against the rules configured in
-//! `lint.toml` (unseeded entropy, random draws outside ψ_RSB, wall clocks in
-//! simulation crates, hash containers / float↔int casts / unstable sorts in
-//! digest paths, exact float comparisons, unjustified unwrap/expect) and
-//! prints findings as
+//! It scans every workspace crate's sources against apf-lint's rule table,
+//! where each rule states its crate scope and allowlisted files (unseeded
+//! entropy, random draws outside ψ_RSB, wall clocks in simulation crates,
+//! hash containers / float↔int casts / unstable sorts in digest paths,
+//! exact float comparisons, unjustified unwrap/expect, and the call-graph
+//! rules D10–D13), and prints findings as
 //! `file:line:col · rule · message` (or JSON with `--json`). Exit codes:
-//! 0 clean, 1 findings, 2 config or I/O errors.
+//! 0 clean, 1 findings, 2 usage or I/O errors.
 //!
 //! The `serve` subcommand runs the long-running campaign service
 //! (`apf-serve`): a JSON job API over the deterministic trial engine plus a
@@ -195,18 +197,18 @@ fn trace_main(args: &[String]) -> ! {
 /// The `lint` subcommand: the apf-lint determinism & randomness-budget
 /// static-analysis pass over the workspace sources.
 fn lint_main(args: &[String]) -> ! {
-    let usage = "apf-cli lint [--json|--sarif] [--root DIR] [--config PATH] [--list-rules]\n\
-                 \x20            [--explain RULE] [--baseline PATH] [--write-baseline PATH]\n\
+    let usage = "apf-cli lint [--json|--sarif] [--root DIR] [--list-rules] [--explain RULE]\n\
+                 \x20            [--baseline PATH] [--write-baseline PATH]\n\
                  static analysis: determinism & randomness-budget rules (D1-D13, P1);\n\
                  D10-D13 are inter-procedural (workspace call graph)\n\
+                 --list-rules           print every rule with its crate scope and allowlist\n\
                  --explain RULE         print the long-form rationale for one rule\n\
                  --baseline PATH        gate on drift against a checked-in baseline\n\
                  --write-baseline PATH  write current findings as the new baseline\n\
-                 exit codes: 0 clean, 1 findings/drift, 2 config or I/O errors";
+                 exit codes: 0 clean, 1 findings/drift, 2 usage or I/O errors";
     let mut json = false;
     let mut sarif = false;
     let mut root = String::from(".");
-    let mut config: Option<String> = None;
     let mut list_rules = false;
     let mut explain: Option<String> = None;
     let mut baseline_path: Option<String> = None;
@@ -223,7 +225,6 @@ fn lint_main(args: &[String]) -> ! {
             "--json" => json = true,
             "--sarif" => sarif = true,
             "--root" => root = value(),
-            "--config" => config = Some(value()),
             // Deferred until the whole command line has parsed, so trailing
             // garbage after --list-rules still exits 2 instead of 0.
             "--list-rules" => list_rules = true,
@@ -260,15 +261,13 @@ fn lint_main(args: &[String]) -> ! {
             }
         }
     }
-    let root = std::path::PathBuf::from(root);
-    let findings =
-        match apf_lint::lint_with_config_file(&root, config.as_deref().map(std::path::Path::new)) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
+    let findings = match apf_lint::lint_workspace(std::path::Path::new(&root)) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("error: scanning {root}: {e}");
+            std::process::exit(2);
+        }
+    };
     if let Some(path) = write_baseline {
         if let Err(e) = std::fs::write(&path, apf_lint::baseline::render(&findings)) {
             eprintln!("error: writing {path}: {e}");

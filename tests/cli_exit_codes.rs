@@ -97,7 +97,8 @@ fn malformed_invocations_exit_nonzero_with_usage() {
     assert_usage_error(&["lint", "--json", "--sarif"]); // mutually exclusive
     assert_usage_error(&["lint", "--explain", "no-such-rule"]);
     assert_usage_error(&["lint", "--baseline", "/nonexistent/baseline.txt"]);
-    // serve
+    assert_usage_error(&["lint", "--config", "lint.toml"]); // the policy lives in the rule table
+                                                            // serve
     assert_usage_error(&["serve", "--bogus"]);
     assert_usage_error(&["serve", "--jobs"]); // missing value
     assert_usage_error(&["serve", "--jobs", "many"]); // not a number
@@ -135,6 +136,23 @@ fn lint_explain_resolves_rules_by_name_and_code() {
     let by_code = apf_cli(&["lint", "--explain", "D10"]);
     assert_eq!(by_code.status.code(), Some(0), "stderr: {}", stderr_of(&by_code));
     assert!(stdout_of(&by_code).contains("digest-purity-taint"), "{}", stdout_of(&by_code));
+}
+
+#[test]
+fn lint_explain_names_each_allowlisted_file() {
+    // The page prints the allowlist the linter applies, by path.
+    for (rule, file) in [
+        ("D2", "crates/core/src/rsb.rs"),
+        ("D3", "crates/trace/src/span.rs"),
+        ("D11", "crates/core/src/rsb.rs"),
+    ] {
+        let out = apf_cli(&["lint", "--explain", rule]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+        let page = stdout_of(&out);
+        assert!(page.contains(&format!("allowlisted: {file}")), "{rule}: {page}");
+    }
+    let page = stdout_of(&apf_cli(&["lint", "--explain", "P1"]));
+    assert!(page.contains("allowlisted: none"), "{page}");
 }
 
 #[test]
