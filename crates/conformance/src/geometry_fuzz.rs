@@ -824,9 +824,9 @@ pub fn geo_fuzz_until(
     report
 }
 
-/// Runs rounds of `2 · jobs` cases from case 0 while `budget` has not
-/// elapsed (`conformance geo-fuzz --budget`); only the *count* of cases
-/// depends on wall time.
+/// Runs rounds of `2 · jobs` cases from case 0 until `budget` elapses
+/// (`conformance geo-fuzz --budget`; at least one round always runs). Only
+/// the *count* of cases depends on wall time.
 pub fn geo_fuzz_timed(
     cfg: &GeoFuzzConfig,
     oracle: &GeoOracle,
@@ -836,7 +836,9 @@ pub fn geo_fuzz_timed(
 ) -> FuzzReport {
     let t0 = Instant::now();
     let round = (jobs.max(1) * 2) as u64;
-    geo_fuzz_until(cfg, oracle, campaign_seed, 0..u64::MAX, round, jobs, |_| t0.elapsed() < budget)
+    geo_fuzz_until(cfg, oracle, campaign_seed, 0..u64::MAX, round, jobs, |so_far| {
+        so_far.cases == 0 || t0.elapsed() < budget
+    })
 }
 
 #[cfg(test)]
