@@ -145,19 +145,14 @@ impl Analysis {
     /// predicate ever matches several robots (degenerate near-center ties)
     /// no robot is selected.
     pub fn selected(&self) -> Option<usize> {
-        let hits: Vec<usize> = (0..self.n())
-            .filter(|&i| {
-                let r = self.radius(i);
-                if !self.tol.lt(r, self.pattern.l_f() / 2.0) {
-                    return false;
-                }
-                (0..self.n()).all(|j| j == i || self.tol.ge(self.radius(j), 2.0 * r))
-            })
-            .collect();
-        match hits.as_slice() {
-            [one] => Some(*one),
-            _ => None,
-        }
+        let mut hits = (0..self.n()).filter(|&i| {
+            let r = self.radius(i);
+            if !self.tol.lt(r, self.pattern.l_f() / 2.0) {
+                return false;
+            }
+            (0..self.n()).all(|j| j == i || self.tol.ge(self.radius(j), 2.0 * r))
+        });
+        hits.next().filter(|_| hits.next().is_none())
     }
 
     /// Maps a normalized-coordinates path back into the robot's local

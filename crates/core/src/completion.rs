@@ -19,12 +19,18 @@ use apf_sim::{ComputeError, Decision};
 ///
 /// In exact arithmetic removing such a robot leaves the circle unchanged.
 /// In floating point the two Welzl runs visit the points in different
-/// orders and accept containment within `1e-12`, so the circles may differ
-/// by about that much. Robots inside `C(P)` by more than `eps + SEC_SLACK`
-/// are screened about `c(P)` with the same margin; the rest keep the full
-/// check. The number of full checks on the benchmark workloads is the same
+/// orders and accept containment within a slack `σ ≈ 2e-12` (relative and
+/// absolute `1e-12` each, at unit radius). Two circles that both enclose a
+/// point set within `σ`, and are no larger than its minimum circle, still
+/// bound it only to the lens where they overlap; for that lens to need the
+/// minimum radius their centers may lie up to `2·√(2σ) ≈ 4e-6` apart. So
+/// the radii about the two centers may differ by about `4e-6`, and the
+/// margin sits above that. Robots inside `C(P)` by more than
+/// `eps + SEC_SLACK` are screened about `c(P)` with the same margin; the
+/// rest keep the full check, so a larger margin only sends more robots to
+/// it. The number of full checks on the benchmark workloads is the same
 /// for any value from `1e-9` to `1e-4`.
-const SEC_SLACK: f64 = 1e-6;
+const SEC_SLACK: f64 = 1e-5;
 
 /// The main algorithm's completion check (lines 1–4): if removing one agreed
 /// robot leaves exactly `F` minus one maximal-view point, that robot walks
@@ -88,7 +94,7 @@ fn finalists(a: &Analysis, f_prime: &FPrime) -> Vec<usize> {
     let mut rest = Vec::with_capacity(points.len());
     // Robots on or near `C(P)` may hold it: the scan does not apply.
     (0..a.n())
-        .filter(|&r| 1.0 - a.radius(r) <= bound || fits[r])
+        .filter(|&r| 1.0 - a.radius(r) <= bound || fits(r))
         .filter(|&r| {
             rest.clear();
             rest.extend_from_slice(&points[..r]);
@@ -98,35 +104,39 @@ fn finalists(a: &Analysis, f_prime: &FPrime) -> Vec<usize> {
         .collect()
 }
 
-/// For every robot `r`, whether `P`'s radii about `c(P)` without `r`'s,
-/// sorted, stay within `bound` of `target` at every rank.
+/// Whether `P`'s radii about `c(P)` without robot `r`'s, sorted, stay
+/// within `bound` of `target` at every rank.
 ///
 /// With `P`'s radii sorted as `s`, removing the robot of rank `k` leaves
-/// `s[..k]` facing `target[..k]` and `s[k + 1..]` facing `target[k..]`:
-/// one prefix and one suffix scan settle every rank. A target that is not
-/// one radius shorter than `P` (a pattern of another size, or an `F'` whose
-/// points all coincide) screens no robot and leaves all to the full check.
-fn radius_fits(a: &Analysis, target: &[f64], bound: f64) -> Vec<bool> {
+/// `s[..k]` facing `target[..k]` and `s[k + 1..]` facing `target[k..]`.
+/// The first holds for every rank up to some `hi`, the second for every
+/// rank from some `lo` on, so one prefix and one suffix scan settle every
+/// rank: the robots that fit are those of ranks `lo..=hi`. A target that is
+/// not one radius shorter than `P` (a pattern of another size, or an `F'`
+/// whose points all coincide) screens no robot and leaves all to the full
+/// check.
+fn radius_fits<'a>(a: &'a Analysis, target: &'a [f64], bound: f64) -> impl Fn(usize) -> bool + 'a {
     let n = a.n();
-    if target.len() + 1 != n {
-        return vec![true; n];
+    let mut order: Vec<usize> = Vec::new();
+    let (mut lo, mut hi) = (0, n);
+    if target.len() + 1 == n {
+        order.extend(0..n);
+        order.sort_by(|&x, &y| a.radius(x).total_cmp(&a.radius(y)));
+        let near = |rank: usize, t: usize| (a.radius(order[rank]) - target[t]).abs() <= bound;
+        // Ranks `lo + 1..` of `s` fit `target[lo..]`.
+        lo = n - 1;
+        while lo > 0 && near(lo, lo - 1) {
+            lo -= 1;
+        }
+        // Ranks `..hi` of `s` fit `target[..hi]`.
+        hi = 0;
+        while hi + 1 < n && near(hi, hi) {
+            hi += 1;
+        }
     }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&x, &y| a.radius(x).total_cmp(&a.radius(y)));
-    let near = |rank: usize, t: usize| (a.radius(order[rank]) - target[t]).abs() <= bound;
-    // suffix[k]: ranks k + 1.. of `s` fit `target[k..]`.
-    let mut suffix = vec![true; n];
-    for k in (0..n - 1).rev() {
-        suffix[k] = suffix[k + 1] && near(k + 1, k);
+    move |r| {
+        order.is_empty() || order.iter().position(|&x| x == r).is_some_and(|k| lo <= k && k <= hi)
     }
-    let mut fits = vec![false; n];
-    // Whether ranks ..k of `s` fit `target[..k]`.
-    let mut prefix = true;
-    for (k, &r) in order.iter().enumerate() {
-        fits[r] = prefix && suffix[k];
-        prefix = prefix && (k + 1 == n || near(k, k));
-    }
-    fits
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! would, and every decision is still a function of the current snapshot
 //! alone.
 
+use crate::memo_key::BitsKey;
 use apf_sim::{BitSource, ComputeError, Decision, PhaseKind, Snapshot, WatchedBits};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -22,12 +23,13 @@ use std::collections::VecDeque;
 ///
 /// Keys hold the bits of every coordinate, of the tolerance and of the
 /// multiplicity flag — not values compared with `==`, which equates `-0.0`
-/// with `0.0` although the two normalize to different angles. While the
-/// memo holds `2·n` entries for an `n`-point snapshot, storing a result
-/// first evicts the oldest.
+/// with `0.0` although the two normalize to different angles. A lookup
+/// compares them in place, behind their fingerprints. While the memo holds
+/// `2·n` entries for an `n`-point snapshot, storing a result first evicts
+/// the oldest.
 #[derive(Debug, Default)]
 pub(crate) struct DecisionMemo {
-    entries: RefCell<VecDeque<(Vec<u64>, Decision, PhaseKind)>>,
+    entries: RefCell<VecDeque<(BitsKey, Decision, PhaseKind)>>,
 }
 
 impl DecisionMemo {
@@ -44,8 +46,13 @@ impl DecisionMemo {
         bits: &mut dyn BitSource,
         compute: impl FnOnce(&mut dyn BitSource) -> Result<(Decision, PhaseKind), ComputeError>,
     ) -> Result<(Decision, PhaseKind), ComputeError> {
-        let key = snapshot_key(snapshot);
-        if let Some((_, decision, phase)) = self.entries.borrow().iter().find(|(k, ..)| *k == key) {
+        let fingerprint = BitsKey::fingerprint(snapshot_key(snapshot));
+        if let Some((_, decision, phase)) = self
+            .entries
+            .borrow()
+            .iter()
+            .find(|(k, ..)| k.matches(fingerprint, snapshot_key(snapshot)))
+        {
             return Ok((decision.clone(), *phase));
         }
         let mut watched = WatchedBits::new(bits);
@@ -55,6 +62,7 @@ impl DecisionMemo {
             while entries.len() >= 2 * snapshot.len() {
                 entries.pop_front();
             }
+            let key = BitsKey::new(fingerprint, snapshot_key(snapshot));
             entries.push_back((key, decision.clone(), phase));
         }
         Ok((decision, phase))
@@ -64,18 +72,17 @@ impl DecisionMemo {
 /// The exact bits of everything a Compute reads from `snapshot`: the
 /// tolerance, the multiplicity flag, the robot count, then every robot
 /// coordinate and every pattern coordinate.
-fn snapshot_key(snapshot: &Snapshot) -> Vec<u64> {
+fn snapshot_key(snapshot: &Snapshot) -> impl Iterator<Item = u64> + '_ {
     let tol = snapshot.tol();
     let (robots, pattern) = (snapshot.robots(), snapshot.pattern());
-    let mut key = Vec::with_capacity(4 + 2 * (robots.len() + pattern.len()));
-    key.extend([
+    [
         tol.eps.to_bits(),
         tol.angle_eps.to_bits(),
         u64::from(snapshot.multiplicity_detection()),
         robots.len() as u64,
-    ]);
-    key.extend(robots.iter().chain(pattern).flat_map(|p| [p.x.to_bits(), p.y.to_bits()]));
-    key
+    ]
+    .into_iter()
+    .chain(robots.iter().chain(pattern).flat_map(|p| [p.x.to_bits(), p.y.to_bits()]))
 }
 
 #[cfg(test)]

@@ -15,42 +15,53 @@ use crate::analysis::Analysis;
 use crate::dpf::phase1::ZFrame;
 use std::ops::Range;
 
-/// Robot lists of one kind, one per circle, in one allocation:
-/// list `k` is `items[start[k]..start[k + 1]]`.
+/// `count` robot lists in one allocation: `data[..=count]` holds offsets
+/// into the members `data[count + 1..]`, and list `c` is the members from
+/// offset `data[c]` to offset `data[c + 1]`.
 #[derive(Debug)]
 struct Lists {
-    items: Vec<usize>,
-    start: Vec<usize>,
+    count: usize,
+    data: Vec<usize>,
 }
 
 impl Lists {
-    /// Puts every robot `i` of `0..n` into the lists `lists_of(i)` of `k`
-    /// lists, keeping each list in ascending robot order.
-    fn bucket(n: usize, k: usize, lists_of: impl Fn(usize) -> Range<usize>) -> Self {
-        let mut start = vec![0; k + 1];
+    /// Puts every robot `i` of `0..n` into the lists `lists_of(i)` of
+    /// `count` lists, keeping each list in ascending robot order.
+    fn bucket<L: Iterator<Item = usize>>(
+        n: usize,
+        count: usize,
+        lists_of: impl Fn(usize) -> L,
+    ) -> Self {
+        let mut data = vec![0; count + 1];
         for i in 0..n {
             for c in lists_of(i) {
-                start[c] += 1;
+                data[c] += 1;
             }
         }
-        // Running sums: `start[c]` becomes the end of list `c`. Filling each
-        // list from its end, robots descending, leaves `start[c]` at its
+        // Running sums: `data[c]` becomes the end of list `c`. Filling each
+        // list from its end, robots descending, leaves `data[c]` at its
         // beginning.
-        for c in 1..=k {
-            start[c] += start[c - 1];
+        for c in 1..=count {
+            data[c] += data[c - 1];
         }
-        let mut items = vec![0; start[k]];
+        data.resize(count + 1 + data[count], 0);
         for i in (0..n).rev() {
             for c in lists_of(i) {
-                start[c] -= 1;
-                items[start[c]] = i;
+                data[c] -= 1;
+                let at = count + 1 + data[c];
+                data[at] = i;
             }
         }
-        Lists { items, start }
+        Lists { count, data }
     }
 
-    fn get(&self, k: usize) -> &[usize] {
-        &self.items[self.start[k]..self.start[k + 1]]
+    /// The members' range of list `c` in `data`.
+    fn range(&self, c: usize) -> Range<usize> {
+        self.count + 1 + self.data[c]..self.count + 1 + self.data[c + 1]
+    }
+
+    fn get(&self, c: usize) -> &[usize] {
+        &self.data[self.range(c)]
     }
 }
 
@@ -58,13 +69,13 @@ impl Lists {
 #[derive(Debug)]
 pub(super) struct Index {
     z: Vec<f64>,
-    /// The robots other than `r_s` on each circle, ascending.
-    on: Lists,
-    /// The lists of `on`, each stably sorted by `Z`-angle.
-    on_z: Vec<usize>,
-    /// The robots other than `r_s` strictly between circle `k` and circle
-    /// `k − 1`, ascending; empty for `k = 0`.
-    band: Lists,
+    /// The number of target circles.
+    k: usize,
+    /// Three lists per circle `c`: list `c` holds the robots other than
+    /// `r_s` on circle `c`, ascending; list `k + c` those strictly between
+    /// circle `c` and circle `c − 1`, ascending (empty for `c = 0`); and
+    /// list `2k + c` is list `c` stably sorted by `Z`-angle.
+    lists: Lists,
 }
 
 impl Index {
@@ -77,26 +88,23 @@ impl Index {
         // circles by more than `eps` and above circles `hi..` by more than
         // `eps`. With `lo == hi`, it is on none and strictly between circles
         // `lo − 1` and `lo`.
-        let spans: Vec<Range<usize>> = (0..n)
-            .map(|i| {
-                if i == rs {
-                    return 0..0;
-                }
-                let r = a.radius(i);
-                circles.partition_point(|&c| r - c < -eps)
-                    ..circles.partition_point(|&c| r - c <= eps)
-            })
-            .collect();
-        let on = Lists::bucket(n, k, |i| spans[i].clone());
-        let band = Lists::bucket(n, k, |i| match spans[i] {
-            Range { start, end } if start == end && 0 < start && start < k => start..start + 1,
-            _ => 0..0,
+        let span = |i: usize| {
+            if i == rs {
+                return 0..0;
+            }
+            let r = a.radius(i);
+            circles.partition_point(|&c| r - c < -eps)..circles.partition_point(|&c| r - c <= eps)
+        };
+        let mut lists = Lists::bucket(n, 3 * k, |i| {
+            let Range { start, end } = span(i);
+            let band = if start == end && 0 < start && start < k { start..start + 1 } else { 0..0 };
+            (start..end).chain(k + band.start..k + band.end).chain(2 * k + start..2 * k + end)
         });
-        let mut on_z = on.items.clone();
-        for c in 0..k {
-            on_z[on.start[c]..on.start[c + 1]].sort_by(|&x, &y| z[x].total_cmp(&z[y]));
+        for c in 2 * k..3 * k {
+            let range = lists.range(c);
+            lists.data[range].sort_by(|&x, &y| z[x].total_cmp(&z[y]));
         }
-        Index { z, on, on_z, band }
+        Index { z, k, lists }
     }
 
     /// The `Z`-angle of robot `i`; equal to
@@ -105,20 +113,20 @@ impl Index {
         self.z[i]
     }
 
-    /// The robots other than `r_s` on circle `k`, ascending.
-    pub(super) fn on(&self, k: usize) -> &[usize] {
-        self.on.get(k)
+    /// The robots other than `r_s` on circle `c`, ascending.
+    pub(super) fn on(&self, c: usize) -> &[usize] {
+        self.lists.get(c)
     }
 
-    /// [`Self::on`]`(k)`, stably sorted by `Z`-angle.
-    pub(super) fn on_z(&self, k: usize) -> &[usize] {
-        &self.on_z[self.on.start[k]..self.on.start[k + 1]]
+    /// [`Self::on`]`(c)`, stably sorted by `Z`-angle.
+    pub(super) fn on_z(&self, c: usize) -> &[usize] {
+        self.lists.get(2 * self.k + c)
     }
 
-    /// The robots other than `r_s` strictly between circle `k` and circle
-    /// `k − 1`, ascending; empty for `k = 0`.
-    pub(super) fn band(&self, k: usize) -> &[usize] {
-        self.band.get(k)
+    /// The robots other than `r_s` strictly between circle `c` and circle
+    /// `c − 1`, ascending; empty for `c = 0`.
+    pub(super) fn band(&self, c: usize) -> &[usize] {
+        self.lists.get(self.k + c)
     }
 }
 

@@ -122,21 +122,21 @@ pub fn ensure_frame(
 ) -> Result<FrameStatus, ComputeError> {
     let tol = &a.tol;
     let rs_pos = a.config.point(rs);
-    let others: Vec<usize> = (0..a.n()).filter(|&i| i != rs).collect();
-    if others.is_empty() {
+    if a.n() < 2 {
         return Err(ComputeError::new("pattern formation needs more than one robot"));
     }
+    let others = || (0..a.n()).filter(move |&i| i != rs);
 
     // "At the center" is a relative notion: normalization noise keeps a
     // parked robot a few ulps off the exact origin, so compare against the
     // configuration scale instead of the absolute tolerance.
-    let min_r = others.iter().map(|&i| a.radius(i)).fold(f64::INFINITY, f64::min);
+    let min_r = others().map(|i| a.radius(i)).fold(f64::INFINITY, f64::min);
     if a.radius(rs) <= 0.01 * min_r.min(a.pattern.l_f()) {
         // r_s is at the center: re-emerge next to the closest robot.
         if a.me != rs {
             return Ok(FrameStatus::Acting(Decision::Stay));
         }
-        return Ok(FrameStatus::Acting(emerge_from_center(a, &others, plan.clearance)));
+        return Ok(FrameStatus::Acting(emerge_from_center(a, rs, plan.clearance)));
     }
 
     // Identify the candidate r_max: radially minimal AND angularly closest.
@@ -146,20 +146,21 @@ pub fn ensure_frame(
         let x = normalize_angle(a.direction(i) - a.direction(rs));
         x.min(std::f64::consts::TAU - x)
     };
-    let ang_min_all = others.iter().map(|&i| ang(i)).fold(f64::INFINITY, f64::min);
-    let candidates: Vec<usize> = others
-        .iter()
-        .copied()
-        .filter(|&i| tol.eq(a.radius(i), min_r) && ang(i) <= ang_min_all + tol.angle_eps)
-        .collect();
+    let ang_min_all = others().map(ang).fold(f64::INFINITY, f64::min);
+    let mut candidates =
+        others().filter(|&i| tol.eq(a.radius(i), min_r) && ang(i) <= ang_min_all + tol.angle_eps);
 
     // Robots stacked on a multiplicity point tie in both radius and angle;
     // they are anonymous and interchangeable, so a fully co-located
     // candidate set is as good as a unique robot.
-    let co_located = candidates.len() > 1
-        && candidates.windows(2).all(|w| a.config.point(w[0]).approx_eq(a.config.point(w[1]), tol));
-    if candidates.len() == 1 || co_located {
-        let rmax = candidates[0];
+    let first = candidates.next();
+    let mut last = first;
+    let one_location = candidates.all(|i| {
+        let same = last.is_some_and(|j| a.config.point(j).approx_eq(a.config.point(i), tol));
+        last = Some(i);
+        same
+    });
+    if let (Some(rmax), true) = (first, one_location) {
         let delta = ang(rmax);
         // Strengthened condition (iv): the wedge is narrow enough.
         if WEDGE_FACTOR * delta < plan.clearance && delta > tol.angle_eps {
@@ -186,22 +187,22 @@ pub fn ensure_frame(
 
 /// The selected robot re-emerges from the center at a controlled tiny angle
 /// next to the closest robot, creating a unique valid `r_max`.
-fn emerge_from_center(a: &Analysis, others: &[usize], clearance: f64) -> Decision {
+fn emerge_from_center(a: &Analysis, rs: usize, clearance: f64) -> Decision {
     let tol = &a.tol;
+    let others = || (0..a.n()).filter(move |&i| i != rs);
     // r*: the closest robot (ties broken deterministically by angle so the
     // destination is well defined; only r_s acts here, so no cross-robot
     // agreement is needed).
-    let rstar = *others
-        .iter()
-        .min_by(|&&x, &&y| {
+    let rstar = others()
+        .min_by(|&x, &y| {
             a.radius(x).total_cmp(&a.radius(y)).then(a.polar(x).angle.total_cmp(&a.polar(y).angle))
         })
-        // apf-lint: allow(panic-policy) — n ≥ 2 is a formPattern precondition, so others ≠ ∅
+        // apf-lint: allow(panic-policy) — ensure_frame checked n ≥ 2, so a robot other than r_s exists
         .expect("others is non-empty");
     let rstar_polar = a.polar(rstar);
     // Angular gap from r* to its nearest other robot.
     let mut gap = std::f64::consts::PI;
-    for &i in others {
+    for i in others() {
         if i == rstar {
             continue;
         }

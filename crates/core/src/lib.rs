@@ -44,6 +44,7 @@ pub mod builder;
 mod completion;
 mod decision;
 pub mod dpf;
+mod memo_key;
 pub mod multiplicity;
 pub mod pattern;
 pub mod rsb;

@@ -14,6 +14,7 @@
 //! keeps only the last `2·n` and returns what recomputation would too.)
 
 use crate::dpf::TargetPlan;
+use crate::memo_key::BitsKey;
 use crate::multiplicity::PatternMultiplicity;
 use apf_geometry::symmetry::ViewAnalysis;
 use apf_geometry::{smallest_enclosing_circle, Configuration, Point, SimilarityTarget, Tol};
@@ -157,13 +158,14 @@ impl PatternAnalysis {
 ///
 /// Entries are keyed by the exact bits of every pattern coordinate and of
 /// the tolerance — not by `==`, which equates `-0.0` with `0.0` although
-/// the two normalize to different angles. A world owns its algorithm and
-/// hands each robot the same local copy of `F` on every Look, so the memo
-/// of an algorithm driving one world holds at most one entry per robot;
-/// it never evicts.
+/// the two normalize to different angles. A lookup compares them in place,
+/// behind their fingerprints. A world owns its algorithm and hands each
+/// robot the same local copy of `F` on every Look, so the memo of an
+/// algorithm driving one world holds at most one entry per robot; it never
+/// evicts.
 #[derive(Debug, Default)]
 pub struct PatternMemo {
-    entries: RefCell<Vec<(Vec<u64>, Rc<PatternAnalysis>)>>,
+    entries: RefCell<Vec<(BitsKey, Rc<PatternAnalysis>)>>,
 }
 
 impl PatternMemo {
@@ -177,21 +179,27 @@ impl PatternMemo {
         pattern: &[Point],
         tol: &Tol,
     ) -> Result<Rc<PatternAnalysis>, ComputeError> {
-        let key = memo_key(pattern, tol);
-        if let Some((_, hit)) = self.entries.borrow().iter().find(|(k, _)| *k == key) {
+        let fingerprint = BitsKey::fingerprint(memo_key(pattern, tol));
+        if let Some((_, hit)) = self
+            .entries
+            .borrow()
+            .iter()
+            .find(|(k, _)| k.matches(fingerprint, memo_key(pattern, tol)))
+        {
             return Ok(Rc::clone(hit));
         }
         let fresh = Rc::new(PatternAnalysis::new(pattern, tol)?);
+        let key = BitsKey::new(fingerprint, memo_key(pattern, tol));
         self.entries.borrow_mut().push((key, Rc::clone(&fresh)));
         Ok(fresh)
     }
 }
 
 /// The exact bits of `tol` and of every coordinate of `pattern`.
-fn memo_key(pattern: &[Point], tol: &Tol) -> Vec<u64> {
-    let mut key = vec![tol.eps.to_bits(), tol.angle_eps.to_bits()];
-    key.extend(pattern.iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits()]));
-    key
+fn memo_key<'a>(pattern: &'a [Point], tol: &Tol) -> impl Iterator<Item = u64> + 'a {
+    [tol.eps.to_bits(), tol.angle_eps.to_bits()]
+        .into_iter()
+        .chain(pattern.iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits()]))
 }
 
 #[cfg(test)]

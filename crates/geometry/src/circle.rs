@@ -71,14 +71,25 @@ impl Circle {
 /// within a relative and absolute slack of `1e-12` of the current circle,
 /// which keeps the loops stable when many points lie on the circle.
 ///
+/// The permuted copy of a set of up to 32 points lives on the stack; only
+/// larger sets allocate.
+///
 /// # Panics
 ///
 /// Panics if `points` is empty.
 pub fn smallest_enclosing_circle(points: &[Point]) -> Circle {
     assert!(!points.is_empty(), "smallest enclosing circle of an empty set is undefined");
     let _span = apf_trace::span::enter(apf_trace::SpanLabel::Sec);
-    let mut pts: Vec<Point> = points.to_vec();
-    deterministic_shuffle(&mut pts);
+    let mut stack = [Point::ORIGIN; WELZL_STACK_POINTS];
+    let mut heap = Vec::new();
+    let pts: &mut [Point] = if points.len() <= WELZL_STACK_POINTS {
+        &mut stack[..points.len()]
+    } else {
+        heap.resize(points.len(), Point::ORIGIN);
+        &mut heap
+    };
+    pts.copy_from_slice(points);
+    deterministic_shuffle(pts);
 
     let mut c = Circle::new(pts[0], 0.0);
     for i in 1..pts.len() {
@@ -88,6 +99,10 @@ pub fn smallest_enclosing_circle(points: &[Point]) -> Circle {
     }
     c
 }
+
+/// Point sets up to this size are permuted for Welzl's algorithm in a stack
+/// buffer; every configuration and pattern of the benchmark workloads fits.
+const WELZL_STACK_POINTS: usize = 32;
 
 /// Circle through exactly two points (as diameter).
 pub fn circle_from_two(a: Point, b: Point) -> Circle {

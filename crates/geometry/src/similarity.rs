@@ -171,18 +171,18 @@ impl SimilarityTarget {
         if !tol.eq(min_radius, self.sorted_radii[0]) {
             return None;
         }
-        let radii: Vec<f64> = a.iter().map(|&p| radius_of(p)).collect();
-        let mut sorted = radii.clone();
+        let mut sorted: Vec<f64> = a.iter().map(|&p| radius_of(p)).collect();
         sorted.sort_by(f64::total_cmp);
         if sorted.iter().enumerate().any(|(k, &r)| !tol.eq(r, self.sorted_radii[k])) {
             return None;
         }
 
         // Normalized polar coordinates.
-        let pa: Vec<PolarPoint> = (0..a.len())
-            .map(|i| PolarPoint {
-                radius: radii[i],
-                angle: PolarPoint::from_cartesian(a[i], ca.center).angle,
+        let mut pa: Vec<PolarPoint> = a
+            .iter()
+            .map(|&p| PolarPoint {
+                radius: radius_of(p),
+                angle: PolarPoint::from_cartesian(p, ca.center).angle,
             })
             .collect();
         let pb = &self.polar;
@@ -195,21 +195,17 @@ impl SimilarityTarget {
             .map(|(i, _)| i)?;
         let ra = pa[anchor].radius;
 
+        let mut used = Vec::new();
         for mirrored in [false, true] {
-            let pa_m: Vec<PolarPoint> = pa
-                .iter()
-                .map(|pp| {
-                    if mirrored {
-                        PolarPoint { radius: pp.radius, angle: normalize_angle(-pp.angle) }
-                    } else {
-                        *pp
-                    }
-                })
-                .collect();
+            if mirrored {
+                for pp in &mut pa {
+                    pp.angle = normalize_angle(-pp.angle);
+                }
+            }
             // Try aligning the anchor with every point of b of matching radius.
             for target in pb.iter().filter(|pp| tol.eq(pp.radius, ra)) {
-                let rot = normalize_angle(target.angle - pa_m[anchor].angle);
-                if polar_multisets_match(&pa_m, pb, rot, tol) {
+                let rot = normalize_angle(target.angle - pa[anchor].angle);
+                if polar_multisets_match(&pa, pb, rot, tol, &mut used) {
                     return Some(SimilarityMap {
                         src_center: ca.center,
                         dst_center: cb.center,
@@ -225,10 +221,18 @@ impl SimilarityTarget {
 }
 
 /// Whether rotating every point of `a` by `rot` yields the multiset `b`
-/// (both already normalized polar sets around their centers).
-fn polar_multisets_match(a: &[PolarPoint], b: &[PolarPoint], rot: f64, tol: &Tol) -> bool {
+/// (both already normalized polar sets around their centers). `used` is
+/// scratch space for the points of `b` already matched.
+fn polar_multisets_match(
+    a: &[PolarPoint],
+    b: &[PolarPoint],
+    rot: f64,
+    tol: &Tol,
+    used: &mut Vec<bool>,
+) -> bool {
     debug_assert_eq!(a.len(), b.len());
-    let mut used = vec![false; b.len()];
+    used.clear();
+    used.resize(b.len(), false);
     for pa in a {
         let cand = PolarPoint { radius: pa.radius, angle: normalize_angle(pa.angle + rot) };
         let mut found = false;

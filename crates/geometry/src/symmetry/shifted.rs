@@ -89,12 +89,12 @@ fn find_shifted_subset(config: &Configuration, tol: &Tol) -> Option<ShiftedRegul
     let min_r = radii.iter().cloned().fold(f64::INFINITY, f64::min);
 
     // Candidate shifted robots: at minimal radius (Definition 3 (c)).
-    let candidates: Vec<usize> = (0..n).filter(|&i| tol.eq(radii[i], min_r)).collect();
-
-    for &r_idx in &candidates {
+    let mut others = Vec::with_capacity(n - 1);
+    for r_idx in (0..n).filter(|&i| tol.eq(radii[i], min_r)) {
         // Member candidates: radius prefixes of the other robots (the
         // election keeps members strictly inside the innermost non-member).
-        let mut others: Vec<usize> = (0..n).filter(|&i| i != r_idx).collect();
+        others.clear();
+        others.extend((0..n).filter(|&i| i != r_idx));
         others.sort_by(|&a, &b| radii[a].total_cmp(&radii[b]));
         for j in 1..others.len() {
             // Prefix of size j is well defined only at strict boundaries.
@@ -122,11 +122,10 @@ fn find_shifted_whole(config: &Configuration, tol: &Tol) -> Option<ShiftedRegula
     let min_r = radii.iter().cloned().fold(f64::INFINITY, f64::min);
     // Generous band: the Weber point of the shifted configuration is only an
     // approximation of the true center.
-    let candidates: Vec<usize> =
-        (0..n).filter(|&i| radii[i] <= min_r * SHIFTED_RADIUS_BAND + tol.eps).collect();
-
-    for &r_idx in &candidates {
-        let members: Vec<usize> = (0..n).filter(|&i| i != r_idx).collect();
+    let mut members = Vec::with_capacity(n - 1);
+    for r_idx in (0..n).filter(|&i| radii[i] <= min_r * SHIFTED_RADIUS_BAND + tol.eps) {
+        members.clear();
+        members.extend((0..n).filter(|&i| i != r_idx));
         if let Some(found) = try_complete(config, c0, r_idx, &members, true, tol) {
             return Some(found);
         }
@@ -179,77 +178,68 @@ fn try_complete(
     if q < 2 {
         return None;
     }
-    let member_pts: Vec<Point> = members.iter().map(|&i| config.point(i)).collect();
-    // Members must all be off-center, on distinct half-lines.
-    let mut polar: Vec<(usize, PolarPoint)> = member_pts
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (i, PolarPoint::from_cartesian(p, center)))
-        .collect();
-    if polar.iter().any(|(_, pp)| tol.is_zero(pp.radius)) {
+    // Members must all be off-center, on distinct half-lines. Their polar
+    // angles, ascending, and the gaps between neighbours share one buffer.
+    let polar = |i: usize| PolarPoint::from_cartesian(config.point(i), center);
+    if members.iter().any(|&i| tol.is_zero(config.point(i).dist(center))) {
         return None;
     }
-    polar.sort_by(|a, b| a.1.angle.total_cmp(&b.1.angle));
-    let angles: Vec<f64> = polar.iter().map(|(_, pp)| pp.angle).collect();
-    let gaps: Vec<f64> = (0..k).map(|i| normalize_angle(angles[(i + 1) % k] - angles[i])).collect();
+    let mut angles_and_gaps: Vec<f64> = Vec::with_capacity(2 * k);
+    angles_and_gaps.extend(members.iter().map(|&i| polar(i).angle));
+    angles_and_gaps.sort_by(f64::total_cmp);
+    for i in 0..k {
+        let angles = &angles_and_gaps[..k];
+        angles_and_gaps.push(normalize_angle(angles[(i + 1) % k] - angles[i]));
+    }
+    let (angles, gaps) = angles_and_gaps.split_at(k);
     if k >= 2 && gaps.iter().any(|&g| tol.ang_is_zero(g)) {
         return None;
     }
 
-    // Enumerate candidate insertion angles θ' for r'.
-    let mut insertions: Vec<(f64, bool)> = Vec::new(); // (theta', biangular)
-
-    if k == 1 {
-        // Completing to a 2-regular (antipodal) pair.
-        insertions.push((normalize_angle(angles[0] + std::f64::consts::PI), false));
-    } else {
-        // Equiangular completion: every gap but one ≈ α = 2π/q, the merged
-        // gap ≈ 2α.
-        let alpha_eq = TAU / q as f64;
-        if fit_center {
-            // Under an approximate center (whole-config case) the gaps are
-            // only approximately right: a loose test gates the slot fit.
-            let loose =
-                |g: f64, target: f64| (g - target).abs() < alpha_eq * EQUIANGULAR_LOOSE_GAP_FRAC;
-            for (t, &angle_t) in angles.iter().enumerate() {
-                if merged_at(&gaps, t, alpha_eq, loose)
-                    || merged_at(&gaps, (t + 1) % k, alpha_eq, loose)
-                {
-                    insertions.push((normalize_angle(angle_t + alpha_eq), false));
-                }
+    // Candidate insertion angles θ' for r', as `(θ', biangular)`, in the
+    // order they are tried; each is computed when its turn comes.
+    //
+    // With one member: completing to a 2-regular (antipodal) pair.
+    let antipodal = (k == 1).then(|| (normalize_angle(angles[0] + std::f64::consts::PI), false));
+    // Equiangular completion: every gap but one ≈ α = 2π/q, the merged gap
+    // ≈ 2α. Under an approximate center (whole-config case) the gaps are
+    // only approximately right: a loose test gates the slot fit.
+    let alpha_eq = TAU / q as f64;
+    let loose = |g: f64, target: f64| (g - target).abs() < alpha_eq * EQUIANGULAR_LOOSE_GAP_FRAC;
+    let exact = |g: f64, target: f64| tol.ang_eq(g, target);
+    let exact_possible =
+        k >= 2 && !fit_center && gaps.iter().filter(|&&g| !tol.ang_eq(g, alpha_eq)).count() <= 1;
+    let equiangular = (0..k)
+        .filter(|&t| {
+            if fit_center {
+                k >= 2
+                    && (merged_at(gaps, t, alpha_eq, loose)
+                        || merged_at(gaps, (t + 1) % k, alpha_eq, loose))
+            } else {
+                exact_possible && merged_at(gaps, t, alpha_eq, exact)
             }
-        } else if gaps.iter().filter(|&&g| !tol.ang_eq(g, alpha_eq)).count() <= 1 {
-            for (t, &angle_t) in angles.iter().enumerate() {
-                if merged_at(&gaps, t, alpha_eq, |g, target| tol.ang_eq(g, target)) {
-                    insertions.push((normalize_angle(angle_t + alpha_eq), false));
-                }
-            }
-        }
-        // Bi-angled completion: gaps alternate a, b with one merged (a + b).
-        if q >= 4 && q.is_multiple_of(2) && (fit_center || in_three_clusters(&gaps, tol)) {
-            for t in 0..k {
-                for first_sub_is_even in [true, false] {
-                    if let Some(theta) = biangular_insertion(
-                        &angles,
-                        &gaps,
-                        t,
-                        q,
-                        first_sub_is_even,
-                        fit_center,
-                        tol,
-                    ) {
-                        insertions.push((theta, true));
-                    }
-                }
-            }
-        }
-    }
+        })
+        .map(|t| (normalize_angle(angles[t] + alpha_eq), false));
+    // Bi-angled completion: gaps alternate a, b with one merged (a + b).
+    let biangular_possible =
+        k >= 2 && q >= 4 && q.is_multiple_of(2) && (fit_center || in_three_clusters(gaps, tol));
+    let biangular = (0..k)
+        .filter(|_| biangular_possible)
+        .flat_map(|t| [(t, true), (t, false)])
+        .filter_map(|(t, first_sub_is_even)| {
+            biangular_insertion(angles, gaps, t, q, first_sub_is_even, fit_center, tol)
+        })
+        .map(|theta| (theta, true));
+    let insertions = antipodal.into_iter().chain(equiangular).chain(biangular);
 
     let r_pos = config.point(r_idx);
-    // Whole-configuration fits: the members in angular order, and the
-    // (hole slot, model) pairs already fitted.
+    // Whole-configuration fits: the members in angular order (stably, as
+    // their angles sort), and the (hole slot, model) pairs already fitted.
     let (ordered_pts, mut fitted): (Vec<Point>, Vec<[bool; 2]>) = if fit_center {
-        (polar.iter().map(|&(i, _)| member_pts[i]).collect(), vec![[false; 2]; q])
+        let mut by_angle: Vec<(f64, Point)> =
+            members.iter().map(|&i| (polar(i).angle, config.point(i))).collect();
+        by_angle.sort_by(|a, b| a.0.total_cmp(&b.0));
+        (by_angle.into_iter().map(|(_, p)| p).collect(), vec![[false; 2]; q])
     } else {
         (Vec::new(), Vec::new())
     };
@@ -331,32 +321,26 @@ fn biangular_insertion(
     // Full gap sequence: positions 0..q-1; position of the first sub-gap of
     // the split is `t` (full index), second is t+1; gaps after the split
     // shift by one.
-    // Parity classes: full[j] = a if j even else b. Collect constraints from
-    // the k−1 unsplit gaps.
-    let mut a_est: Vec<f64> = Vec::new();
-    let mut b_est: Vec<f64> = Vec::new();
-    for (i, &g) in gaps.iter().enumerate() {
-        if i == t {
-            continue;
-        }
-        // Full position of this gap.
-        let full_pos = if i < t { i } else { i + 1 };
-        // Parity convention: let the first sub-gap's parity be fixed by
-        // `first_sub_is_even` and infer everything relative to position 0.
-        let even = if first_sub_is_even { full_pos % 2 == 0 } else { full_pos % 2 == 1 };
-        if even {
-            a_est.push(g);
-        } else {
-            b_est.push(g);
-        }
-    }
-    if a_est.is_empty() || b_est.is_empty() {
+    // Parity classes: full[j] = a if j even else b. The k−1 unsplit gaps,
+    // in order, are the constraints; `class(true)` yields those of class a.
+    let class = |of_a: bool| {
+        gaps.iter().enumerate().filter(move |&(i, _)| i != t).filter_map(move |(i, &g)| {
+            // Full position of this gap.
+            let full_pos = if i < t { i } else { i + 1 };
+            // Parity convention: let the first sub-gap's parity be fixed by
+            // `first_sub_is_even` and infer everything relative to position 0.
+            let even = if first_sub_is_even { full_pos % 2 == 0 } else { full_pos % 2 == 1 };
+            (even == of_a).then_some(g)
+        })
+    };
+    let (a_len, b_len) = (class(true).count(), class(false).count());
+    if a_len == 0 || b_len == 0 {
         return None;
     }
-    let a = a_est.iter().sum::<f64>() / a_est.len() as f64;
-    let b = b_est.iter().sum::<f64>() / b_est.len() as f64;
+    let a = class(true).sum::<f64>() / a_len as f64;
+    let b = class(false).sum::<f64>() / b_len as f64;
     let band = if loose { BIANGULAR_LOOSE_BAND_FRAC * (a + b) } else { tol.angle_eps };
-    if a_est.iter().any(|&g| (g - a).abs() > band) || b_est.iter().any(|&g| (g - b).abs() > band) {
+    if class(true).any(|g| (g - a).abs() > band) || class(false).any(|g| (g - b).abs() > band) {
         return None;
     }
     // The two sub-gaps at full positions t and t+1.

@@ -97,7 +97,8 @@ impl ViewAnalysis {
     pub fn compute(config: &Configuration, center: Point, tol: &Tol) -> Self {
         let _span = apf_trace::span::enter(apf_trace::SpanLabel::Views);
         let polar = config.polar_around(center);
-        let robots = (0..config.len()).map(|i| robot_view(&polar, i, tol)).collect();
+        let mut scratch = Vec::new();
+        let robots = (0..config.len()).map(|i| robot_view(&polar, i, tol, &mut scratch)).collect();
         ViewAnalysis { robots }
     }
 
@@ -221,7 +222,7 @@ impl LazyViews {
     pub fn robot(&self, i: usize) -> &RobotView {
         self.robots[i].get_or_init(|| {
             let _span = apf_trace::span::enter(apf_trace::SpanLabel::Views);
-            robot_view(&self.polar, i, &self.tol)
+            robot_view(&self.polar, i, &self.tol, &mut Vec::new())
         })
     }
 
@@ -231,39 +232,52 @@ impl LazyViews {
     }
 }
 
-/// Computes robot `i`'s maximal view over both orientations.
-fn robot_view(polar: &[PolarPoint], i: usize, tol: &Tol) -> RobotView {
+/// Computes robot `i`'s maximal view over both orientations. The view that
+/// loses the comparison is left in `scratch`, whose buffer the next call
+/// reuses.
+fn robot_view(
+    polar: &[PolarPoint],
+    i: usize,
+    tol: &Tol,
+    scratch: &mut Vec<(i64, i64)>,
+) -> RobotView {
     let me = polar[i];
     if me.radius <= tol.eps {
         // Center robot: distinguished minimal view.
         return RobotView { view: View { coords: vec![] }, ccw_max: true, cw_max: true };
     }
-    let ccw = oriented_view(polar, i, Orientation::Ccw, tol);
-    let cw = oriented_view(polar, i, Orientation::Cw, tol);
-    match ccw.cmp(&cw) {
-        std::cmp::Ordering::Greater => RobotView { view: ccw, ccw_max: true, cw_max: false },
-        std::cmp::Ordering::Less => RobotView { view: cw, ccw_max: false, cw_max: true },
-        std::cmp::Ordering::Equal => RobotView { view: ccw, ccw_max: true, cw_max: true },
-    }
+    let mut ccw = std::mem::take(scratch);
+    oriented_view(polar, i, Orientation::Ccw, tol, &mut ccw);
+    oriented_view(polar, i, Orientation::Cw, tol, scratch);
+    let (coords, ccw_max, cw_max) = match ccw.cmp(scratch) {
+        std::cmp::Ordering::Greater => (ccw, true, false),
+        std::cmp::Ordering::Less => (std::mem::replace(scratch, ccw), false, true),
+        std::cmp::Ordering::Equal => (ccw, true, true),
+    };
+    RobotView { view: View { coords }, ccw_max, cw_max }
 }
 
-/// The view of robot `i` in one fixed global orientation: all robots'
-/// `(angle − angle_i, radius / radius_i)` pairs, quantized and sorted.
-fn oriented_view(polar: &[PolarPoint], i: usize, orientation: Orientation, tol: &Tol) -> View {
+/// The view of robot `i` in one fixed global orientation, written into
+/// `coords`: all robots' `(angle − angle_i, radius / radius_i)` pairs,
+/// quantized and sorted.
+fn oriented_view(
+    polar: &[PolarPoint],
+    i: usize,
+    orientation: Orientation,
+    tol: &Tol,
+    coords: &mut Vec<(i64, i64)>,
+) {
     let me = polar[i];
-    let mut coords: Vec<(i64, i64)> = polar
-        .iter()
-        .map(|p| {
-            let rel_angle = if p.radius <= tol.eps {
-                0.0 // center robots have no meaningful angle
-            } else {
-                normalize_angle(orientation.sign() * (p.angle - me.angle))
-            };
-            (quantize(rel_angle, tol.angle_eps, TAU), quantize(p.radius / me.radius, tol.eps, 0.0))
-        })
-        .collect();
+    coords.clear();
+    coords.extend(polar.iter().map(|p| {
+        let rel_angle = if p.radius <= tol.eps {
+            0.0 // center robots have no meaningful angle
+        } else {
+            normalize_angle(orientation.sign() * (p.angle - me.angle))
+        };
+        (quantize(rel_angle, tol.angle_eps, TAU), quantize(p.radius / me.radius, tol.eps, 0.0))
+    }));
     coords.sort();
-    View { coords }
 }
 
 /// Quantizes `x` to an integer grid with step `4 * eps`, wrapping values that

@@ -328,16 +328,25 @@ const CRATE_ROOT: &str = "crates";
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from directory walking.
+/// Returns [`io::ErrorKind::NotFound`] when `root` holds neither a
+/// `Cargo.toml` nor a `crates/` directory (a mistyped or missing root,
+/// which would otherwise lint nothing and pass), and propagates I/O errors
+/// from directory walking.
 pub fn discover_packages(root: &Path) -> io::Result<Vec<Package>> {
     let mut packages = Vec::new();
     let root_manifest = root.join("Cargo.toml");
+    let dir = root.join(CRATE_ROOT);
+    if !root_manifest.is_file() && !dir.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("no workspace here: neither Cargo.toml nor {CRATE_ROOT}/ exists"),
+        ));
+    }
     if root_manifest.is_file() {
         if let Some(name) = package_name(&std::fs::read_to_string(&root_manifest)?) {
             packages.push(Package { name, rel_dir: String::new(), dir: root.to_path_buf() });
         }
     }
-    let dir = root.join(CRATE_ROOT);
     if !dir.is_dir() {
         return Ok(packages);
     }

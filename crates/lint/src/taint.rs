@@ -177,9 +177,8 @@ fn digest_purity(ws: &Ws<'_>, lines: &[Vec<&str>], owned: &[Vec<usize>], emit: &
                 format!(
                     "`{tok}` — impure sink reachable from digest computation \
                      (via {chain}); wall clocks, hash iteration and float↔int \
-                     casts here shift trace digests — keep the digest cone pure, \
-                     route through an allowlisted sink, or pragma with the \
-                     determinism argument [{}]",
+                     casts here shift trace digests — keep the digest cone pure \
+                     or pragma with the determinism argument [{}]",
                     d10.code
                 ),
             );

@@ -37,7 +37,11 @@ impl Snapshot {
             robots.iter().any(|p| p.approx_eq(Point::ORIGIN, &tol)),
             "the observer must be at the local origin"
         );
-        if !multiplicity_detection {
+        // The collapse keeps the first of every cluster of close points, so
+        // when no two points are close it keeps them all: no copy is made.
+        let close_pair =
+            || (1..robots.len()).any(|i| robots[..i].iter().any(|q| q.approx_eq(robots[i], &tol)));
+        if !multiplicity_detection && close_pair() {
             let mut dedup: Vec<Point> = Vec::with_capacity(robots.len());
             for p in robots.drain(..) {
                 if !dedup.iter().any(|q| q.approx_eq(p, &tol)) {
@@ -79,6 +83,12 @@ impl Snapshot {
     /// Never true.
     pub fn is_empty(&self) -> bool {
         self.robots.is_empty()
+    }
+
+    /// Takes the snapshot apart into its robot positions and its pattern,
+    /// so that a simulator can reuse their buffers for a later Look.
+    pub fn into_parts(self) -> (Vec<Point>, Vec<Point>) {
+        (self.robots, self.pattern)
     }
 
     /// The observed configuration as a [`Configuration`].
@@ -134,6 +144,22 @@ mod tests {
         let f = vec![Point::new(2.0, 2.0)];
         let s = Snapshot::new(vec![Point::ORIGIN], f.clone(), true, tol());
         assert_eq!(s.pattern(), f.as_slice());
+        assert_eq!(s.into_parts(), (vec![Point::ORIGIN], f));
+    }
+
+    #[test]
+    fn collapse_keeps_the_first_of_each_cluster() {
+        let near = Point::new(1.0 + 1e-12, 0.0);
+        let pts = vec![Point::new(1.0, 0.0), Point::ORIGIN, near, Point::new(0.0, 1.0)];
+        let without = Snapshot::new(pts.clone(), vec![], false, tol());
+        assert_eq!(without.robots(), [pts[0], pts[1], pts[3]]);
+        // Without close points nothing collapses, and the points keep their
+        // order and bits.
+        let apart = vec![Point::new(-0.0, 1.0), Point::ORIGIN, Point::new(2.0, -0.0)];
+        let (robots, _) = Snapshot::new(apart.clone(), vec![], false, tol()).into_parts();
+        let bits =
+            |v: &[Point]| v.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&robots), bits(&apart));
     }
 
     #[test]

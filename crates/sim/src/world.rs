@@ -3,11 +3,12 @@
 use crate::algorithm::{BitSource, ComputeError, CountingBits, Decision, NullBits, RobotAlgorithm};
 use crate::metrics::Metrics;
 use crate::snapshot::Snapshot;
-use apf_geometry::{are_similar, Configuration, Frame, Path, Point, Tol};
+use apf_geometry::{Configuration, Frame, Path, Point, SimilarityTarget, Tol};
 use apf_scheduler::{Action, PhaseView, Scheduler};
 use apf_trace::{PhaseKind, TraceEvent, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::OnceCell;
 
 /// Model parameters of a simulation.
 #[derive(Debug, Clone, Copy)]
@@ -120,6 +121,16 @@ pub struct World {
     /// Installed trace sink, if any. `None` is the fast path: no event is
     /// constructed at all.
     sink: Option<Box<dyn TraceSink>>,
+    /// `F` prepared for the formation check, built on its first use: a
+    /// world built only to be validated never pays for it.
+    formation_target: OnceCell<SimilarityTarget>,
+    /// Whether the positions are those of the last formation check, and it
+    /// found `P ≉ F`. A Move clears it.
+    unformed: bool,
+    /// The scheduler's view of every robot, refilled on each step.
+    phases: Vec<PhaseView>,
+    /// The buffer of the next snapshot's robot positions.
+    look_buffer: Vec<Point>,
 }
 
 impl World {
@@ -202,6 +213,10 @@ impl World {
             seed,
             robot_phase: vec![PhaseKind::Untagged; n],
             sink: None,
+            formation_target: OnceCell::new(),
+            unformed: false,
+            phases: Vec::new(),
+            look_buffer: Vec::new(),
         }
     }
 
@@ -271,9 +286,27 @@ impl World {
     }
 
     /// Whether the configuration is similar to the pattern and every robot
-    /// is idle — the run's success condition.
+    /// is idle — the run's success condition. Equal to
+    /// `!self.any_pending() && are_similar(self.positions(), self.pattern(), tol)`.
     pub fn is_formed(&self) -> bool {
-        !self.any_pending() && are_similar(&self.positions, &self.pattern_global, &self.config.tol)
+        !self.any_pending()
+            && self
+                .formation_target
+                .get_or_init(|| SimilarityTarget::new(&self.pattern_global, &self.config.tol))
+                .match_set(&self.positions)
+                .is_some()
+    }
+
+    /// [`Self::is_formed`], without the similarity test while the positions
+    /// are those of the last test that failed: robots that Look and stay
+    /// leave the answer as it was.
+    fn formed_since_last_check(&mut self) -> bool {
+        if self.unformed || self.any_pending() {
+            return false;
+        }
+        let formed = self.is_formed();
+        self.unformed = !formed;
+        formed
     }
 
     /// Probes whether any robot would move from the current configuration
@@ -285,9 +318,10 @@ impl World {
     /// Propagates the algorithm's [`ComputeError`].
     pub fn would_any_move(&mut self) -> Result<bool, ComputeError> {
         for r in 0..self.positions.len() {
-            let snapshot = self.snapshot_for(r);
-            let mut null = NullBits;
-            match self.algorithm.compute(&snapshot, &mut null)? {
+            let snapshot = self.begin_look(r);
+            let result = self.algorithm.compute(&snapshot, &mut NullBits);
+            self.end_look(r, snapshot);
+            match result? {
                 Decision::Stay => {}
                 Decision::Move(path) => {
                     if path.length() > self.config.tol.eps {
@@ -307,15 +341,12 @@ impl World {
     /// consistent (the failing robot simply stays idle).
     pub fn step(&mut self) -> Result<(), ComputeError> {
         self.metrics.steps += 1;
-        let phases: Vec<PhaseView> = self
-            .pending
-            .iter()
-            .map(|p| match p {
-                None => PhaseView::Idle,
-                Some(pm) => PhaseView::Pending { length: pm.path.length(), traveled: pm.traveled },
-            })
-            .collect();
-        let actions = self.scheduler.next(&phases);
+        self.phases.clear();
+        self.phases.extend(self.pending.iter().map(|p| match p {
+            None => PhaseView::Idle,
+            Some(pm) => PhaseView::Pending { length: pm.path.length(), traveled: pm.traveled },
+        }));
+        let actions = self.scheduler.next(&self.phases);
         if actions.is_empty() {
             self.invariant_failure("scheduler returned an empty step");
         }
@@ -328,12 +359,9 @@ impl World {
             });
         }
 
-        // Look actions observe the step's initial configuration; collect the
-        // snapshot positions once.
-        let observed = self.positions.clone();
-
         // Apply Looks first, then Moves (any serialization of a batch is a
-        // legal ASYNC behavior; this one makes FSYNC rounds exact).
+        // legal ASYNC behavior; this one makes FSYNC rounds exact). Looks move
+        // no robot, so every Look observes the step's initial configuration.
         for action in &actions {
             if let Action::Look { robot } = *action {
                 if self.pending[robot].is_some() {
@@ -341,7 +369,7 @@ impl World {
                         "scheduler issued Look for a non-idle robot {robot}"
                     ));
                 }
-                self.apply_look(robot, &observed)?;
+                self.apply_look(robot)?;
             }
         }
         for action in &actions {
@@ -362,18 +390,22 @@ impl World {
 
     /// Runs until the pattern is formed or the step budget is exhausted.
     ///
+    /// Checks [`Self::is_formed`] before every step, and once more after the
+    /// last, but repeats no similarity test while no Move has changed a
+    /// position since the last failed one.
+    ///
     /// When a sink is installed, emits [`TraceEvent::Formed`] (on success)
     /// and a closing [`TraceEvent::TrialEnd`], then flushes the sink.
     pub fn run(&mut self, max_steps: u64) -> Outcome {
         for _ in 0..max_steps {
-            if self.is_formed() {
+            if self.formed_since_last_check() {
                 return self.finish(StopReason::Formed);
             }
             if let Err(e) = self.step() {
                 return self.finish(StopReason::AlgorithmError(e));
             }
         }
-        if self.is_formed() {
+        if self.formed_since_last_check() {
             self.finish(StopReason::Formed)
         } else {
             self.finish(StopReason::StepBudget)
@@ -428,26 +460,32 @@ impl World {
         }
     }
 
-    fn snapshot_for(&self, robot: usize) -> Snapshot {
-        self.snapshot_at(robot, &self.positions)
+    /// The frame `robot` observes the current positions through.
+    fn frame_of(&self, robot: usize) -> Frame {
+        Frame { origin: self.positions[robot], ..self.frames[robot] }
     }
 
-    fn snapshot_at(&self, robot: usize, observed: &[Point]) -> Snapshot {
-        let mut frame = self.frames[robot];
-        frame.origin = observed[robot];
-        let local: Vec<Point> = observed.iter().map(|&p| frame.to_local(p)).collect();
-        Snapshot::new(
-            local,
-            self.pattern_local[robot].clone(),
-            self.config.multiplicity_detection,
-            self.config.tol,
-        )
+    /// What `robot` sees: the current positions and its copy of `F`, in its
+    /// frame. The snapshot holds the world's buffers until
+    /// [`Self::end_look`] returns them.
+    fn begin_look(&mut self, robot: usize) -> Snapshot {
+        let frame = self.frame_of(robot);
+        let mut local = std::mem::take(&mut self.look_buffer);
+        local.clear();
+        local.extend(self.positions.iter().map(|&p| frame.to_local(p)));
+        let pattern = std::mem::take(&mut self.pattern_local[robot]);
+        Snapshot::new(local, pattern, self.config.multiplicity_detection, self.config.tol)
     }
 
-    fn apply_look(&mut self, robot: usize, observed: &[Point]) -> Result<(), ComputeError> {
+    /// Takes back the buffers of `robot`'s snapshot.
+    fn end_look(&mut self, robot: usize, snapshot: Snapshot) {
+        (self.look_buffer, self.pattern_local[robot]) = snapshot.into_parts();
+    }
+
+    fn apply_look(&mut self, robot: usize) -> Result<(), ComputeError> {
         let _look_span = apf_trace::span::enter_robot(apf_trace::SpanLabel::Look, robot as u32);
         let step = self.metrics.steps;
-        let snapshot = self.snapshot_at(robot, observed);
+        let snapshot = self.begin_look(robot);
         let bits_before = self.bits[robot].bits_drawn();
         let result = {
             let _compute_span = apf_trace::span::enter(apf_trace::SpanLabel::Compute);
@@ -465,6 +503,7 @@ impl World {
                 None => self.algorithm.compute_tagged(&snapshot, &mut self.bits[robot]),
             }
         };
+        self.end_look(robot, snapshot);
         let drawn = self.bits[robot].bits_drawn() - bits_before;
         let (decision, phase) = match result {
             Ok(tagged) => tagged,
@@ -482,8 +521,7 @@ impl World {
         match decision {
             Decision::Stay => {}
             Decision::Move(local_path) => {
-                let mut frame = self.frames[robot];
-                frame.origin = observed[robot];
+                let frame = self.frame_of(robot);
                 debug_assert!(
                     local_path.start().dist(Point::ORIGIN) < 1e-6,
                     "computed paths must start at the robot (local origin)"
@@ -539,6 +577,7 @@ impl World {
             self.metrics.record_interrupt(phase);
         }
         self.positions[robot] = new_pos;
+        self.unformed = false;
         if end_phase || arrived {
             self.pending[robot] = None;
         }

@@ -97,6 +97,12 @@ fn malformed_invocations_exit_nonzero_with_usage() {
     assert_usage_error(&["lint", "--json", "--sarif"]); // mutually exclusive
     assert_usage_error(&["lint", "--explain", "no-such-rule"]);
     assert_usage_error(&["lint", "--baseline", "/nonexistent/baseline.txt"]);
+    // A root with no workspace in it would lint nothing and pass.
+    assert_usage_error(&["lint", "--root", "/nonexistent-dir"]);
+    let empty_root = std::env::temp_dir().join(format!("apf-cli-lint-root-{}", std::process::id()));
+    std::fs::create_dir_all(&empty_root).expect("create an empty directory");
+    assert_usage_error(&["lint", "--root", empty_root.to_str().expect("temp path is UTF-8")]);
+    std::fs::remove_dir_all(&empty_root).ok();
     assert_usage_error(&["lint", "--config", "lint.toml"]); // the policy lives in the rule table
                                                             // serve
     assert_usage_error(&["serve", "--bogus"]);
