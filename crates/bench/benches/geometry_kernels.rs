@@ -2,8 +2,8 @@
 //! `apf_bench::experiments::time_kernels` does not time: shifted-set
 //! detection on a shifted ring (`time_kernels` runs it on E9's asymmetric
 //! input only) and similarity testing. SEC, symmetricity, views and
-//! regular-set detection are timed by `time_kernels`, which E9,
-//! `apf-cli perf-snapshot` and `apf-cli profile --kernels` share.
+//! regular-set detection are timed by `time_kernels`, which E9 (and through
+//! it `scripts/bench_snapshot.sh`) and `apf-cli profile --kernels` share.
 
 use apf_geometry::symmetry::find_shifted_regular;
 use apf_geometry::{are_similar, Configuration, Point, Tol};

@@ -490,9 +490,11 @@ pub fn e8(ctx: &ExpCtx) -> ExperimentReport {
 /// Times the five geometry kernels on E9's input, the asymmetric
 /// configuration `asymmetric_configuration(n, 17_000 + n)` (n at least 3):
 /// runs each kernel `reps` times (at least once) and returns µs per call in
-/// the order SEC, ρ, views, reg(P), shifted. E9, `apf-cli perf-snapshot` and
-/// `apf-cli profile --kernels` all time through this function; with a span
-/// sink installed the kernels' own spans are recorded too.
+/// the order SEC, ρ, views, reg(P), shifted. E9 (whose `n = 32` and
+/// `n = 128` rows `scripts/bench_snapshot.sh` reads for each
+/// `BENCH_<PR>.json`) and `apf-cli profile --kernels` both time through this
+/// function; with a span sink installed the kernels' own spans are recorded
+/// too.
 pub fn time_kernels(n: usize, reps: u32) -> [f64; 5] {
     let n = n.max(3);
     let reps = reps.max(1);

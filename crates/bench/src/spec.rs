@@ -143,18 +143,17 @@ impl CanonicalSpec {
         if self.n < 7 || self.n > MAX_ROBOTS {
             return Err(format!("\"n\" must be 7..={MAX_ROBOTS} (the paper needs n >= 7)"));
         }
-        if self.generator == Generator::Symmetric
-            && (self.rho < 2 || !self.n.is_multiple_of(self.rho))
-        {
-            return Err(
-                "\"rho\" must be >= 2 and divide \"n\" for the symmetric generator".to_string()
-            );
+        if self.generator == Generator::Symmetric {
+            apf_patterns::symmetric_precondition(self.n, self.rho)
+                .map_err(|why| format!("symmetric generator: {why}"))?;
         }
         if self.budget == 0 || self.budget > MAX_BUDGET {
             return Err(format!("\"budget\" must be 1..={MAX_BUDGET}"));
         }
         for i in 0..self.trials {
-            self.trial_spec(i).build_world().map_err(|e| format!("trial {i} is invalid: {e}"))?;
+            self.try_trial_spec(i)
+                .and_then(|spec| spec.build_world().map_err(|e| e.to_string()))
+                .map_err(|why| format!("trial {i} is invalid: {why}"))?;
         }
         Ok(())
     }
@@ -164,17 +163,27 @@ impl CanonicalSpec {
     /// generator offsets (`1000 + i`, `2000 + i`) and derived seed are
     /// functions of the *absolute* trial index, so any sub-range of trials
     /// reproduces exactly the specs a full run would build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the generator cannot build trial `i`, which
+    /// [`CanonicalSpec::validate`] rules out.
     pub fn trial_spec(&self, i: u64) -> RunSpec {
+        self.try_trial_spec(i).unwrap_or_else(|why| panic!("trial {i}: {why}"))
+    }
+
+    /// [`CanonicalSpec::trial_spec`], or why its instance cannot be built.
+    fn try_trial_spec(&self, i: u64) -> Result<RunSpec, String> {
         let initial = match self.generator {
             Generator::Symmetric => {
-                apf_patterns::symmetric_configuration(self.n, self.rho, 1000 + i)
+                apf_patterns::try_symmetric_configuration(self.n, self.rho, 1000 + i)?
             }
             Generator::Asymmetric => apf_patterns::asymmetric_configuration(self.n, 1000 + i),
         };
-        RunSpec::new(initial, apf_patterns::random_pattern(self.n, 2000 + i))
+        Ok(RunSpec::new(initial, apf_patterns::random_pattern(self.n, 2000 + i))
             .scheduler(self.scheduler)
             .budget(self.budget)
-            .seed(trial_seed(self.seed, i))
+            .seed(trial_seed(self.seed, i)))
     }
 
     /// The spec's full campaign — identical construction to the historical
@@ -301,6 +310,8 @@ mod tests {
             (|s| s.trials = MAX_TRIALS + 1, "too many trials"),
             (|s| s.n = 4, "too few robots"),
             (|s| s.rho = 3, "rho does not divide n"),
+            (|s| s.rho = 8, "one orbit, a regular polygon"),
+            (|s| (s.n, s.rho) = (36, 2), "18 orbits jam the radius draw"),
             (|s| s.budget = 0, "zero budget"),
             (|s| s.name = String::new(), "empty name"),
         ] {

@@ -137,6 +137,25 @@ fn healthz_routes_and_errors() {
 }
 
 #[test]
+fn symmetric_specs_the_generator_cannot_build_are_400s() {
+    let ts = start(ServerConfig::default());
+
+    // One orbit is a regular polygon, which always has an axis; 18 orbits
+    // jam the generator's radius draw. Neither may take the accept loop
+    // down: both are refused, and the server keeps answering.
+    for body in [r#"{"n":8,"rho":8}"#, r#"{"n":36,"rho":2}"#] {
+        let (status, v) = submit(ts.addr, body);
+        assert_eq!(status, 400, "{body}: {v:?}");
+        let why = v.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(why.contains("n / rho"), "{body}: {why}");
+    }
+    let (status, _) = get_json(ts.addr, "/v1/healthz");
+    assert_eq!(status, 200);
+
+    ts.stop();
+}
+
+#[test]
 fn soak_job_at_the_minimum_robot_count_ends_done() {
     let ts = start(ServerConfig::default());
 

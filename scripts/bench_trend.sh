@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
 # Per-metric perf trajectory across every committed BENCH_*.json snapshot.
 #
-# Prints one row per metric (campaign throughput in trials/s, kernel
-# latencies in µs) with one column per snapshot in version order, plus the
-# oldest→newest ratio so drift that stays inside the check.sh band on every
-# single hop is still visible when it compounds across PRs.
+# Prints one row per metric with one column per snapshot in version order,
+# plus the oldest→newest ratio, so drift that stays inside the check.sh
+# band on every single hop is still visible when it compounds across PRs:
+# - `<workload>.trials_per_s`: the host-scaled throughput of each repo
+#   benchmark workload's untraced run, from schema-2 snapshots (`-` in
+#   schema-1 ones, which timed E2 campaigns instead);
+# - `kernel.<n>.<kernel>`: E9's kernel µs per call at n = 32 and 128, from
+#   both schemas.
+# scripts/bench_snapshot.sh gates on these rows. Exits 1 when a snapshot
+# lacks a value the gate reads: a kernel, or in a schema-2 snapshot, the
+# trials_per_s of a workload another snapshot has.
 #
 # Usage: scripts/bench_trend.sh [BENCH_a.json BENCH_b.json ...]
 #   With no arguments, all BENCH_*.json at the repo root, sorted -V.
@@ -21,9 +28,9 @@ for s in "${SNAPS[@]}"; do
     [ -r "$s" ] || { echo "cannot read snapshot $s"; exit 1; }
 done
 
-# Campaign throughput: higher is better.
+# Untraced host-scaled throughput of workload $2 (schema 2): higher is better.
 tps() {
-    sed -n "s/.*\"$2\":{\"trials\":[0-9]*,\"trials_per_sec\":\([0-9.eE+-]*\),.*/\1/p" "$1"
+    sed -n "s/^{\"workload\":\"$2\",\"trace\":0,.*\"trials_per_s\":{\"unit\":\"1\/s\",\"value\":\([0-9.eE+-]*\)}.*/\1/p" "$1"
 }
 # Kernel latency: lower is better. $2 = n32|n128, $3 = metric key.
 kus() {
@@ -32,17 +39,17 @@ kus() {
 }
 
 # Header.
-printf '%-22s' "metric"
+printf '%-30s' "metric"
 for s in "${SNAPS[@]}"; do
-    name="${s#BENCH_}"
-    printf ' %12s' "${name%.json}"
+    name="$(basename "$s" .json)"
+    printf ' %12s' "${name#BENCH_}"
 done
 printf ' %10s %s\n' "old->new" "direction"
 
 row() {
     local label="$1" direction="$2"; shift 2
     local first="" last="" v
-    printf '%-22s' "$label"
+    printf '%-30s' "$label"
     for v in "$@"; do
         if [ -n "$v" ]; then
             printf ' %12.3f' "$v"
@@ -61,15 +68,30 @@ row() {
     fi
 }
 
-for c in e2_ours e2_yy; do
+MISSING=()
+mapfile -t WORKLOADS < <(sed -n 's/^{"workload":"\([a-z-]*\)","trace":0,.*/\1/p' "${SNAPS[@]}" \
+    | awk '!seen[$0]++')
+for w in ${WORKLOADS[@]+"${WORKLOADS[@]}"}; do
     vals=()
-    for s in "${SNAPS[@]}"; do vals+=("$(tps "$s" "$c")"); done
-    row "campaign.$c" "trials/s, higher better" "${vals[@]}"
+    for s in "${SNAPS[@]}"; do
+        v="$(tps "$s" "$w")"
+        if [ -z "$v" ] && grep -q '"schema":2' "$s"; then MISSING+=("$s: $w.trials_per_s"); fi
+        vals+=("$v")
+    done
+    row "$w.trials_per_s" "trials/s, higher better" "${vals[@]}"
 done
 for nk in n32 n128; do
     for k in sec_us rho_us views_us regular_us shifted_us; do
         vals=()
-        for s in "${SNAPS[@]}"; do vals+=("$(kus "$s" "$nk" "$k")"); done
+        for s in "${SNAPS[@]}"; do
+            v="$(kus "$s" "$nk" "$k")"
+            [ -n "$v" ] || MISSING+=("$s: kernel.$nk.$k")
+            vals+=("$v")
+        done
         row "kernel.$nk.$k" "us, lower better" "${vals[@]}"
     done
 done
+if [ "${#MISSING[@]}" -gt 0 ]; then
+    printf 'snapshot lacks %s\n' "${MISSING[@]}"
+    exit 1
+fi

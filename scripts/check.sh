@@ -365,79 +365,25 @@ for pin in direct-election=f58cf4dc8d5b8f49 direct-formation=a87d97e181714b63 \
 done
 echo "    output_digests match the pinned values"
 
-echo "==> perf snapshot vs committed BENCH_*.json (tolerance band)"
-# Regenerate the fixed perf workload and compare campaign throughput against
-# the newest committed snapshot. Wall-clock numbers are machine- and
-# load-dependent, so the band stays loose — but several PRs of history (see
-# scripts/bench_trend.sh) show run-to-run noise well under 40%, so the gate
-# is tightened from the original 2.5x to 1.8x: only a >1.8x slowdown fails.
-# Regenerate the committed snapshot via
-# `apf-cli perf-snapshot --out BENCH_<PR>.json` when the workload changes.
-PREV="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)"
-tps() {
-    sed -n "s/.*\"$2\":{\"trials\":[0-9]*,\"trials_per_sec\":\([0-9.eE+-]*\),.*/\1/p" "$1"
-}
-kus() {
-    sed -n "s/.*\"$2\":{\([^}]*\)}.*/\1/p" "$1" \
-        | sed -n "s/.*\"$3\":\([0-9.eE+-]*\).*/\1/p"
-}
-# Compares one snapshot against $PREV; subshell body, so `exit 1` only
-# fails this attempt, not the whole script.
-perf_band_check() (
-    snap="$1"
-    for c in e2_ours e2_yy; do
-        OLD="$(tps "$PREV" "$c")"
-        NEW="$(tps "$snap" "$c")"
-        [ -n "$OLD" ] && [ -n "$NEW" ] \
-            || { echo "perf snapshot missing campaign $c"; exit 1; }
-        awk -v old="$OLD" -v new="$NEW" -v c="$c" -v snap="$PREV" 'BEGIN {
-            ratio = new / old;
-            printf "    %-8s %8.2f -> %8.2f trials/s (x%.2f vs %s)\n",
-                   c, old, new, ratio, snap;
-            if (ratio < 0.555) {
-                printf "perf regression: %s dropped to x%.2f of %s\n",
-                       c, ratio, snap;
-                exit 1;
-            }
-        }' || exit 1
-    done
-    # Kernel-level latencies (µs — LOWER is better, so the band flips):
-    # only a >1.8x slowdown on an instrumented kernel fails the gate.
-    for nk in n32 n128; do
-        for k in sec_us rho_us views_us regular_us shifted_us; do
-            OLD="$(kus "$PREV" "$nk" "$k")"
-            NEW="$(kus "$snap" "$nk" "$k")"
-            [ -n "$OLD" ] && [ -n "$NEW" ] \
-                || { echo "perf snapshot missing kernels.$nk.$k"; exit 1; }
-            awk -v old="$OLD" -v new="$NEW" -v k="$nk.$k" -v snap="$PREV" \
-                'BEGIN {
-                ratio = new / old;
-                printf "    %-20s %10.2f -> %10.2f us (x%.2f vs %s)\n",
-                       k, old, new, ratio, snap;
-                if (ratio > 1.8) {
-                    printf "perf regression: kernel %s slowed to x%.2f of %s\n",
-                           k, ratio, snap;
-                    exit 1;
-                }
-            }' || exit 1
-        done
-    done
-)
-if [ -n "$PREV" ]; then
-    # The sub-10µs kernels can catch a bad scheduling slice right after the
-    # heavy soak stages; a genuine regression reproduces, noise does not.
-    # Best-of-3: each attempt takes a fresh snapshot, any in-band run passes.
-    ATTEMPT=1
-    while :; do
-        ./target/release/apf-cli perf-snapshot --out "$SERVE_DIR/perf.json"
-        perf_band_check "$SERVE_DIR/perf.json" && break
-        [ "$ATTEMPT" -lt 3 ] \
-            || { echo "perf regression persisted across $ATTEMPT snapshots"; exit 1; }
-        ATTEMPT=$((ATTEMPT + 1))
-        echo "    out-of-band sample; re-measuring (attempt $ATTEMPT/3)"
-    done
-else
-    echo "    no committed BENCH_*.json yet; skipping the diff"
-fi
+echo "==> perf snapshot vs the newest committed BENCH_*.json (tolerance band)"
+# Every committed snapshot must hold each value the gate reads: the trend
+# script fails when one lacks a kernel or, in schema 2, a workload's
+# trials_per_s.
+scripts/bench_trend.sh
+# A fresh schema-2 snapshot (the repo benchmark's workloads at a short
+# window, untraced and traced, plus E9's kernels) against the newest
+# committed one, in the bands scripts/bench_snapshot.sh states. Kernel
+# times can still catch a bad scheduling slice right after the heavy soak
+# stages; a genuine regression reproduces, noise does not. Best-of-3: each
+# attempt takes a fresh snapshot, any in-band one passes. Write the
+# committed snapshot with `scripts/bench_snapshot.sh BENCH_<PR>.json`.
+PREV="$(ls BENCH_*.json | sort -V | tail -1)"
+ATTEMPT=1
+until scripts/bench_snapshot.sh "$SERVE_DIR/perf.json" "$PREV"; do
+    [ "$ATTEMPT" -lt 3 ] \
+        || { echo "perf regression persisted across $ATTEMPT snapshots"; exit 1; }
+    ATTEMPT=$((ATTEMPT + 1))
+    echo "    out-of-band sample; re-measuring (attempt $ATTEMPT/3)"
+done
 
 echo "OK"

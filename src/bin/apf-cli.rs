@@ -65,7 +65,6 @@
 //!               [--quota N]
 //! apf-cli job-digest FILE [--jobs N] [--report]
 //! apf-cli spec-digest FILE
-//! apf-cli perf-snapshot [--out PATH] [--jobs N]
 //! ```
 //!
 //! `serve` prints the bound address (`--addr 127.0.0.1:0` picks an
@@ -84,13 +83,6 @@
 //! a real socket. `spec-digest` prints a spec's canonical JSON and content
 //! address without running it.
 //!
-//! The `perf-snapshot` subcommand runs the fixed perf workload (the E2
-//! randomness-budget campaigns plus the E9 geometry kernels) and emits one
-//! JSON object of throughput numbers; `scripts/check.sh` diffs a fresh
-//! snapshot's trials/sec and per-kernel µs against the committed
-//! `BENCH_<PR>.json` with a tolerance band so slowdowns fail loudly instead
-//! of accruing silently.
-//!
 //! The `profile` subcommand records wall-time spans (LCM phases + analysis
 //! kernels) while running a campaign — or hammers the kernels directly with
 //! `--kernels N` — prints per-kernel latency statistics, and exports
@@ -105,6 +97,11 @@
 //! profiled campaign's digests and aggregates are bit-identical to an
 //! unprofiled run (`--report-out` emits exactly the `job-digest --report`
 //! object; check.sh diffs the two).
+//!
+//! Perf snapshots (`BENCH_<PR>.json`) are not a subcommand: the script
+//! `scripts/bench_snapshot.sh OUT` writes one from the repo benchmark's
+//! workloads and E9's kernels, and `scripts/check.sh` gates a fresh one
+//! against the newest committed snapshot.
 
 use apf::prelude::*;
 use apf::render::{Style, SvgScene};
@@ -908,112 +905,6 @@ fn profile_main(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// The `perf-snapshot` subcommand: run the fixed perf workload — the E2
-/// randomness-budget campaigns (quick subset) through the trial engine plus
-/// the E9 geometry kernels — and print one JSON object of throughput
-/// numbers. `scripts/check.sh` regenerates a snapshot each run and diffs its
-/// trials/sec against the committed `BENCH_<PR>.json` inside a tolerance
-/// band, making speed a regression-gated invariant (ROADMAP "perf
-/// trajectory tracking"). The numbers are machine-dependent by nature;
-/// regenerate the committed snapshot with `--out` when the workload or the
-/// reference machine changes, never by hand-editing.
-fn perf_snapshot_main(args: &[String]) -> ! {
-    use apf_bench::engine::{AlgorithmSpec, Campaign, Engine, RunSpec};
-    let usage = "apf-cli perf-snapshot [--out PATH] [--jobs N]\n\
-                 run the fixed perf workload (E2 campaigns + E9 kernels) and\n\
-                 write the snapshot JSON to PATH (default: stdout); --jobs\n\
-                 fixes the engine worker count (default 2, for snapshots\n\
-                 comparable across differently-sized hosts)\n\
-                 exit codes: 0 ok, 2 usage or I/O errors";
-    let mut out: Option<String> = None;
-    let mut jobs: usize = 2;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: {arg} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => out = Some(value()),
-            "--jobs" => {
-                jobs = value().parse().unwrap_or_else(|e| {
-                    eprintln!("error: --jobs: {e}");
-                    std::process::exit(2);
-                })
-            }
-            "--help" | "-h" => {
-                println!("{usage}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("error: unknown argument {other}\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    // The E2 quick subset, verbatim: symmetric starts, round-robin
-    // scheduler, 2M-step budget, 16 trials per n — ours vs YY-style.
-    let campaign = |name: &str, alg: AlgorithmSpec| {
-        let mut c = Campaign::new(name, 2);
-        for n in [8usize, 12] {
-            let rho = if n % 4 == 0 { 4 } else { 3 };
-            c.add_trials(16, |i, _| {
-                RunSpec::new(
-                    apf::patterns::symmetric_configuration(n, rho, 3000 + i),
-                    apf::patterns::random_pattern(n, 4000 + i),
-                )
-                .scheduler(SchedulerKind::RoundRobin)
-                .budget(2_000_000)
-                .algorithm(alg)
-            });
-        }
-        c
-    };
-    let engine = Engine::new().jobs(jobs.max(1));
-    let mut campaigns = Vec::new();
-    for (key, alg) in [("e2_ours", AlgorithmSpec::FormPattern), ("e2_yy", AlgorithmSpec::YyStyle)] {
-        let report = engine.run(&campaign(key, alg));
-        campaigns.push((
-            key,
-            Json::obj([
-                ("trials", Json::usize(report.trials)),
-                ("wall_secs", Json::f64(report.wall.as_secs_f64())),
-                ("trials_per_sec", Json::f64(report.trials_per_sec())),
-            ]),
-        ));
-    }
-
-    // The E9 kernel microbenches at two fixed sizes (µs per call).
-    let mut kernels = Vec::new();
-    for n in [32usize, 128] {
-        let keys = ["sec_us", "rho_us", "views_us", "regular_us", "shifted_us"];
-        let micros = apf_bench::experiments::time_kernels(n, 20);
-        kernels.push((format!("n{n}"), Json::obj(keys.into_iter().zip(micros.map(Json::f64)))));
-    }
-
-    let doc = Json::obj([
-        ("schema", Json::usize(1)),
-        ("engine_jobs", Json::usize(jobs.max(1))),
-        ("campaigns", Json::obj(campaigns)),
-        ("kernels", Json::Obj(kernels.into_iter().collect())),
-    ]);
-    let rendered = format!("{}\n", doc.render());
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, rendered) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("perf snapshot written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-    std::process::exit(0);
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         n: 8,
@@ -1070,8 +961,8 @@ fn parse_args() -> Result<Args, String> {
                      \x20            serve [--addr A] [--backend A]...  campaign service (HTTP)\n\
                      \x20            job-digest FILE [--report]         job spec -> digests/aggregate\n\
                      \x20            spec-digest FILE                   job spec -> content address\n\
-                     \x20            perf-snapshot [--out PATH]         fixed perf workload -> JSON\n\
-                     \x20            profile [--spec FILE] [--fold PATH] wall-time span profiling"
+                     \x20            profile [--spec FILE] [--fold PATH] wall-time span profiling\n\
+                     perf snapshots: scripts/bench_snapshot.sh BENCH_<PR>.json"
                 );
                 std::process::exit(0);
             }
@@ -1129,9 +1020,6 @@ fn main() {
     if raw.first().map(String::as_str) == Some("spec-digest") {
         spec_digest_main(&raw[1..]);
     }
-    if raw.first().map(String::as_str) == Some("perf-snapshot") {
-        perf_snapshot_main(&raw[1..]);
-    }
     if raw.first().map(String::as_str) == Some("profile") {
         profile_main(&raw[1..]);
     }
@@ -1143,9 +1031,14 @@ fn main() {
         }
     };
     let initial = match args.rho {
-        Some(rho) => apf::patterns::symmetric_configuration(args.n, rho, args.seed ^ 0xAB),
-        None => apf::patterns::asymmetric_configuration(args.n, args.seed ^ 0xAB),
+        Some(rho) => apf::patterns::try_symmetric_configuration(args.n, rho, args.seed ^ 0xAB),
+        None => apf::patterns::asymmetric_precondition(args.n)
+            .map(|()| apf::patterns::asymmetric_configuration(args.n, args.seed ^ 0xAB)),
     };
+    let initial = initial.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let pattern = match pattern_for(&args) {
         Ok(p) => p,
         Err(e) => {

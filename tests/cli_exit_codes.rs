@@ -63,6 +63,14 @@ fn malformed_invocations_exit_nonzero_with_usage() {
     assert_usage_error(&["bogus-subcommand"]);
     assert_usage_error(&["--seed"]); // missing value
     assert_usage_error(&["--scheduler", "warp"]);
+    // Initial configurations the generators cannot build: rho not dividing
+    // n, rho below 2, too few robots for asymmetry, and one orbit (a
+    // regular polygon, which always has an axis of symmetry).
+    assert_usage_error(&["--n", "8", "--sym", "3"]);
+    assert_usage_error(&["--sym", "0"]);
+    assert_usage_error(&["--sym", "1"]);
+    assert_usage_error(&["--n", "2"]);
+    assert_usage_error(&["--n", "8", "--sym", "8"]);
     // trace
     assert_usage_error(&["trace"]); // missing FILE
     assert_usage_error(&["trace", "--bogus"]);
