@@ -33,7 +33,7 @@ use crate::profile::SpanProfile;
 use crate::{Aggregate, RunResult};
 use apf_baselines::{DeterministicFormation, YyStyleFormation};
 use apf_core::{validate_instance, BuildError, FormPattern};
-use apf_geometry::{Point, Tol};
+use apf_geometry::Point;
 use apf_scheduler::{AsyncConfig, SchedulerKind};
 use apf_sim::{RobotAlgorithm, World, WorldConfig};
 use apf_trace::span::{self, SpanLabel};
@@ -161,12 +161,6 @@ impl RunSpec {
         self
     }
 
-    /// Replaces the whole world config.
-    pub fn world(mut self, config: WorldConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Chooses the algorithm (default: the paper's [`AlgorithmSpec::FormPattern`]).
     pub fn algorithm(mut self, algorithm: AlgorithmSpec) -> Self {
         self.algorithm = algorithm;
@@ -179,12 +173,6 @@ impl RunSpec {
         self
     }
 
-    /// Overrides the geometric tolerance.
-    pub fn tol(mut self, tol: Tol) -> Self {
-        self.config.tol = tol;
-        self
-    }
-
     /// Enables multiplicity detection (required for multiplicity patterns).
     pub fn multiplicity_detection(mut self, on: bool) -> Self {
         self.config.multiplicity_detection = on;
@@ -194,12 +182,6 @@ impl RunSpec {
     /// Whether robots get random (rotated/scaled/mirrored) local frames.
     pub fn randomize_frames(mut self, on: bool) -> Self {
         self.config.randomize_frames = on;
-        self
-    }
-
-    /// Records every configuration (for rendering; costly on long runs).
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.config.record_trace = on;
         self
     }
 

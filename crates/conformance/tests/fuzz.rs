@@ -15,7 +15,6 @@ use apf_sim::{BitSource, ComputeError, Decision, RobotAlgorithm, Snapshot, World
 use apf_trace::{CrashDumpSink, PhaseKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn quick_cfg() -> FuzzConfig {
     FuzzConfig { script_steps: 100, step_budget: 150_000, ..FuzzConfig::default() }
@@ -160,24 +159,28 @@ fn planted_two_bit_election_is_caught() {
     assert!(replay_violates(&cfg, ce.seed, &ce.script, "election-bits"));
 }
 
-/// A planted bug: the algorithm rejects its 40th snapshot. Every world run
-/// and every replay builds a fresh instance, so the count restarts.
-struct FailsOnFortieth(AtomicUsize);
+/// A planted bug: each robot walks to the centroid of its snapshot and
+/// rejects a snapshot whose centroid lies within 0.05 of it. The failure is
+/// a function of the snapshot alone, as the `RobotAlgorithm` contract
+/// requires, and the fuzzed starts put no robot that close, so every
+/// schedule reaches it only after some robot has moved.
+struct FailsNearCentroid;
 
-impl RobotAlgorithm for FailsOnFortieth {
+impl RobotAlgorithm for FailsNearCentroid {
     fn compute(
         &self,
-        _snapshot: &Snapshot,
+        snapshot: &Snapshot,
         _bits: &mut dyn BitSource,
     ) -> Result<Decision, ComputeError> {
-        if self.0.fetch_add(1, Ordering::Relaxed) + 1 == 40 {
-            return Err(ComputeError::new("planted failure on the 40th compute"));
+        let centroid = apf_geometry::weber::centroid(snapshot.robots());
+        if centroid.dist(Point::ORIGIN) < 0.05 {
+            return Err(ComputeError::new("planted failure near the centroid"));
         }
-        Ok(Decision::Stay)
+        Ok(Decision::Move(Path::straight(Point::ORIGIN, centroid)))
     }
 
     fn name(&self) -> &'static str {
-        "fails-on-fortieth"
+        "fails-near-centroid"
     }
 }
 
@@ -188,7 +191,7 @@ fn planted_compute_error_reproducers_replay() {
     // reported script fails its own replay.
     let cfg = FuzzConfig {
         require_formation: false,
-        algorithm: || Box::new(FailsOnFortieth(AtomicUsize::new(0))),
+        algorithm: || Box::new(FailsNearCentroid),
         ..FuzzConfig::default()
     };
     let report = fuzz_campaign(&cfg, 7, 3, 2);
@@ -196,6 +199,11 @@ fn planted_compute_error_reproducers_replay() {
     for ce in &report.counterexamples {
         assert_eq!(ce.violations[0].kind, "compute-error", "{:?}", ce.violations);
         assert!(ce.script.len() <= ce.original_len);
+        assert!(
+            ce.script.iter().flatten().any(|a| matches!(a, Action::Move { .. })),
+            "case {}: the failure needs a Move first",
+            ce.case_index
+        );
         assert!(
             replay_violates(&cfg, ce.seed, &ce.script, "compute-error"),
             "case {}: the {}-batch reproducer does not replay:\n{}",

@@ -42,9 +42,7 @@
 pub mod analysis;
 pub mod builder;
 mod completion;
-mod decision;
 pub mod dpf;
-mod memo_key;
 pub mod multiplicity;
 pub mod pattern;
 pub mod rsb;
@@ -55,27 +53,21 @@ pub use completion::completion_move;
 pub use pattern::{PatternAnalysis, PatternMemo};
 
 use apf_sim::{BitSource, ComputeError, Decision, PhaseKind, RobotAlgorithm, Snapshot};
-use decision::DecisionMemo;
 
 /// The paper's algorithm as an oblivious robot algorithm.
 ///
 /// Every decision is a function of the snapshot alone (and, in the
-/// election, one coin), which is exactly the oblivious-robot model. Two
-/// memos keep pure functions of the snapshot between Computes, each keyed
-/// by the exact bits of what it reads, so a hit returns exactly what
-/// recomputation would:
-///
-/// * a [`PatternMemo`] holds what depends only on the snapshot's pattern —
-///   the algorithm's input — analysed once per distinct pattern; it never
-///   sees a robot position;
-/// * a decision memo holds the `(Decision, PhaseKind)` of the last `2·n`
-///   Computes that returned `Ok` and drew no random bit, so a robot that
-///   Looks again before anything moved is answered without a new
-///   [`Analysis`]. A result that drew a bit is never kept.
+/// election, one coin), which is exactly the oblivious-robot model. What
+/// depends only on the snapshot's pattern — the algorithm's input — is
+/// analysed once per distinct pattern and kept in a [`PatternMemo`], keyed
+/// by the exact bits of the pattern, so a hit returns exactly what
+/// recomputation would; it never sees a robot position. A robot that Looks
+/// again before anything moved is answered by the world, which reuses its
+/// last coin-free decision without calling the algorithm
+/// ([`apf_sim::World`]).
 #[derive(Debug, Default)]
 pub struct FormPattern {
     memo: PatternMemo,
-    decisions: DecisionMemo,
 }
 
 impl RobotAlgorithm for FormPattern {
@@ -87,28 +79,9 @@ impl RobotAlgorithm for FormPattern {
         self.compute_tagged(snapshot, bits).map(|(decision, _)| decision)
     }
 
-    fn compute_tagged(
-        &self,
-        snapshot: &Snapshot,
-        bits: &mut dyn BitSource,
-    ) -> Result<(Decision, PhaseKind), ComputeError> {
-        self.decisions.get_or_compute(snapshot, bits, |bits| self.decide(snapshot, bits))
-    }
-
-    fn name(&self) -> &'static str {
-        "bramas-tixeuil-apf"
-    }
-}
-
-impl FormPattern {
-    /// Creates the algorithm.
-    pub fn new() -> Self {
-        FormPattern::default()
-    }
-
     /// One full Compute: the paper's dispatch on a fresh [`Analysis`] of
     /// `snapshot`.
-    fn decide(
+    fn compute_tagged(
         &self,
         snapshot: &Snapshot,
         bits: &mut dyn BitSource,
@@ -156,5 +129,16 @@ impl FormPattern {
             None => rsb::select_a_robot(&a, bits),
             Some(rs) => dpf::act(&a, rs),
         }
+    }
+
+    fn name(&self) -> &'static str {
+        "bramas-tixeuil-apf"
+    }
+}
+
+impl FormPattern {
+    /// Creates the algorithm.
+    pub fn new() -> Self {
+        FormPattern::default()
     }
 }

@@ -9,12 +9,9 @@
 //! keeps one analysis per distinct pattern input, keyed by its exact bits.
 //! A memo hit returns exactly what recomputation would, so every decision
 //! is still a function of the snapshot alone: obliviousness erases past
-//! configurations, and this memo never sees a robot position. (Whole
-//! snapshots are `FormPattern`'s second memo, of bit-free decisions; it
-//! keeps only the last `2·n` and returns what recomputation would too.)
+//! configurations, and this memo never sees a robot position.
 
 use crate::dpf::TargetPlan;
-use crate::memo_key::BitsKey;
 use crate::multiplicity::PatternMultiplicity;
 use apf_geometry::symmetry::ViewAnalysis;
 use apf_geometry::{smallest_enclosing_circle, Configuration, Point, SimilarityTarget, Tol};
@@ -158,14 +155,15 @@ impl PatternAnalysis {
 ///
 /// Entries are keyed by the exact bits of every pattern coordinate and of
 /// the tolerance — not by `==`, which equates `-0.0` with `0.0` although
-/// the two normalize to different angles. A lookup compares them in place,
-/// behind their fingerprints. A world owns its algorithm and hands each
-/// robot the same local copy of `F` on every Look, so the memo of an
-/// algorithm driving one world holds at most one entry per robot; it never
-/// evicts.
+/// the two normalize to different angles. A lookup compares them in place
+/// and leaves an entry at its first differing word; in random frames,
+/// robots' copies of `F` differ in their first coordinate. A world owns its
+/// algorithm and hands each robot the same local copy of `F` on every Look,
+/// so the memo of an algorithm driving one world holds at most one entry
+/// per robot; it never evicts.
 #[derive(Debug, Default)]
 pub struct PatternMemo {
-    entries: RefCell<Vec<(BitsKey, Rc<PatternAnalysis>)>>,
+    entries: RefCell<Vec<(Vec<u64>, Rc<PatternAnalysis>)>>,
 }
 
 impl PatternMemo {
@@ -179,18 +177,16 @@ impl PatternMemo {
         pattern: &[Point],
         tol: &Tol,
     ) -> Result<Rc<PatternAnalysis>, ComputeError> {
-        let fingerprint = BitsKey::fingerprint(memo_key(pattern, tol));
         if let Some((_, hit)) = self
             .entries
             .borrow()
             .iter()
-            .find(|(k, _)| k.matches(fingerprint, memo_key(pattern, tol)))
+            .find(|(key, _)| key.iter().copied().eq(memo_key(pattern, tol)))
         {
             return Ok(Rc::clone(hit));
         }
         let fresh = Rc::new(PatternAnalysis::new(pattern, tol)?);
-        let key = BitsKey::new(fingerprint, memo_key(pattern, tol));
-        self.entries.borrow_mut().push((key, Rc::clone(&fresh)));
+        self.entries.borrow_mut().push((memo_key(pattern, tol).collect(), Rc::clone(&fresh)));
         Ok(fresh)
     }
 }

@@ -206,7 +206,7 @@ impl Shared {
     }
 
     fn lock_held(&self) -> MutexGuard<'_, Vec<HeldPoll>> {
-        // apf-lint: allow(panic-policy) — poisoning means a handler panicked; propagate the bug
+        // apf-lint: allow(panic-policy, panic-reachability) — no handler runs while this lock is held, so poisoning means the server itself is broken; the timekeeper must die
         self.held.lock().expect("held-poll lock poisoned")
     }
 
@@ -378,12 +378,7 @@ fn timekeeper(shared: &Shared, wake: SocketAddr) {
         if !due.is_empty() {
             drop(held);
             for h in due {
-                // A handler bug fails this request, not the thread that
-                // answers every held poll and wakes the listener.
-                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    route(shared, &h.req, h.peer)
-                }))
-                .unwrap_or_else(|_| Response::error(500, "internal error"));
+                let response = guarded(route, shared, &h.req, h.peer);
                 respond(shared, h.stream, h.t0, &h.req.method, &h.req.path, response);
             }
             held = shared.lock_held();
@@ -400,7 +395,7 @@ fn timekeeper(shared: &Shared, wake: SocketAddr) {
         held = shared
             .held_cv
             .wait_timeout(held, next)
-            // apf-lint: allow(panic-policy) — poisoning means a handler panicked; propagate the bug
+            // apf-lint: allow(panic-policy, panic-reachability) — no handler runs while this lock is held, so poisoning means the server itself is broken; the timekeeper must die
             .expect("held-poll lock poisoned")
             .0;
     }
@@ -597,7 +592,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
                     return;
                 }
             }
-            let response = route(shared, &req, peer);
+            let response = guarded(route, shared, &req, peer);
             respond(shared, stream, t0, &req.method, &req.path, response);
         }
         Err(err) => {
@@ -613,6 +608,19 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
             respond(shared, stream, t0, "-", "-", response);
         }
     }
+}
+
+/// `handler`'s response to `req`, or a 500 if it panics. Requests are
+/// answered on the accept thread and on the timekeeper, which serve every
+/// other request: a handler bug fails its own request, not the thread.
+fn guarded<S>(
+    handler: fn(&S, &Request, SocketAddr) -> Response,
+    shared: &S,
+    req: &Request,
+    peer: SocketAddr,
+) -> Response {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(shared, req, peer)))
+        .unwrap_or_else(|_| Response::error(500, "internal error"))
 }
 
 /// The job of a `GET /v1/jobs/{id}/result` whose job is not finished yet:
@@ -931,4 +939,25 @@ fn enqueue(shared: &Shared, work: Work, request_id: String) -> Option<u64> {
     shared.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
     shared.queue_cv.notify_one();
     Some(id)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_handler_is_answered_500() {
+        let req = Request {
+            method: "GET".to_string(),
+            path: "/v1/healthz".to_string(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        let peer = SocketAddr::from((Ipv4Addr::LOCALHOST, 9));
+        let panics: fn(&(), &Request, SocketAddr) -> Response = |_, _, _| panic!("handler bug");
+        assert_eq!(guarded(panics, &(), &req, peer).status, 500);
+        let answers: fn(&(), &Request, SocketAddr) -> Response =
+            |_, _, _| Response::error(404, "no such job");
+        assert_eq!(guarded(answers, &(), &req, peer).status, 404);
+    }
 }

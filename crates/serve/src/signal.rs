@@ -6,31 +6,15 @@
 //! single async-signal-safe thing — a relaxed store to a static atomic —
 //! and everything else polls that flag from ordinary threads.
 //!
-//! On non-Unix targets the module compiles to a no-op registration: tests
-//! and programmatic shutdown use [`shutdown_flag`] directly.
+//! On non-Unix targets the module compiles to a no-op registration.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// Whether a shutdown signal (or [`request_shutdown`]) has been seen.
+/// Whether a shutdown signal has been seen.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::Acquire)
-}
-
-/// Raises the shutdown flag programmatically (tests, `DELETE`-all paths).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::Release);
-}
-
-/// Clears the flag (test isolation only; a real process shuts down once).
-pub fn reset_for_tests() {
-    SHUTDOWN.store(false, Ordering::Release);
-}
-
-/// The process-wide flag, for wiring into polling loops.
-pub fn shutdown_flag() -> &'static AtomicBool {
-    &SHUTDOWN
 }
 
 #[cfg(unix)]
@@ -68,19 +52,4 @@ mod unix {
 pub fn install_handlers() {
     #[cfg(unix)]
     unix::install();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn programmatic_shutdown_round_trip() {
-        reset_for_tests();
-        assert!(!shutdown_requested());
-        request_shutdown();
-        assert!(shutdown_requested());
-        reset_for_tests();
-        assert!(!shutdown_requested());
-    }
 }

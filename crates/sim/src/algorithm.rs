@@ -111,46 +111,6 @@ impl BitSource for NullBits {
     }
 }
 
-/// A [`BitSource`] that passes every draw through to another and notes
-/// whether one happened.
-///
-/// The note comes from the call, not from [`BitSource::bits_drawn`]:
-/// [`NullBits`] counts nothing, yet a result computed while it stubbed a
-/// coin depended on that coin. An algorithm that memoizes its results uses
-/// this to keep only those that drew nothing.
-pub struct WatchedBits<'a> {
-    inner: &'a mut dyn BitSource,
-    drew: bool,
-}
-
-impl<'a> WatchedBits<'a> {
-    /// Watches `inner`.
-    pub fn new(inner: &'a mut dyn BitSource) -> Self {
-        WatchedBits { inner, drew: false }
-    }
-
-    /// Whether any bit or word was drawn through this source.
-    pub fn drew(&self) -> bool {
-        self.drew
-    }
-}
-
-impl BitSource for WatchedBits<'_> {
-    fn bit(&mut self) -> bool {
-        self.drew = true;
-        self.inner.bit()
-    }
-
-    fn word(&mut self, n: u32) -> u64 {
-        self.drew = true;
-        self.inner.word(n)
-    }
-
-    fn bits_drawn(&self) -> u64 {
-        self.inner.bits_drawn()
-    }
-}
-
 /// A distributed mobile-robot algorithm: the Compute step of the LCM cycle.
 ///
 /// Implementations must be:
@@ -158,13 +118,13 @@ impl BitSource for WatchedBits<'_> {
 /// * **oblivious** — the decision may depend only on `snapshot` (and
 ///   randomness); the `&self` receiver carries configuration (e.g. the
 ///   target pattern, tolerances), never execution state. It may memoize
-///   pure functions of the snapshot — of its pattern, the algorithm's
-///   input, or of the whole snapshot — keyed by the exact bits (not `==`)
-///   of everything they read, since a memo hit returns exactly what
-///   recomputation would. A result that drew randomness is not such a
-///   function and must not be memoized: a repeat of its snapshot draws
-///   anew. [`WatchedBits`] detects a draw by the call, which
-///   [`BitSource::bits_drawn`] cannot ([`NullBits`] leaves it at 0);
+///   pure functions of the snapshot, keyed by the exact bits (not `==`) of
+///   everything they read, since a memo hit returns exactly what
+///   recomputation would. Obliviousness is what lets the world skip a
+///   Compute: a robot that Looks again before any position changed sees
+///   the same snapshot, bit for bit, so the world reuses its last decision
+///   when that Compute made no draw call. An algorithm that keeps execution
+///   state is outside the model and would see fewer Computes than Looks;
 /// * **frame-agnostic** — the snapshot is in an arbitrary local frame whose
 ///   rotation, scale and handedness vary per robot; a correct algorithm's
 ///   *global* behavior is invariant under these (the simulator's
@@ -247,20 +207,6 @@ mod tests {
         assert!(!n.bit());
         assert_eq!(n.word(64), 0);
         assert_eq!(n.bits_drawn(), 0);
-    }
-
-    #[test]
-    fn watched_bits_notes_every_draw() {
-        let mut counting = CountingBits::new(3);
-        let mut watched = WatchedBits::new(&mut counting);
-        assert!(!watched.drew());
-        let _ = watched.word(0);
-        assert!(watched.drew(), "a call draws even when it takes no bits");
-        let mut null = NullBits;
-        let mut watched = WatchedBits::new(&mut null);
-        let _ = watched.bit();
-        assert!(watched.drew(), "a stubbed coin is still a draw");
-        assert_eq!(watched.bits_drawn(), 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * **Anonymity & uniformity** — every robot runs the same
 //!   [`RobotAlgorithm`]; snapshots carry no identities;
 //! * **Obliviousness** — the algorithm is a pure function of the current
-//!   snapshot (the trait takes `&self` and receives no history);
+//!   snapshot (the trait takes `&self` and receives no history), so a
+//!   robot that Looks again before any position changed is answered with
+//!   its last coin-free decision, without a Compute;
 //! * **Disoriented local frames** — each robot observes the world through
 //!   its own [`apf_geometry::Frame`] with random rotation, scale and
 //!   *handedness*: there is no common North and no common chirality. The
@@ -31,9 +33,7 @@ pub mod metrics;
 pub mod snapshot;
 pub mod world;
 
-pub use algorithm::{
-    BitSource, ComputeError, CountingBits, Decision, NullBits, RobotAlgorithm, WatchedBits,
-};
+pub use algorithm::{BitSource, ComputeError, CountingBits, Decision, NullBits, RobotAlgorithm};
 pub use metrics::{Metrics, PhaseMetrics};
 pub use snapshot::Snapshot;
 pub use world::{Outcome, StopReason, World, WorldConfig};

@@ -73,32 +73,48 @@ struct PendingMove {
     phase: PhaseKind,
 }
 
-/// Wraps a robot's bit source to emit one trace event per draw. Only
-/// constructed when a sink is installed — the untraced path hands the
-/// algorithm its counting source directly.
-struct TracingBits<'a> {
+/// A robot's bit source for one Compute. It notes whether the algorithm
+/// made a draw call, which [`BitSource::bits_drawn`] cannot tell (`word(0)`
+/// draws no bit), and emits one trace event per draw when a sink is
+/// installed.
+struct LookBits<'a> {
     inner: &'a mut CountingBits,
-    sink: &'a mut dyn TraceSink,
+    sink: Option<&'a mut dyn TraceSink>,
     step: u64,
     robot: u32,
+    drew: bool,
 }
 
-impl BitSource for TracingBits<'_> {
+impl BitSource for LookBits<'_> {
     fn bit(&mut self) -> bool {
+        self.drew = true;
         let heads = self.inner.bit();
-        self.sink.record(&TraceEvent::CoinFlip { step: self.step, robot: self.robot, heads });
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.record(&TraceEvent::CoinFlip { step: self.step, robot: self.robot, heads });
+        }
         heads
     }
 
     fn word(&mut self, n: u32) -> u64 {
+        self.drew = true;
         let word = self.inner.word(n);
-        self.sink.record(&TraceEvent::RandomWord { step: self.step, robot: self.robot, bits: n });
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.record(&TraceEvent::RandomWord { step: self.step, robot: self.robot, bits: n });
+        }
         word
     }
 
     fn bits_drawn(&self) -> u64 {
         self.inner.bits_drawn()
     }
+}
+
+/// A robot's last Compute that returned `Ok` and made no draw call, with
+/// the epoch of the positions it saw.
+struct Reusable {
+    epoch: u64,
+    decision: Decision,
+    phase: PhaseKind,
 }
 
 /// The global simulation state: robot positions, in-flight moves, frames,
@@ -124,9 +140,15 @@ pub struct World {
     /// `F` prepared for the formation check, built on its first use: a
     /// world built only to be validated never pays for it.
     formation_target: OnceCell<SimilarityTarget>,
-    /// Whether the positions are those of the last formation check, and it
-    /// found `P ≉ F`. A Move clears it.
-    unformed: bool,
+    /// Goes up whenever a Move changes the bits of some position, so two
+    /// moments with equal epochs have bit-identical positions.
+    epoch: u64,
+    /// The epoch of the last formation check, if it found `P ≉ F`.
+    unformed_at: Option<u64>,
+    /// Per robot, its last coin-free decision. While the epoch is the one
+    /// stamped on it, the robot's snapshot is what that Compute saw, bit
+    /// for bit, and a Look is answered from here.
+    reusable: Vec<Option<Reusable>>,
     /// The scheduler's view of every robot, refilled on each step.
     phases: Vec<PhaseView>,
     /// The buffer of the next snapshot's robot positions.
@@ -214,7 +236,9 @@ impl World {
             robot_phase: vec![PhaseKind::Untagged; n],
             sink: None,
             formation_target: OnceCell::new(),
-            unformed: false,
+            epoch: 0,
+            unformed_at: None,
+            reusable: (0..n).map(|_| None).collect(),
             phases: Vec::new(),
             look_buffer: Vec::new(),
         }
@@ -301,17 +325,19 @@ impl World {
     /// are those of the last test that failed: robots that Look and stay
     /// leave the answer as it was.
     fn formed_since_last_check(&mut self) -> bool {
-        if self.unformed || self.any_pending() {
+        if self.unformed_at == Some(self.epoch) || self.any_pending() {
             return false;
         }
         let formed = self.is_formed();
-        self.unformed = !formed;
+        self.unformed_at = (!formed).then_some(self.epoch);
         formed
     }
 
     /// Probes whether any robot would move from the current configuration
     /// (deterministic, side-effect-free: randomness is stubbed with
-    /// [`NullBits`]). Used by stationarity assertions in tests.
+    /// [`NullBits`]). Used by stationarity assertions in tests. Each robot
+    /// it asks computes anew: the probe neither reads nor fills the slots
+    /// from which a Look reuses a decision.
     ///
     /// # Errors
     ///
@@ -482,58 +508,39 @@ impl World {
         (self.look_buffer, self.pattern_local[robot]) = snapshot.into_parts();
     }
 
+    /// `robot`'s Look and Compute. A robot that Looks again before any
+    /// position changed, and whose last Compute drew nothing, sees the same
+    /// snapshot, bit for bit; an oblivious algorithm decides the same on
+    /// it, so the decision is reused and no snapshot is built.
     fn apply_look(&mut self, robot: usize) -> Result<(), ComputeError> {
         let _look_span = apf_trace::span::enter_robot(apf_trace::SpanLabel::Look, robot as u32);
         let step = self.metrics.steps;
-        let snapshot = self.begin_look(robot);
-        let bits_before = self.bits[robot].bits_drawn();
-        let result = {
-            let _compute_span = apf_trace::span::enter(apf_trace::SpanLabel::Compute);
-            match self.sink.as_deref_mut() {
-                Some(sink) => {
-                    sink.record(&TraceEvent::Look { step, robot: robot as u32 });
-                    let mut tracing = TracingBits {
-                        inner: &mut self.bits[robot],
-                        sink,
-                        step,
-                        robot: robot as u32,
-                    };
-                    self.algorithm.compute_tagged(&snapshot, &mut tracing)
-                }
-                None => self.algorithm.compute_tagged(&snapshot, &mut self.bits[robot]),
-            }
-        };
-        self.end_look(robot, snapshot);
-        let drawn = self.bits[robot].bits_drawn() - bits_before;
-        let (decision, phase) = match result {
-            Ok(tagged) => tagged,
-            Err(e) => {
-                // The failing Compute still consumed a cycle and its bits.
-                self.metrics.record_cycle(PhaseKind::Untagged);
-                self.metrics.record_bits(PhaseKind::Untagged, drawn);
-                return Err(e);
-            }
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.record(&TraceEvent::Look { step, robot: robot as u32 });
+        }
+        let (decision, phase, coin_free) = match self.reusable[robot].take() {
+            Some(slot) if slot.epoch == self.epoch => (slot.decision, slot.phase, true),
+            _ => self.compute(robot, step)?,
         };
         self.metrics.record_cycle(phase);
-        self.metrics.record_bits(phase, drawn);
         let mut moved = false;
         let mut path_len = 0.0;
-        match decision {
-            Decision::Stay => {}
-            Decision::Move(local_path) => {
-                let frame = self.frame_of(robot);
-                debug_assert!(
-                    local_path.start().dist(Point::ORIGIN) < 1e-6,
-                    "computed paths must start at the robot (local origin)"
-                );
-                let global = frame.path_to_global(&local_path);
-                if global.length() > self.config.tol.eps {
-                    self.metrics.record_active(phase);
-                    moved = true;
-                    path_len = global.length();
-                    self.pending[robot] = Some(PendingMove { path: global, traveled: 0.0, phase });
-                }
+        if let Decision::Move(local_path) = &decision {
+            let frame = self.frame_of(robot);
+            debug_assert!(
+                local_path.start().dist(Point::ORIGIN) < 1e-6,
+                "computed paths must start at the robot (local origin)"
+            );
+            let global = frame.path_to_global(local_path);
+            if global.length() > self.config.tol.eps {
+                self.metrics.record_active(phase);
+                moved = true;
+                path_len = global.length();
+                self.pending[robot] = Some(PendingMove { path: global, traveled: 0.0, phase });
             }
+        }
+        if coin_free {
+            self.reusable[robot] = Some(Reusable { epoch: self.epoch, decision, phase });
         }
         let previous = self.robot_phase[robot];
         self.robot_phase[robot] = phase;
@@ -549,6 +556,44 @@ impl World {
             }
         }
         Ok(())
+    }
+
+    /// Runs `robot`'s Compute on a fresh snapshot and counts the bits it
+    /// drew. Returns the decision, its phase and whether the Compute made
+    /// no draw call.
+    fn compute(
+        &mut self,
+        robot: usize,
+        step: u64,
+    ) -> Result<(Decision, PhaseKind, bool), ComputeError> {
+        let snapshot = self.begin_look(robot);
+        let bits_before = self.bits[robot].bits_drawn();
+        let mut bits = LookBits {
+            inner: &mut self.bits[robot],
+            sink: self.sink.as_deref_mut().map(|sink| sink as &mut dyn TraceSink),
+            step,
+            robot: robot as u32,
+            drew: false,
+        };
+        let result = {
+            let _compute_span = apf_trace::span::enter(apf_trace::SpanLabel::Compute);
+            self.algorithm.compute_tagged(&snapshot, &mut bits)
+        };
+        let coin_free = !bits.drew;
+        self.end_look(robot, snapshot);
+        let drawn = self.bits[robot].bits_drawn() - bits_before;
+        match result {
+            Ok((decision, phase)) => {
+                self.metrics.record_bits(phase, drawn);
+                Ok((decision, phase, coin_free))
+            }
+            Err(e) => {
+                // The failing Compute still consumed a cycle and its bits.
+                self.metrics.record_cycle(PhaseKind::Untagged);
+                self.metrics.record_bits(PhaseKind::Untagged, drawn);
+                Err(e)
+            }
+        }
     }
 
     fn apply_move(&mut self, robot: usize, distance: f64, end_phase: bool) {
@@ -576,8 +621,11 @@ impl World {
         if end_phase && !arrived {
             self.metrics.record_interrupt(phase);
         }
+        let old = self.positions[robot];
+        if (old.x.to_bits(), old.y.to_bits()) != (new_pos.x.to_bits(), new_pos.y.to_bits()) {
+            self.epoch += 1;
+        }
         self.positions[robot] = new_pos;
-        self.unformed = false;
         if end_phase || arrived {
             self.pending[robot] = None;
         }
@@ -612,7 +660,9 @@ impl std::fmt::Debug for World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apf_scheduler::{FsyncScheduler, RoundRobinScheduler};
+    use apf_scheduler::{FsyncScheduler, RoundRobinScheduler, ScriptedScheduler};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// Toy algorithm: walk toward the centroid of the observed points (stops
     /// when within tol). Frame-agnostic by construction.
@@ -870,6 +920,114 @@ mod tests {
         assert!(moved);
         assert_eq!(w.metrics().random_bits(), bits_before);
         assert!(!w.any_pending());
+    }
+
+    /// Toy algorithm that stays after making the draw calls of `draw`, and
+    /// counts its Computes in `calls`.
+    struct CountedStayer {
+        calls: Rc<Cell<u32>>,
+        draw: fn(&mut dyn BitSource),
+    }
+
+    impl RobotAlgorithm for CountedStayer {
+        fn compute(
+            &self,
+            _snapshot: &Snapshot,
+            bits: &mut dyn BitSource,
+        ) -> Result<Decision, ComputeError> {
+            self.calls.set(self.calls.get() + 1);
+            (self.draw)(bits);
+            Ok(Decision::Stay)
+        }
+
+        fn name(&self) -> &'static str {
+            "counted-stayer"
+        }
+    }
+
+    #[test]
+    fn only_decisions_made_without_a_draw_call_are_reused() {
+        let computes = |draw: fn(&mut dyn BitSource)| {
+            let calls = Rc::new(Cell::new(0));
+            let alg = CountedStayer { calls: Rc::clone(&calls), draw };
+            let mut w = world_with(Box::new(alg), Box::new(FsyncScheduler::new()));
+            for _ in 0..3 {
+                w.step().unwrap();
+            }
+            assert_eq!(w.metrics().cycles(), 12);
+            calls.get()
+        };
+        assert_eq!(computes(|_| {}), 4, "nothing moves, so only the first round computes");
+        assert_eq!(
+            computes(|bits| {
+                bits.bit();
+            }),
+            12
+        );
+        assert_eq!(
+            computes(|bits| {
+                bits.word(0);
+            }),
+            12,
+            "a draw call is a draw even when it takes no bits"
+        );
+    }
+
+    /// Toy algorithm that counts its Computes in `calls` and walks to the
+    /// centroid when it is more than 2 away from it.
+    struct CountedStraggler {
+        calls: Rc<Cell<u32>>,
+    }
+
+    impl RobotAlgorithm for CountedStraggler {
+        fn compute(
+            &self,
+            snapshot: &Snapshot,
+            _bits: &mut dyn BitSource,
+        ) -> Result<Decision, ComputeError> {
+            self.calls.set(self.calls.get() + 1);
+            let c = apf_geometry::weber::centroid(snapshot.robots());
+            if c.dist(Point::ORIGIN) > 2.0 {
+                Ok(Decision::Move(Path::straight(Point::ORIGIN, c)))
+            } else {
+                Ok(Decision::Stay)
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "counted-straggler"
+        }
+    }
+
+    #[test]
+    fn a_move_ends_the_reuse_of_every_robots_decision() {
+        let calls = Rc::new(Cell::new(0));
+        let mut initial = square();
+        initial[0] = Point::new(4.0, 0.0);
+        let look = |robot| vec![Action::Look { robot }];
+        let script = vec![
+            look(1),
+            look(1),
+            look(0),
+            vec![Action::Move { robot: 0, distance: 0.5, end_phase: true }],
+            look(1),
+            look(1),
+        ];
+        let mut w = World::new(
+            initial.clone(),
+            initial,
+            Box::new(CountedStraggler { calls: Rc::clone(&calls) }),
+            Box::new(ScriptedScheduler::new(script)),
+            WorldConfig { randomize_frames: false, ..WorldConfig::default() },
+            1,
+        );
+        let mut computes = Vec::new();
+        for _ in 0..6 {
+            w.step().unwrap();
+            computes.push(calls.get());
+        }
+        assert_eq!(computes, [1, 1, 2, 2, 3, 3], "robot 0's Move ends robot 1's reuse");
+        assert_eq!(w.metrics().cycles(), 5);
     }
 
     #[test]

@@ -56,6 +56,4 @@ pub use jsonl::{parse_line, to_json_line, ParseError};
 pub use sink::{
     fnv1a_64, CrashDumpSink, HashProbe, HashSink, JsonlSink, NullSink, TraceSink, VecSink,
 };
-pub use span::{
-    Log2Histogram, NullSpanSink, Span, SpanGuard, SpanLabel, SpanSink, SpanStack, VecSpanSink,
-};
+pub use span::{Log2Histogram, Span, SpanGuard, SpanLabel, SpanSink, SpanStack, VecSpanSink};

@@ -246,18 +246,6 @@ pub trait SpanSink {
     fn record_truncated(&mut self) {}
 }
 
-/// Discards everything and reports disabled — installing it is a no-op.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSpanSink;
-
-impl SpanSink for NullSpanSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record_span(&mut self, _span: &Span) {}
-}
-
 /// Collects every span in completion order (tests, small captures).
 #[derive(Debug, Clone, Default)]
 pub struct VecSpanSink {
@@ -636,7 +624,15 @@ mod tests {
 
     #[test]
     fn disabled_sink_is_dropped_at_install() {
-        assert!(install(Box::new(NullSpanSink)).is_none());
+        struct Disabled;
+        impl SpanSink for Disabled {
+            fn enabled(&self) -> bool {
+                false
+            }
+
+            fn record_span(&mut self, _span: &Span) {}
+        }
+        assert!(install(Box::new(Disabled)).is_none());
         assert!(!is_active());
         assert!(take().is_none());
     }
