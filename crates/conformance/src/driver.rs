@@ -142,13 +142,12 @@ struct Recorder {
 }
 
 impl Scheduler for Recorder {
-    fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
-        let batch = self.inner.next(phases);
+    fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
+        self.inner.next(phases, batch);
         let mut script = self.script.borrow_mut();
         if (script.len() as u64) < self.limit {
             script.push(batch.clone());
         }
-        batch
     }
 
     fn name(&self) -> &'static str {

@@ -152,13 +152,12 @@ impl FuzzScheduler {
 }
 
 impl Scheduler for FuzzScheduler {
-    fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
+    fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
         self.steps += 1;
         let n = phases.len();
         let starving = self.steps <= self.script_steps;
         let victim_due = self.steps - self.last_victim_step >= self.params.victim_period;
         let batch_size = self.rng.gen_range(1..=self.params.batch_max.min(n));
-        let mut batch: Vec<Action> = Vec::with_capacity(batch_size);
         let start = self.rng.gen_range(0..n);
         for i in 0..n {
             if batch.len() >= batch_size {
@@ -187,7 +186,6 @@ impl Scheduler for FuzzScheduler {
                 }
             });
         }
-        batch
     }
 
     fn name(&self) -> &'static str {

@@ -254,19 +254,19 @@ struct TimeBomb {
 }
 
 impl Scheduler for TimeBomb {
-    fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
+    fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
         if self.fuse == 0 {
-            return Vec::new();
+            return;
         }
         self.fuse -= 1;
         let robot = self.rotor % phases.len();
         self.rotor += 1;
-        vec![match phases[robot] {
+        batch.push(match phases[robot] {
             PhaseView::Idle => Action::Look { robot },
             p @ PhaseView::Pending { .. } => {
                 Action::Move { robot, distance: p.remaining(), end_phase: true }
             }
-        }]
+        });
     }
 
     fn name(&self) -> &'static str {

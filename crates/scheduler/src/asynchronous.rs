@@ -90,14 +90,13 @@ impl AsyncScheduler {
 }
 
 impl Scheduler for AsyncScheduler {
-    fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
+    fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
         let n = phases.len();
         self.idle_steps.resize(n, 0);
         for c in self.idle_steps.iter_mut() {
             *c += 1;
         }
 
-        let mut batch = Vec::new();
         // Forced activations first (fairness).
         for (robot, phase) in phases.iter().enumerate() {
             if self.idle_steps[robot] >= self.config.starvation_bound {
@@ -135,7 +134,6 @@ impl Scheduler for AsyncScheduler {
                 }
             });
         }
-        batch
     }
 
     fn name(&self) -> &'static str {
@@ -146,6 +144,7 @@ impl Scheduler for AsyncScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::next_batch;
 
     #[test]
     fn deterministic_given_seed() {
@@ -153,7 +152,7 @@ mod tests {
         let mut a = AsyncScheduler::new(42);
         let mut b = AsyncScheduler::new(42);
         for _ in 0..50 {
-            assert_eq!(a.next(&phases), b.next(&phases));
+            assert_eq!(next_batch(&mut a, &phases), next_batch(&mut b, &phases));
         }
     }
 
@@ -162,8 +161,8 @@ mod tests {
         let phases = vec![PhaseView::Idle; 6];
         let mut a = AsyncScheduler::new(1);
         let mut b = AsyncScheduler::new(2);
-        let seq_a: Vec<_> = (0..20).flat_map(|_| a.next(&phases)).collect();
-        let seq_b: Vec<_> = (0..20).flat_map(|_| b.next(&phases)).collect();
+        let seq_a: Vec<_> = (0..20).flat_map(|_| next_batch(&mut a, &phases)).collect();
+        let seq_b: Vec<_> = (0..20).flat_map(|_| next_batch(&mut b, &phases)).collect();
         assert_ne!(seq_a, seq_b);
     }
 
@@ -175,7 +174,7 @@ mod tests {
         );
         let phases = vec![PhaseView::Pending { length: 1.0, traveled: 0.0 }; 4];
         for _ in 0..200 {
-            assert!(!s.next(&phases).is_empty());
+            assert!(!next_batch(&mut s, &phases).is_empty());
         }
     }
 
@@ -188,7 +187,7 @@ mod tests {
         let phases = vec![PhaseView::Idle; 10];
         let mut seen = vec![0u32; 10];
         for _ in 0..5000 {
-            for a in s.next(&phases) {
+            for a in next_batch(&mut s, &phases) {
                 seen[a.robot()] += 1;
             }
         }
@@ -200,7 +199,7 @@ mod tests {
         let mut s = AsyncScheduler::new(3);
         let phases = vec![PhaseView::Idle, PhaseView::Pending { length: 2.0, traveled: 1.0 }];
         for _ in 0..200 {
-            for a in s.next(&phases) {
+            for a in next_batch(&mut s, &phases) {
                 match a {
                     Action::Look { robot } => assert_eq!(robot, 0),
                     Action::Move { robot, .. } => assert_eq!(robot, 1),

@@ -72,7 +72,7 @@ mod tests {
         let idle = vec![PhaseView::Idle; 4];
         for kind in SchedulerKind::all() {
             let mut s = kind.build(7);
-            assert!(!s.next(&idle).is_empty(), "{kind}");
+            assert!(!crate::next_batch(&mut *s, &idle).is_empty(), "{kind}");
             assert!(!s.name().is_empty());
         }
     }

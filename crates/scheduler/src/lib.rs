@@ -51,15 +51,26 @@ pub use ssync::SsyncScheduler;
 /// Implementations must be *fair*: every robot is scheduled infinitely often
 /// in an infinite execution (deterministically or with probability 1).
 pub trait Scheduler {
-    /// Returns the actions for the next engine step.
+    /// Pushes the actions for the next engine step onto `batch`, which
+    /// arrives empty: the engine lends one buffer for every step, so a
+    /// scheduler allocates nothing for its batches once that buffer has
+    /// grown.
     ///
-    /// `phases[i]` describes robot `i`'s current phase. The returned batch
-    /// must be non-empty whenever at least one robot exists, and must only
+    /// `phases[i]` describes robot `i`'s current phase. The batch must be
+    /// non-empty whenever at least one robot exists, and must only
     /// reference legal transitions (Look for idle robots, Move for robots
     /// with a pending path); the engine validates and panics on violations,
     /// since a buggy scheduler would silently invalidate every experiment.
-    fn next(&mut self, phases: &[PhaseView]) -> Vec<Action>;
+    fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>);
 
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// The batch `scheduler` emits for `phases`, in a fresh vector.
+#[cfg(test)]
+fn next_batch<S: Scheduler + ?Sized>(scheduler: &mut S, phases: &[PhaseView]) -> Vec<Action> {
+    let mut batch = Vec::new();
+    scheduler.next(phases, &mut batch);
+    batch
 }

@@ -30,14 +30,14 @@ impl RoundRobinScheduler {
 }
 
 impl Scheduler for RoundRobinScheduler {
-    fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
+    fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
         let n = phases.len();
         let robot = self.cursor % n;
-        match phases[robot] {
+        batch.push(match phases[robot] {
             PhaseView::Idle => {
                 self.cursor += 1;
                 self.progress = 0;
-                vec![Action::Look { robot }]
+                Action::Look { robot }
             }
             p @ PhaseView::Pending { .. } => {
                 self.progress += 1;
@@ -51,9 +51,9 @@ impl Scheduler for RoundRobinScheduler {
                     self.cursor += 1;
                     self.progress = 0;
                 }
-                vec![Action::Move { robot, distance, end_phase }]
+                Action::Move { robot, distance, end_phase }
             }
-        }
+        });
     }
 
     fn name(&self) -> &'static str {
@@ -64,13 +64,14 @@ impl Scheduler for RoundRobinScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::next_batch;
 
     #[test]
     fn visits_all_robots_in_order() {
         let mut s = RoundRobinScheduler::new(1);
         let idle = vec![PhaseView::Idle; 3];
         for expect in [0usize, 1, 2, 0, 1] {
-            let acts = s.next(&idle);
+            let acts = next_batch(&mut s, &idle);
             assert_eq!(acts, vec![Action::Look { robot: expect }]);
         }
     }
@@ -79,9 +80,9 @@ mod tests {
     fn slices_split_the_move() {
         let mut s = RoundRobinScheduler::new(2);
         let idle = vec![PhaseView::Idle; 1];
-        assert_eq!(s.next(&idle), vec![Action::Look { robot: 0 }]);
+        assert_eq!(next_batch(&mut s, &idle), vec![Action::Look { robot: 0 }]);
         let pending = vec![PhaseView::Pending { length: 2.0, traveled: 0.0 }];
-        let first = s.next(&pending);
+        let first = next_batch(&mut s, &pending);
         match first[0] {
             Action::Move { distance, end_phase, .. } => {
                 assert!(!end_phase);
@@ -90,7 +91,7 @@ mod tests {
             _ => panic!("expected a move"),
         }
         let half = vec![PhaseView::Pending { length: 2.0, traveled: 1.0 }];
-        let second = s.next(&half);
+        let second = next_batch(&mut s, &half);
         match second[0] {
             Action::Move { distance, end_phase, .. } => {
                 assert!(end_phase);

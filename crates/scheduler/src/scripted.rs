@@ -78,27 +78,25 @@ impl ScriptedScheduler {
 }
 
 impl Scheduler for ScriptedScheduler {
-    fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
+    fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
         while self.cursor < self.script.len() {
-            let batch = &self.script[self.cursor];
+            let scripted = &self.script[self.cursor];
             self.cursor += 1;
-            let mut filtered: Vec<Action> = Vec::with_capacity(batch.len());
-            for action in batch {
+            for action in scripted {
                 // Keep the first action per robot; a deleted Look can
                 // otherwise leave two Moves racing for the same robot.
-                if Self::legal(action, phases)
-                    && !filtered.iter().any(|a| a.robot() == action.robot())
+                if Self::legal(action, phases) && !batch.iter().any(|a| a.robot() == action.robot())
                 {
-                    filtered.push(*action);
+                    batch.push(*action);
                 }
             }
-            if !filtered.is_empty() {
-                return filtered;
+            if !batch.is_empty() {
+                return;
             }
             // The whole batch was illegal after edits: fall through to the
             // next scripted batch rather than inventing actions mid-script.
         }
-        vec![self.fallback(phases)]
+        batch.push(self.fallback(phases));
     }
 
     fn name(&self) -> &'static str {
@@ -109,6 +107,7 @@ impl Scheduler for ScriptedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::next_batch;
 
     fn idle(n: usize) -> Vec<PhaseView> {
         vec![PhaseView::Idle; n]
@@ -121,8 +120,8 @@ mod tests {
             vec![Action::Look { robot: 2 }],
         ];
         let mut s = ScriptedScheduler::new(script.clone());
-        assert_eq!(s.next(&idle(3)), script[0]);
-        assert_eq!(s.next(&idle(3)), script[1]);
+        assert_eq!(next_batch(&mut s, &idle(3)), script[0]);
+        assert_eq!(next_batch(&mut s, &idle(3)), script[1]);
         assert!(s.exhausted());
     }
 
@@ -135,7 +134,7 @@ mod tests {
             Action::Look { robot: 1 },
         ]];
         let mut s = ScriptedScheduler::new(script);
-        assert_eq!(s.next(&idle(2)), vec![Action::Look { robot: 1 }]);
+        assert_eq!(next_batch(&mut s, &idle(2)), vec![Action::Look { robot: 1 }]);
     }
 
     #[test]
@@ -147,7 +146,7 @@ mod tests {
         ]];
         let mut s = ScriptedScheduler::new(script);
         assert_eq!(
-            s.next(&phases),
+            next_batch(&mut s, &phases),
             vec![Action::Move { robot: 0, distance: 0.5, end_phase: false }]
         );
     }
@@ -159,7 +158,7 @@ mod tests {
             vec![Action::Look { robot: 1 }],                                 // legal
         ];
         let mut s = ScriptedScheduler::new(script);
-        assert_eq!(s.next(&idle(2)), vec![Action::Look { robot: 1 }]);
+        assert_eq!(next_batch(&mut s, &idle(2)), vec![Action::Look { robot: 1 }]);
         assert_eq!(s.consumed(), 2, "the illegal batch was consumed, not stalled on");
     }
 
@@ -168,7 +167,7 @@ mod tests {
         let mut s = ScriptedScheduler::new(Vec::new());
         let mut seen = [false; 3];
         for _ in 0..9 {
-            let batch = s.next(&idle(3));
+            let batch = next_batch(&mut s, &idle(3));
             assert_eq!(batch.len(), 1);
             seen[batch[0].robot()] = true;
         }
@@ -179,7 +178,7 @@ mod tests {
     fn fallback_moves_pending_robots_to_completion() {
         let mut s = ScriptedScheduler::new(Vec::new());
         let phases = vec![PhaseView::Pending { length: 3.0, traveled: 1.0 }];
-        match s.next(&phases)[0] {
+        match next_batch(&mut s, &phases)[0] {
             Action::Move { robot: 0, distance, end_phase: true } => {
                 assert!((distance - 2.0).abs() < 1e-12);
             }

@@ -40,23 +40,23 @@ impl SsyncScheduler {
 }
 
 impl Scheduler for SsyncScheduler {
-    fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
+    fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
         let n = phases.len();
         self.skipped.resize(n, 0);
 
         // Finish every pending move first: SSYNC cycles are atomic.
-        let moves: Vec<Action> = phases
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_idle())
-            .map(|(robot, p)| Action::Move { robot, distance: p.remaining(), end_phase: true })
-            .collect();
-        if !moves.is_empty() {
-            return moves;
+        batch.extend(
+            phases
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| !p.is_idle())
+                .map(|(robot, p)| Action::Move { robot, distance: p.remaining(), end_phase: true }),
+        );
+        if !batch.is_empty() {
+            return;
         }
 
         // All idle: pick the next round's participants.
-        let mut batch = Vec::new();
         for robot in 0..n {
             let forced = self.skipped[robot] >= self.starvation_bound;
             if forced || self.rng.gen_bool(self.p_active) {
@@ -72,7 +72,6 @@ impl Scheduler for SsyncScheduler {
             self.skipped[robot] = 0;
             batch.push(Action::Look { robot });
         }
-        batch
     }
 
     fn name(&self) -> &'static str {
@@ -83,12 +82,13 @@ impl Scheduler for SsyncScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::next_batch;
 
     #[test]
     fn pending_moves_complete_before_next_round() {
         let mut s = SsyncScheduler::new(7, 0.5);
         let phases = vec![PhaseView::Pending { length: 1.0, traveled: 0.2 }, PhaseView::Idle];
-        let acts = s.next(&phases);
+        let acts = next_batch(&mut s, &phases);
         assert_eq!(acts.len(), 1);
         assert!(matches!(acts[0], Action::Move { robot: 0, end_phase: true, .. }));
     }
@@ -98,7 +98,7 @@ mod tests {
         let mut s = SsyncScheduler::new(3, 0.01);
         let idle = vec![PhaseView::Idle; 5];
         for _ in 0..100 {
-            assert!(!s.next(&idle).is_empty());
+            assert!(!next_batch(&mut s, &idle).is_empty());
         }
     }
 
@@ -108,7 +108,7 @@ mod tests {
         let idle = vec![PhaseView::Idle; 8];
         let mut seen = vec![0u32; 8];
         for _ in 0..2000 {
-            for a in s.next(&idle) {
+            for a in next_batch(&mut s, &idle) {
                 seen[a.robot()] += 1;
             }
         }

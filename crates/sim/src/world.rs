@@ -151,6 +151,8 @@ pub struct World {
     reusable: Vec<Option<Reusable>>,
     /// The scheduler's view of every robot, refilled on each step.
     phases: Vec<PhaseView>,
+    /// The step's batch, lent empty to the scheduler on each step.
+    actions: Vec<Action>,
     /// The buffer of the next snapshot's robot positions.
     look_buffer: Vec<Point>,
 }
@@ -240,6 +242,7 @@ impl World {
             unformed_at: None,
             reusable: (0..n).map(|_| None).collect(),
             phases: Vec::new(),
+            actions: Vec::new(),
             look_buffer: Vec::new(),
         }
     }
@@ -372,24 +375,26 @@ impl World {
             None => PhaseView::Idle,
             Some(pm) => PhaseView::Pending { length: pm.path.length(), traveled: pm.traveled },
         }));
-        let actions = self.scheduler.next(&self.phases);
-        if actions.is_empty() {
+        self.actions.clear();
+        self.scheduler.next(&self.phases, &mut self.actions);
+        if self.actions.is_empty() {
             self.invariant_failure("scheduler returned an empty step");
         }
         if let Some(sink) = self.sink.as_deref_mut() {
-            let looks = actions.iter().filter(|a| a.is_look()).count() as u32;
+            let looks = self.actions.iter().filter(|a| a.is_look()).count() as u32;
             sink.record(&TraceEvent::StepBegin {
                 step: self.metrics.steps,
                 looks,
-                moves: actions.len() as u32 - looks,
+                moves: self.actions.len() as u32 - looks,
             });
         }
 
         // Apply Looks first, then Moves (any serialization of a batch is a
         // legal ASYNC behavior; this one makes FSYNC rounds exact). Looks move
         // no robot, so every Look observes the step's initial configuration.
-        for action in &actions {
-            if let Action::Look { robot } = *action {
+        // Actions are `Copy`, so each is read by index while `self` applies it.
+        for i in 0..self.actions.len() {
+            if let Action::Look { robot } = self.actions[i] {
                 if self.pending[robot].is_some() {
                     self.invariant_failure(&format!(
                         "scheduler issued Look for a non-idle robot {robot}"
@@ -398,8 +403,8 @@ impl World {
                 self.apply_look(robot)?;
             }
         }
-        for action in &actions {
-            if let Action::Move { robot, distance, end_phase } = *action {
+        for i in 0..self.actions.len() {
+            if let Action::Move { robot, distance, end_phase } = self.actions[i] {
                 if self.pending[robot].is_none() {
                     self.invariant_failure(&format!(
                         "scheduler issued Move for an idle robot {robot}"
@@ -767,12 +772,11 @@ mod tests {
         // yields >= delta movement.
         struct StingyScheduler;
         impl Scheduler for StingyScheduler {
-            fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
-                if let Some((robot, _)) = phases.iter().enumerate().find(|(_, p)| !p.is_idle()) {
-                    vec![Action::Move { robot, distance: 0.0, end_phase: true }]
-                } else {
-                    vec![Action::Look { robot: 0 }]
-                }
+            fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
+                batch.push(match phases.iter().position(|p| !p.is_idle()) {
+                    Some(robot) => Action::Move { robot, distance: 0.0, end_phase: true },
+                    None => Action::Look { robot: 0 },
+                });
             }
             fn name(&self) -> &'static str {
                 "stingy"
@@ -885,12 +889,13 @@ mod tests {
         // position is strictly between start and destination.
         struct OneSlice;
         impl Scheduler for OneSlice {
-            fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
-                if let Some((robot, p)) = phases.iter().enumerate().find(|(_, p)| !p.is_idle()) {
-                    vec![Action::Move { robot, distance: p.remaining() * 0.5, end_phase: false }]
-                } else {
-                    vec![Action::Look { robot: 0 }]
-                }
+            fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
+                batch.push(match phases.iter().enumerate().find(|(_, p)| !p.is_idle()) {
+                    Some((robot, p)) => {
+                        Action::Move { robot, distance: p.remaining() * 0.5, end_phase: false }
+                    }
+                    None => Action::Look { robot: 0 },
+                });
             }
             fn name(&self) -> &'static str {
                 "one-slice"
@@ -1076,12 +1081,13 @@ mod tests {
         // interrupted exactly once (half > delta, half < full).
         struct Chopper;
         impl Scheduler for Chopper {
-            fn next(&mut self, phases: &[PhaseView]) -> Vec<Action> {
-                if let Some((robot, p)) = phases.iter().enumerate().find(|(_, p)| !p.is_idle()) {
-                    vec![Action::Move { robot, distance: p.remaining() * 0.5, end_phase: true }]
-                } else {
-                    vec![Action::Look { robot: 0 }]
-                }
+            fn next(&mut self, phases: &[PhaseView], batch: &mut Vec<Action>) {
+                batch.push(match phases.iter().enumerate().find(|(_, p)| !p.is_idle()) {
+                    Some((robot, p)) => {
+                        Action::Move { robot, distance: p.remaining() * 0.5, end_phase: true }
+                    }
+                    None => Action::Look { robot: 0 },
+                });
             }
             fn name(&self) -> &'static str {
                 "chopper"

@@ -42,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Heap allocations a trial may make per Look, world construction aside.
-const BUDGET_PER_LOOK: f64 = 20.0;
+const BUDGET_PER_LOOK: f64 = 15.0;
 
 /// Builds the trial `(n, rho, kind)` with geometry seed `seed`: a symmetric
 /// start of symmetricity `rho`, or an asymmetric one when `rho` is 1, and a

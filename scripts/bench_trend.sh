@@ -9,7 +9,11 @@
 #   schema-1 ones, which timed E2 campaigns instead);
 # - `kernel.<n>.<kernel>`: E9's kernel µs per call at n = 32 and 128, from
 #   both schemas.
-# scripts/bench_snapshot.sh gates on these rows. Exits 1 when a snapshot
+# scripts/bench_snapshot.sh gates on these rows. Two informational rows per
+# workload follow the throughputs and gate nothing: `geometry.sec.calls` and
+# `sim.compute.calls` of the traced run (`-` in schema-1 snapshots), exact
+# counts that host speed does not move, which show how many Welzl runs each
+# Compute costs. Exits 1 when a snapshot
 # lacks a value the gate reads: a kernel, or in a schema-2 snapshot, the
 # trials_per_s of a workload another snapshot has.
 #
@@ -32,6 +36,10 @@ done
 tps() {
     sed -n "s/^{\"workload\":\"$2\",\"trace\":0,.*\"trials_per_s\":{\"unit\":\"1\/s\",\"value\":\([0-9.eE+-]*\)}.*/\1/p" "$1"
 }
+# Count $3 of workload $2's traced run (schema 2): exact, informational.
+traced_count() {
+    sed -n "s/^{\"workload\":\"$2\",\"trace\":1,.*\"${3//./\\.}\":{\"unit\":\"count\",\"value\":\([0-9]*\)}.*/\1/p" "$1"
+}
 # Kernel latency: lower is better. $2 = n32|n128, $3 = metric key.
 kus() {
     sed -n "s/.*\"$2\":{\([^}]*\)}.*/\1/p" "$1" \
@@ -39,20 +47,22 @@ kus() {
 }
 
 # Header.
-printf '%-30s' "metric"
+printf '%-36s' "metric"
 for s in "${SNAPS[@]}"; do
     name="$(basename "$s" .json)"
     printf ' %12s' "${name#BENCH_}"
 done
 printf ' %10s %s\n' "old->new" "direction"
 
+# One row; ROW_FORMAT is the printf format of each value.
+ROW_FORMAT='%12.3f'
 row() {
     local label="$1" direction="$2"; shift 2
     local first="" last="" v
-    printf '%-30s' "$label"
+    printf '%-36s' "$label"
     for v in "$@"; do
         if [ -n "$v" ]; then
-            printf ' %12.3f' "$v"
+            printf " $ROW_FORMAT" "$v"
             [ -n "$first" ] || first="$v"
             last="$v"
         else
@@ -80,6 +90,17 @@ for w in ${WORKLOADS[@]+"${WORKLOADS[@]}"}; do
     done
     row "$w.trials_per_s" "trials/s, higher better" "${vals[@]}"
 done
+ROW_FORMAT='%12.0f'
+for w in ${WORKLOADS[@]+"${WORKLOADS[@]}"}; do
+    for m in geometry.sec.calls sim.compute.calls; do
+        vals=()
+        for s in "${SNAPS[@]}"; do
+            vals+=("$(traced_count "$s" "$w" "$m")")
+        done
+        row "$w.$m" "count, traced, not gated" "${vals[@]}"
+    done
+done
+ROW_FORMAT='%12.3f'
 for nk in n32 n128; do
     for k in sec_us rho_us views_us regular_us shifted_us; do
         vals=()
