@@ -50,14 +50,6 @@ impl RobotAlgorithm for YyStyleFormation {
         &self,
         snapshot: &Snapshot,
         bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError> {
-        self.compute_tagged(snapshot, bits).map(|(decision, _)| decision)
-    }
-
-    fn compute_tagged(
-        &self,
-        snapshot: &Snapshot,
-        bits: &mut dyn BitSource,
     ) -> Result<(Decision, PhaseKind), ComputeError> {
         let a = Analysis::new(snapshot, &self.memo)?;
         if a.n() != a.pattern.points().len() {
@@ -138,14 +130,6 @@ impl RobotAlgorithm for DeterministicFormation {
     fn compute(
         &self,
         snapshot: &Snapshot,
-        bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError> {
-        self.compute_tagged(snapshot, bits).map(|(decision, _)| decision)
-    }
-
-    fn compute_tagged(
-        &self,
-        snapshot: &Snapshot,
         _bits: &mut dyn BitSource,
     ) -> Result<(Decision, PhaseKind), ComputeError> {
         let a = Analysis::new(snapshot, &self.memo)?;
@@ -174,7 +158,7 @@ impl RobotAlgorithm for DeterministicFormation {
                 // Reuse the paper's asymmetric branch through the public
                 // entry point (it draws no bits on the asymmetric path).
                 let mut null = apf_sim::NullBits;
-                self.fallback.compute_tagged(snapshot, &mut null)
+                self.fallback.compute(snapshot, &mut null)
             }
         }
     }
@@ -201,14 +185,14 @@ impl RobotAlgorithm for GatherToCenter {
         &self,
         snapshot: &Snapshot,
         _bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError> {
+    ) -> Result<(Decision, PhaseKind), ComputeError> {
         let cfg = snapshot.configuration();
         let c = cfg.sec().center;
         let me = snapshot.robots()[snapshot.self_index()];
         if me.dist(c) <= snapshot.tol().eps {
-            return Ok(Decision::Stay);
+            return Ok((Decision::Stay, PhaseKind::Untagged));
         }
-        Ok(Decision::Move(Path::straight(me, c)))
+        Ok((Decision::Move(Path::straight(me, c)), PhaseKind::Untagged))
     }
 
     fn name(&self) -> &'static str {

@@ -73,8 +73,6 @@ pub enum AlgorithmSpec {
     YyStyle,
     /// Deterministic baseline (cannot break symmetry).
     Deterministic,
-    /// Any other algorithm, via a constructor function pointer.
-    Custom(fn() -> Box<dyn RobotAlgorithm>),
 }
 
 impl AlgorithmSpec {
@@ -83,7 +81,6 @@ impl AlgorithmSpec {
             AlgorithmSpec::FormPattern => Box::new(FormPattern::new()),
             AlgorithmSpec::YyStyle => Box::new(YyStyleFormation::new()),
             AlgorithmSpec::Deterministic => Box::new(DeterministicFormation::new()),
-            AlgorithmSpec::Custom(make) => make(),
         }
     }
 }

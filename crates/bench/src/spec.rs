@@ -26,7 +26,9 @@
 //! what makes answering a repeated spec from a cache sound at all.
 
 use crate::engine::{trial_seed, Campaign, RunSpec};
-use apf_scheduler::SchedulerKind;
+/// The type of [`CanonicalSpec::scheduler`]; its wire labels are
+/// [`SchedulerKind::label`] and [`SchedulerKind::from_label`].
+pub use apf_scheduler::SchedulerKind;
 use apf_trace::json::Json;
 
 /// Upper bound on trials per spec (bounds service queue memory and shard
@@ -63,27 +65,6 @@ impl Generator {
             "asymmetric" => Some(Generator::Asymmetric),
             _ => None,
         }
-    }
-}
-
-/// Lowercase wire label for a scheduler kind.
-pub fn scheduler_label(kind: SchedulerKind) -> &'static str {
-    match kind {
-        SchedulerKind::Fsync => "fsync",
-        SchedulerKind::Ssync => "ssync",
-        SchedulerKind::Async => "async",
-        SchedulerKind::RoundRobin => "round_robin",
-    }
-}
-
-/// Parses a scheduler wire label.
-pub fn scheduler_from_label(s: &str) -> Option<SchedulerKind> {
-    match s {
-        "fsync" => Some(SchedulerKind::Fsync),
-        "ssync" => Some(SchedulerKind::Ssync),
-        "async" => Some(SchedulerKind::Async),
-        "round_robin" => Some(SchedulerKind::RoundRobin),
-        _ => None,
     }
 }
 
@@ -127,8 +108,12 @@ impl Default for CanonicalSpec {
 }
 
 impl CanonicalSpec {
-    /// Range-checks the spec and verifies every trial's instance builds —
-    /// after this, running the campaign cannot fail validation.
+    /// Checks every field's range and the generator's precondition, without
+    /// building a trial: `apf_core::validate_instance` refuses only n < 7,
+    /// unequal sizes and points within `eps` of each other, and both
+    /// generators return n points at least 0.05 apart. The test
+    /// `accepted_specs_build_every_trial` builds every trial of specs at
+    /// the precondition's edges.
     ///
     /// # Errors
     ///
@@ -143,17 +128,14 @@ impl CanonicalSpec {
         if self.n < 7 || self.n > MAX_ROBOTS {
             return Err(format!("\"n\" must be 7..={MAX_ROBOTS} (the paper needs n >= 7)"));
         }
-        if self.generator == Generator::Symmetric {
-            apf_patterns::symmetric_precondition(self.n, self.rho)
-                .map_err(|why| format!("symmetric generator: {why}"))?;
+        match self.generator {
+            Generator::Symmetric => apf_patterns::symmetric_precondition(self.n, self.rho)
+                .map_err(|why| format!("symmetric generator: {why}"))?,
+            Generator::Asymmetric => apf_patterns::asymmetric_precondition(self.n)
+                .map_err(|why| format!("asymmetric generator: {why}"))?,
         }
         if self.budget == 0 || self.budget > MAX_BUDGET {
             return Err(format!("\"budget\" must be 1..={MAX_BUDGET}"));
-        }
-        for i in 0..self.trials {
-            self.try_trial_spec(i)
-                .and_then(|spec| spec.build_world().map_err(|e| e.to_string()))
-                .map_err(|why| format!("trial {i} is invalid: {why}"))?;
         }
         Ok(())
     }
@@ -166,24 +148,20 @@ impl CanonicalSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the generator cannot build trial `i`, which
-    /// [`CanonicalSpec::validate`] rules out.
+    /// Panics if the generator cannot build trial `i`. No spec that
+    /// [`CanonicalSpec::validate`] accepts is known to do so.
     pub fn trial_spec(&self, i: u64) -> RunSpec {
-        self.try_trial_spec(i).unwrap_or_else(|why| panic!("trial {i}: {why}"))
-    }
-
-    /// [`CanonicalSpec::trial_spec`], or why its instance cannot be built.
-    fn try_trial_spec(&self, i: u64) -> Result<RunSpec, String> {
         let initial = match self.generator {
             Generator::Symmetric => {
-                apf_patterns::try_symmetric_configuration(self.n, self.rho, 1000 + i)?
+                apf_patterns::try_symmetric_configuration(self.n, self.rho, 1000 + i)
+                    .unwrap_or_else(|why| panic!("trial {i}: {why}"))
             }
             Generator::Asymmetric => apf_patterns::asymmetric_configuration(self.n, 1000 + i),
         };
-        Ok(RunSpec::new(initial, apf_patterns::random_pattern(self.n, 2000 + i))
+        RunSpec::new(initial, apf_patterns::random_pattern(self.n, 2000 + i))
             .scheduler(self.scheduler)
             .budget(self.budget)
-            .seed(trial_seed(self.seed, i)))
+            .seed(trial_seed(self.seed, i))
     }
 
     /// The spec's full campaign — identical construction to the historical
@@ -209,21 +187,26 @@ impl CanonicalSpec {
         c
     }
 
-    /// The canonical compact-JSON form: alphabetically sorted keys, every
-    /// field present, integer tokens exact. Submitting the same values in
-    /// any field order yields byte-identical output.
-    pub fn canonical_json(&self) -> String {
+    /// The canonical form as a JSON object: every field present, integer
+    /// tokens exact. Its rendering is [`CanonicalSpec::canonical_json`].
+    pub fn to_json(&self) -> Json {
         Json::obj([
             ("budget", Json::u64(self.budget)),
             ("generator", Json::str(self.generator.label())),
             ("n", Json::usize(self.n)),
             ("name", Json::str(&self.name)),
             ("rho", Json::usize(self.rho)),
-            ("scheduler", Json::str(scheduler_label(self.scheduler))),
+            ("scheduler", Json::str(self.scheduler.label())),
             ("seed", Json::u64(self.seed)),
             ("trials", Json::u64(self.trials)),
         ])
-        .render()
+    }
+
+    /// The canonical compact-JSON form: alphabetically sorted keys, every
+    /// field present, integer tokens exact. Submitting the same values in
+    /// any field order yields byte-identical output.
+    pub fn canonical_json(&self) -> String {
+        self.to_json().render()
     }
 
     /// The spec's content address: FNV-1a 64 over the canonical JSON bytes.
@@ -320,5 +303,39 @@ mod tests {
             assert!(spec.validate().is_err(), "accepted {why}");
         }
         assert!(CanonicalSpec::default().validate().is_ok());
+    }
+
+    #[test]
+    fn accepted_specs_build_every_trial() {
+        // `validate` builds no trial, so the precondition alone must rule
+        // out every unbuildable instance. Its edges: n = 8, 12 and 64; 2 and
+        // 16 orbits; rho = 2 and n / 2; both generators.
+        let mut specs = Vec::new();
+        for n in [8, 12, 32, 64] {
+            let asymmetric = Generator::Asymmetric;
+            specs.push(CanonicalSpec { n, generator: asymmetric, ..CanonicalSpec::default() });
+            for rho in [2, n / 16, n / 2] {
+                specs.push(CanonicalSpec { n, rho, ..CanonicalSpec::default() });
+            }
+        }
+        specs.retain(|s| s.validate().is_ok());
+        specs.dedup();
+        let shapes: Vec<(usize, usize)> = specs
+            .iter()
+            .filter(|s| s.generator == Generator::Symmetric)
+            .map(|s| (s.n, s.rho))
+            .collect();
+        assert_eq!(
+            shapes,
+            [(8, 2), (8, 4), (12, 2), (12, 6), (32, 2), (32, 16), (64, 4), (64, 32)]
+        );
+        for spec in &specs {
+            let spec = CanonicalSpec { trials: 32, ..spec.clone() };
+            for i in 0..spec.trials {
+                if let Err(e) = spec.trial_spec(i).build_world() {
+                    panic!("{spec:?} trial {i}: {e}");
+                }
+            }
+        }
     }
 }

@@ -62,16 +62,9 @@ impl RobotAlgorithm for TerminalMover {
         &self,
         _snapshot: &Snapshot,
         _bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError> {
-        Ok(Decision::Move(Path::straight(Point::ORIGIN, Point::new(1.0, 0.0))))
-    }
-
-    fn compute_tagged(
-        &self,
-        snapshot: &Snapshot,
-        bits: &mut dyn BitSource,
     ) -> Result<(Decision, PhaseKind), ComputeError> {
-        Ok((self.compute(snapshot, bits)?, PhaseKind::Terminal))
+        let step = Path::straight(Point::ORIGIN, Point::new(1.0, 0.0));
+        Ok((Decision::Move(step), PhaseKind::Terminal))
     }
 
     fn name(&self) -> &'static str {
@@ -119,18 +112,10 @@ impl RobotAlgorithm for GreedyElector {
         &self,
         _snapshot: &Snapshot,
         bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError> {
-        let _ = bits.bit();
-        let _ = bits.bit();
-        Ok(Decision::Stay)
-    }
-
-    fn compute_tagged(
-        &self,
-        snapshot: &Snapshot,
-        bits: &mut dyn BitSource,
     ) -> Result<(Decision, PhaseKind), ComputeError> {
-        Ok((self.compute(snapshot, bits)?, PhaseKind::RsbElection))
+        let _ = bits.bit();
+        let _ = bits.bit();
+        Ok((Decision::Stay, PhaseKind::RsbElection))
     }
 
     fn name(&self) -> &'static str {
@@ -171,12 +156,12 @@ impl RobotAlgorithm for FailsNearCentroid {
         &self,
         snapshot: &Snapshot,
         _bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError> {
+    ) -> Result<(Decision, PhaseKind), ComputeError> {
         let centroid = apf_geometry::weber::centroid(snapshot.robots());
         if centroid.dist(Point::ORIGIN) < 0.05 {
             return Err(ComputeError::new("planted failure near the centroid"));
         }
-        Ok(Decision::Move(Path::straight(Point::ORIGIN, centroid)))
+        Ok((Decision::Move(Path::straight(Point::ORIGIN, centroid)), PhaseKind::Untagged))
     }
 
     fn name(&self) -> &'static str {

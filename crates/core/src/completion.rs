@@ -291,14 +291,6 @@ mod tests {
             &self,
             snapshot: &Snapshot,
             bits: &mut dyn BitSource,
-        ) -> Result<Decision, ComputeError> {
-            self.compute_tagged(snapshot, bits).map(|(decision, _)| decision)
-        }
-
-        fn compute_tagged(
-            &self,
-            snapshot: &Snapshot,
-            bits: &mut dyn BitSource,
         ) -> Result<(Decision, PhaseKind), ComputeError> {
             let mut a = Analysis::new(snapshot, &self.memo)?;
             if !matches!(multiplicity::preprocess(&mut a)?, MultiStep::Gather(_)) {
@@ -308,7 +300,7 @@ mod tests {
                     self.accepted.set(self.accepted.get() + full.len());
                 }
             }
-            self.inner.compute_tagged(snapshot, bits)
+            self.inner.compute(snapshot, bits)
         }
 
         fn name(&self) -> &'static str {

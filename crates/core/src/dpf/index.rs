@@ -249,16 +249,8 @@ mod tests {
             &self,
             snapshot: &Snapshot,
             bits: &mut dyn BitSource,
-        ) -> Result<Decision, ComputeError> {
-            self.compute_tagged(snapshot, bits).map(|(decision, _)| decision)
-        }
-
-        fn compute_tagged(
-            &self,
-            snapshot: &Snapshot,
-            bits: &mut dyn BitSource,
         ) -> Result<(Decision, PhaseKind), ComputeError> {
-            let (decision, kind) = self.inner.compute_tagged(snapshot, bits)?;
+            let (decision, kind) = self.inner.compute(snapshot, bits)?;
             let seen = &self.seen;
             match kind {
                 PhaseKind::DpfPopulate => seen.populate.set(seen.populate.get() + 1),

@@ -71,17 +71,9 @@ pub struct FormPattern {
 }
 
 impl RobotAlgorithm for FormPattern {
-    fn compute(
-        &self,
-        snapshot: &Snapshot,
-        bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError> {
-        self.compute_tagged(snapshot, bits).map(|(decision, _)| decision)
-    }
-
     /// One full Compute: the paper's dispatch on a fresh [`Analysis`] of
     /// `snapshot`.
-    fn compute_tagged(
+    fn compute(
         &self,
         snapshot: &Snapshot,
         bits: &mut dyn BitSource,

@@ -28,17 +28,9 @@ impl RobotAlgorithm for Fresh {
         &self,
         snapshot: &Snapshot,
         bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError> {
-        self.compute_tagged(snapshot, bits).map(|(decision, _)| decision)
-    }
-
-    fn compute_tagged(
-        &self,
-        snapshot: &Snapshot,
-        bits: &mut dyn BitSource,
     ) -> Result<(Decision, PhaseKind), ComputeError> {
         bits.word(0);
-        FormPattern::new().compute_tagged(snapshot, bits)
+        FormPattern::new().compute(snapshot, bits)
     }
 
     fn name(&self) -> &'static str {
@@ -64,17 +56,9 @@ impl RobotAlgorithm for Counted {
         &self,
         snapshot: &Snapshot,
         bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError> {
-        self.compute_tagged(snapshot, bits).map(|(decision, _)| decision)
-    }
-
-    fn compute_tagged(
-        &self,
-        snapshot: &Snapshot,
-        bits: &mut dyn BitSource,
     ) -> Result<(Decision, PhaseKind), ComputeError> {
         self.calls.set(self.calls.get() + 1);
-        self.inner.compute_tagged(snapshot, bits)
+        self.inner.compute(snapshot, bits)
     }
 
     fn name(&self) -> &'static str {

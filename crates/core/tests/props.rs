@@ -38,7 +38,7 @@ proptest! {
         let mut bits = CountingBits::new(seed);
         let d = alg.compute(&snap, &mut bits);
         prop_assert!(d.is_ok(), "compute failed: {:?}", d.err());
-        if let Ok(Decision::Move(path)) = d {
+        if let Ok((Decision::Move(path), _)) = d {
             // Paths start at the observer (local origin) and are finite.
             prop_assert!(path.start().dist(Point::ORIGIN) < 1e-6);
             prop_assert!(path.length().is_finite());
@@ -58,7 +58,7 @@ proptest! {
         for me in 0..8 {
             let snap = snapshot_for(&pts, me, &pattern, &Frame::identity());
             let mut bits = NullBits;
-            if let Decision::Move(_) = alg.compute(&snap, &mut bits).unwrap() {
+            if let Decision::Move(_) = alg.compute(&snap, &mut bits).unwrap().0 {
                 movers += 1;
             }
         }
@@ -75,7 +75,7 @@ proptest! {
         let snap = snapshot_for(&pts, me, &pattern, &Frame::identity());
         let alg = FormPattern::new();
         let mut bits = CountingBits::new(seed);
-        if let Decision::Move(path) = alg.compute(&snap, &mut bits).unwrap() {
+        if let Decision::Move(path) = alg.compute(&snap, &mut bits).unwrap().0 {
             // The configuration center in local coordinates.
             let c_local = (Point::ORIGIN - pts[me].to_vector()).to_vector().to_point();
             let r0 = path.start().dist(c_local);
@@ -102,6 +102,6 @@ proptest! {
         let snap = snapshot_for(&pts, me, &pattern, &Frame::identity());
         let alg = FormPattern::new();
         let mut bits = NullBits;
-        prop_assert_eq!(alg.compute(&snap, &mut bits).unwrap(), Decision::Stay);
+        prop_assert_eq!(alg.compute(&snap, &mut bits).unwrap().0, Decision::Stay);
     }
 }

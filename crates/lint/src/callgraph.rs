@@ -10,7 +10,7 @@
 //! to a draw goes through the election entrypoint" (remove the entrypoint;
 //! anything that still reaches a draw found another way in).
 
-use crate::parser::ParsedFile;
+use crate::parser::{CallSite, ParsedFile};
 use crate::symbols::{ResolveCtx, Symbols};
 
 /// A synthetic node for a closure passed to `spawn(...)`.
@@ -24,8 +24,6 @@ pub struct ClosureNode {
     pub line: usize,
     /// Token range of the spawn arguments in the file.
     pub body: (usize, usize),
-    /// The closure body mentions `catch_unwind`.
-    pub guarded: bool,
     /// Enclosing function is inside `#[cfg(test)]`.
     pub is_test: bool,
 }
@@ -37,6 +35,9 @@ pub struct CallGraph {
     pub edges: Vec<Vec<(usize, usize)>>,
     /// Reverse adjacency (caller node, call line).
     pub redges: Vec<Vec<(usize, usize)>>,
+    /// The edges whose call site lies outside every `catch_unwind(...)`
+    /// argument list of its function: the calls a panic unwinds through.
+    pub unguarded: Vec<Vec<(usize, usize)>>,
     /// Closure nodes; closure `k` is node `symbols.fns.len() + k`.
     pub closures: Vec<ClosureNode>,
 }
@@ -57,46 +58,47 @@ impl CallGraph {
                     parent: node,
                     line: sp.line,
                     body: sp.body,
-                    guarded: sp.guarded,
                     is_test: f.is_test,
                 });
             }
         }
         let n = nf + closures.len();
         let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-
-        for (node, fsym) in sym.fns.iter().enumerate() {
+        let mut unguarded: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        // Links node `from` to the targets of `calls`, made in `owner`'s body.
+        let mut link = |from: usize, owner: usize, calls: &[CallSite]| {
+            let fsym = &sym.fns[owner];
             let p = &parsed[fsym.file];
-            let f = &p.fns[fsym.fn_idx];
+            let guards = &p.fns[fsym.fn_idx].guards;
             let ctx = ResolveCtx {
                 crate_name: &fsym.crate_name,
                 owner: fsym.owner.as_deref(),
                 uses: &p.uses,
             };
-            for call in &f.calls {
+            for call in calls {
+                let guarded = guards.iter().any(|&(s, e)| (s..e).contains(&call.tok));
                 for target in sym.resolve(&call.callee, ctx) {
-                    edges[node].push((target, call.line));
+                    edges[from].push((target, call.line));
+                    if !guarded {
+                        unguarded[from].push((target, call.line));
+                    }
                 }
             }
+        };
+        for (node, fsym) in sym.fns.iter().enumerate() {
+            link(node, node, &parsed[fsym.file].fns[fsym.fn_idx].calls);
         }
         // Closure edges: the subset of the parent's call sites that sit
         // inside the spawn range, plus bare function values (`spawn(worker)`).
         for (k, cl) in closures.iter().enumerate() {
-            let node = nf + k;
-            let fsym = &sym.fns[cl.parent];
             let p = &parsed[cl.file];
-            let ctx = ResolveCtx {
-                crate_name: &fsym.crate_name,
-                owner: fsym.owner.as_deref(),
-                uses: &p.uses,
-            };
-            for call in crate::parser::calls_in_range(p, cl.body.0, cl.body.1, &[], true) {
-                for target in sym.resolve(&call.callee, ctx) {
-                    edges[node].push((target, call.line));
-                }
-            }
+            link(
+                nf + k,
+                cl.parent,
+                &crate::parser::calls_in_range(p, cl.body.0, cl.body.1, &[], true),
+            );
         }
-        for e in &mut edges {
+        for e in edges.iter_mut().chain(&mut unguarded) {
             e.sort_unstable();
             e.dedup();
         }
@@ -106,7 +108,7 @@ impl CallGraph {
                 redges[to].push((from, line));
             }
         }
-        CallGraph { edges, redges, closures }
+        CallGraph { edges, redges, unguarded, closures }
     }
 
     /// Number of nodes (functions + closures).
@@ -127,6 +129,13 @@ impl CallGraph {
     #[must_use]
     pub fn reach_forward(&self, roots: &[usize], blocked: &[bool]) -> Vec<Option<usize>> {
         self.bfs(roots, blocked, &self.edges)
+    }
+
+    /// [`CallGraph::reach_forward`] over the unguarded edges only: the
+    /// call paths on which no `catch_unwind` contains a panic.
+    #[must_use]
+    pub fn reach_unguarded(&self, roots: &[usize], blocked: &[bool]) -> Vec<Option<usize>> {
+        self.bfs(roots, blocked, &self.unguarded)
     }
 
     /// Backward BFS from `targets` over reverse edges, never crossing

@@ -15,6 +15,8 @@
 //! * **spawn closures** — closure literals passed to a `spawn(...)` call.
 //!   They are the roots of the panic-reachability analysis, and the only
 //!   place where code starts running on another thread;
+//! * **`catch_unwind` guards** — the argument ranges of `catch_unwind(...)`
+//!   calls, the code whose panics the analysis counts as contained;
 //! * **`use` declarations** — alias → path mappings used to qualify
 //!   single-segment calls and to pin cross-crate paths.
 //!
@@ -54,6 +56,8 @@ pub enum TokKind {
 pub struct Tok {
     /// 1-based line the token starts on.
     pub line: usize,
+    /// 1-based byte column the token starts at.
+    pub col: usize,
     /// What the token is.
     pub kind: TokKind,
 }
@@ -107,8 +111,6 @@ pub struct SpawnClosure {
     pub line: usize,
     /// Token range (start, end) of the spawn call's argument list.
     pub body: (usize, usize),
-    /// The closure body mentions `catch_unwind` — panics are contained.
-    pub guarded: bool,
 }
 
 /// One `fn` item (definition or bodyless trait declaration).
@@ -132,8 +134,10 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
     /// Closures passed to `spawn(...)` inside the body.
     pub spawns: Vec<SpawnClosure>,
-    /// The body mentions `catch_unwind` (a panic-containment boundary).
-    pub has_catch_unwind: bool,
+    /// Token ranges (start, end) of the argument lists of the
+    /// `catch_unwind(...)` calls in the body: the code a panic-containment
+    /// boundary guards.
+    pub guards: Vec<(usize, usize)>,
 }
 
 /// A parsed file: tokens, bracket matching, items, and `use` aliases.
@@ -183,12 +187,15 @@ pub fn tokenize(masked: &str) -> Vec<Tok> {
     let mut toks = Vec::new();
     let mut i = 0;
     let mut line = 1usize;
+    let mut line_start = 0;
     while i < bytes.len() {
         let b = bytes[i];
+        let col = i - line_start + 1;
         match b {
             b'\n' => {
                 line += 1;
                 i += 1;
+                line_start = i;
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
@@ -196,7 +203,7 @@ pub fn tokenize(masked: &str) -> Vec<Tok> {
                 while i < bytes.len() && is_ident_byte(bytes[i]) {
                     i += 1;
                 }
-                toks.push(Tok { line, kind: TokKind::Ident(masked[start..i].to_string()) });
+                toks.push(Tok { line, col, kind: TokKind::Ident(masked[start..i].to_string()) });
             }
             b'0'..=b'9' => {
                 while i < bytes.len() && is_ident_byte(bytes[i]) {
@@ -210,29 +217,29 @@ pub fn tokenize(masked: &str) -> Vec<Tok> {
                         i += 1;
                     }
                 }
-                toks.push(Tok { line, kind: TokKind::Num });
+                toks.push(Tok { line, col, kind: TokKind::Num });
             }
             b'\'' if bytes.get(i + 1).is_some_and(|&c| is_ident_byte(c)) => {
                 i += 1;
                 while i < bytes.len() && is_ident_byte(bytes[i]) {
                     i += 1;
                 }
-                toks.push(Tok { line, kind: TokKind::Lifetime });
+                toks.push(Tok { line, col, kind: TokKind::Lifetime });
             }
             b':' if bytes.get(i + 1) == Some(&b':') => {
-                toks.push(Tok { line, kind: TokKind::ColonColon });
+                toks.push(Tok { line, col, kind: TokKind::ColonColon });
                 i += 2;
             }
             b'-' if bytes.get(i + 1) == Some(&b'>') => {
-                toks.push(Tok { line, kind: TokKind::Arrow });
+                toks.push(Tok { line, col, kind: TokKind::Arrow });
                 i += 2;
             }
             b'=' if bytes.get(i + 1) == Some(&b'>') => {
-                toks.push(Tok { line, kind: TokKind::FatArrow });
+                toks.push(Tok { line, col, kind: TokKind::FatArrow });
                 i += 2;
             }
             _ => {
-                toks.push(Tok { line, kind: TokKind::Punct(b) });
+                toks.push(Tok { line, col, kind: TokKind::Punct(b) });
                 i += 1;
             }
         }
@@ -396,7 +403,7 @@ fn collect_items(p: &mut ParsedFile, scanned: &Scanned, file_mods: &[String]) {
                         is_test: scanned.is_test_line(line),
                         calls: Vec::new(),
                         spawns: Vec::new(),
-                        has_catch_unwind: false,
+                        guards: Vec::new(),
                     });
                     i = next;
                     continue;
@@ -594,7 +601,7 @@ fn parse_use_tree(
 }
 
 /// Second pass: per-fn call sites, spawn closures, and `catch_unwind`
-/// markers, skipping nested `fn` bodies (their calls belong to the nested
+/// guards, skipping nested `fn` bodies (their calls belong to the nested
 /// item).
 fn collect_bodies(p: &mut ParsedFile) {
     let ranges: Vec<(usize, usize)> = p.fns.iter().map(|f| f.body).collect();
@@ -607,39 +614,17 @@ fn collect_bodies(p: &mut ParsedFile) {
         let skips: Vec<(usize, usize)> =
             ranges.iter().filter(|&&(s, e)| s > start && e < end && s < e).copied().collect();
         let calls = calls_in_range(p, start, end, &skips, false);
-        let spawns = find_spawns(p, start, end, &skips);
-        let has_catch = range_mentions(p, start, end, &skips, "catch_unwind");
+        let spawns = call_args(p, start, end, &skips, "spawn");
+        let guards = call_args(p, start, end, &skips, "catch_unwind");
         let f = &mut p.fns[k];
         f.calls = calls;
-        f.spawns = spawns;
-        f.has_catch_unwind = has_catch;
+        f.spawns = spawns.into_iter().map(|(line, body)| SpawnClosure { line, body }).collect();
+        f.guards = guards.into_iter().map(|(_, args)| args).collect();
     }
 }
 
 fn in_skips(skips: &[(usize, usize)], i: usize) -> Option<usize> {
     skips.iter().find(|&&(s, e)| i >= s && i < e).map(|&(_, e)| e)
-}
-
-/// True when any token in the range (minus skips) is the identifier `word`.
-pub(crate) fn range_mentions(
-    p: &ParsedFile,
-    start: usize,
-    end: usize,
-    skips: &[(usize, usize)],
-    word: &str,
-) -> bool {
-    let mut i = start;
-    while i < end.min(p.toks.len()) {
-        if let Some(e) = in_skips(skips, i) {
-            i = e;
-            continue;
-        }
-        if p.toks[i].ident() == Some(word) {
-            return true;
-        }
-        i += 1;
-    }
-    false
 }
 
 /// Extracts call sites in a token range. With `include_bare_refs`, path
@@ -729,15 +714,17 @@ pub(crate) fn calls_in_range(
     out
 }
 
-/// Finds `spawn(...)` calls and captures their argument range as a thread
-/// root. The whole argument list is used as the closure body: it covers
-/// both `spawn(move || ...)` and `spawn(worker)` (a function value).
-fn find_spawns(
+/// The `name(...)` calls in a token range: each one's line and the token
+/// range of its argument list. For `spawn` the whole argument list is the
+/// thread root, which covers both `spawn(move || ...)` and `spawn(worker)`
+/// (a function value); for `catch_unwind` it is the guarded code.
+fn call_args(
     p: &ParsedFile,
     start: usize,
     end: usize,
     skips: &[(usize, usize)],
-) -> Vec<SpawnClosure> {
+    name: &str,
+) -> Vec<(usize, (usize, usize))> {
     let mut out = Vec::new();
     let mut i = start;
     let end = end.min(p.toks.len());
@@ -746,13 +733,10 @@ fn find_spawns(
             i = e;
             continue;
         }
-        if p.toks[i].ident() == Some("spawn") && p.toks.get(i + 1).is_some_and(|t| t.is_punct(b'('))
-        {
+        if p.toks[i].ident() == Some(name) && p.toks.get(i + 1).is_some_and(|t| t.is_punct(b'(')) {
             let close = p.match_idx[i + 1];
             if close != NO_MATCH && close > i + 2 {
-                let body = (i + 2, close);
-                let guarded = range_mentions(p, body.0, body.1, &[], "catch_unwind");
-                out.push(SpawnClosure { line: p.toks[i].line, body, guarded });
+                out.push((p.toks[i].line, (i + 2, close)));
                 i += 2;
                 continue;
             }
@@ -760,6 +744,18 @@ fn find_spawns(
         i += 1;
     }
     out
+}
+
+/// Whether the source position `(line, col)` lies inside one of the token
+/// `ranges` of `p`.
+pub(crate) fn in_token_ranges(
+    p: &ParsedFile,
+    ranges: &[(usize, usize)],
+    line: usize,
+    col: usize,
+) -> bool {
+    let at = |t: usize| (p.toks[t].line, p.toks[t].col);
+    ranges.iter().any(|&(s, e)| at(s) <= (line, col) && (line, col) < at(e))
 }
 
 #[cfg(test)]
@@ -867,9 +863,14 @@ mod tests {
         );
         let f = &p.fns[0];
         assert_eq!(f.spawns.len(), 2);
-        assert!(!f.spawns[0].guarded);
-        assert!(f.spawns[1].guarded);
         assert_eq!(f.spawns[0].line, 2);
+        assert_eq!(f.guards.len(), 1);
+        let (s, e) = f.guards[0];
+        assert!(f.spawns[1].body.0 < s && e < f.spawns[1].body.1, "the guard sits in the closure");
+        let work = s + 2;
+        assert_eq!(p.toks[work].ident(), Some("work"));
+        assert!(in_token_ranges(&p, &f.guards, 3, p.toks[work].col));
+        assert!(!in_token_ranges(&p, &f.guards, 2, p.toks[work].col), "the unguarded spawn");
     }
 
     #[test]

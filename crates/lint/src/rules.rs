@@ -458,8 +458,10 @@ pub const RULES: &[RuleDef] = &[
                   degrades the service until restart. This rule takes each \
                   `spawn(...)` closure as a root, walks the call graph, and reports \
                   every unwrap/expect/panic! it can reach, unless a catch_unwind \
-                  boundary guards the path (functions containing catch_unwind are \
-                  traversal boundaries). P1 asks \"is this panic justified?\"; D13 asks \
+                  contains it: calls made inside a catch_unwind(...) argument are not \
+                  followed and panic sites inside one are not reported, while the \
+                  rest of the function holding the guard is checked like any other \
+                  code. P1 asks \"is this panic justified?\"; D13 asks \
                   \"who dies if it fires?\". Fix: return errors across the thread \
                   boundary, add a catch_unwind at the worker root, or pragma with why \
                   crashing the worker is the intended semantics.",

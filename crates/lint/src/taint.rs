@@ -25,7 +25,10 @@
 //! * **D13 `panic-reachability`** — `unwrap`/`expect`/`panic!` sites
 //!   reachable from a `spawn(...)` closure with no `catch_unwind` boundary
 //!   on the path. A panic there kills a worker thread (or poisons its
-//!   locks) instead of failing the request.
+//!   locks) instead of failing the request. A boundary is the argument of
+//!   a `catch_unwind(...)` call: the calls made inside it are cut from the
+//!   walk and the panic sites inside it are skipped, and nothing else of
+//!   the function that holds it is.
 //!
 //! Everything is a *static over-approximation* (dyn dispatch fans out to
 //! every impl, method calls resolve by name); see DESIGN.md for what that
@@ -621,27 +624,32 @@ const PANIC_NEEDLES: &[Needle] = &[
 fn panic_reachability(ws: &Ws<'_>, lines: &[Vec<&str>], owned: &[Vec<usize>], emit: &mut Emit<'_>) {
     let d13 = rule("panic-reachability");
     let nf = ws.sym.fns.len();
-    let mut blocked = vec![false; ws.graph.len()];
-    for (node, fsym) in ws.sym.fns.iter().enumerate() {
-        let f = &ws.parsed[fsym.file].fns[fsym.fn_idx];
-        if f.has_catch_unwind || !d13.covers_crate(&fsym.crate_name) {
-            blocked[node] = true;
-        }
-    }
+    let blocked: Vec<bool> = (0..ws.graph.len())
+        .map(|node| node < nf && !d13.covers_crate(&ws.sym.fns[node].crate_name))
+        .collect();
+    // The panic sites among `lines` of fn `node`'s file that no
+    // `catch_unwind` argument of that fn contains.
+    let unguarded_hits = |node: usize, lines_of: &[usize]| {
+        let fsym = &ws.sym.fns[node];
+        let p = &ws.parsed[fsym.file];
+        let guards = &p.fns[fsym.fn_idx].guards;
+        let mut hits = hits_on_lines(&lines[fsym.file], lines_of, PANIC_NEEDLES, false);
+        hits.retain(|&(line, col, _)| !parser::in_token_ranges(p, guards, line, col));
+        hits
+    };
     let mut reported: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
     for (k, cl) in ws.graph.closures.iter().enumerate() {
         let file = &ws.files[cl.file];
-        if cl.guarded || cl.is_test || !d13.applies_to(file) {
+        if cl.is_test || !d13.applies_to(file) {
             continue;
         }
         let root = nf + k;
-        let reach = ws.graph.reach_forward(&[root], &blocked);
+        let reach = ws.graph.reach_unguarded(&[root], &blocked);
         let spawn_site = format!("{}:{}", file.rel_path, cl.line);
         // The closure's own body first (its lines belong to the parent fn,
         // which is usually not itself reachable from the closure).
-        let p = &ws.parsed[cl.file];
-        let body_lines: Vec<usize> = closure_lines(p, cl.body);
-        for (line, col, tok) in hits_on_lines(&lines[cl.file], &body_lines, PANIC_NEEDLES, false) {
+        let body_lines: Vec<usize> = closure_lines(&ws.parsed[cl.file], cl.body);
+        for (line, col, tok) in unguarded_hits(cl.parent, &body_lines) {
             if reported.insert((cl.file, line, col)) {
                 emit(d13, cl.file, line, col, panic_message(d13, &tok, &spawn_site, None));
             }
@@ -650,7 +658,7 @@ fn panic_reachability(ws: &Ws<'_>, lines: &[Vec<&str>], owned: &[Vec<usize>], em
             if reach[node].is_none() || node == root {
                 continue;
             }
-            let hits = hits_on_lines(&lines[fsym.file], &owned[node], PANIC_NEEDLES, false);
+            let hits = unguarded_hits(node, &owned[node]);
             if hits.is_empty() {
                 continue;
             }

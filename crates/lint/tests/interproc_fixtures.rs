@@ -299,8 +299,8 @@ fn d13_panic_reachable_through_calls_is_caught() {
     assert!(d13[0].message.contains("via"), "witness chain present: {}", d13[0].message);
 }
 
-/// A `catch_unwind` in the spawned closure marks the whole worker guarded;
-/// one inside a reachable function blocks traversal past that function.
+/// A `catch_unwind` contains the panics of the code in its argument: the
+/// spawned closure's own unwrap, and everything `inner` reaches.
 #[test]
 fn d13_catch_unwind_boundaries_block_the_path() {
     let f = run(&[(
@@ -321,6 +321,53 @@ fn d13_catch_unwind_boundaries_block_the_path() {
         fired(&f, "panic-reachability").is_empty(),
         "catch_unwind is the containment boundary: {f:?}"
     );
+}
+
+/// A guard covers its argument, not the function that contains it: the
+/// worker's own `expect` after the guard and the callee it reaches outside
+/// the guard are still on the worker's stack.
+#[test]
+fn d13_panics_outside_the_guard_in_its_function_are_caught() {
+    let f = run(&[(
+        "crates/serve/src/pool.rs",
+        "apf-serve",
+        "fn start(q: Queue) {\n\
+             thread::spawn(move || worker(q));\n\
+         }\n\
+         fn worker(q: Queue) {\n\
+             let _ = catch_unwind(|| execute(&q));\n\
+             q.done().expect(\"queue open\");\n\
+             finish(&q);\n\
+         }\n\
+         fn execute(q: &Queue) { q.pop().unwrap(); }\n\
+         fn finish(q: &Queue) { q.close().unwrap(); }\n",
+    )]);
+    let lines: Vec<usize> = fired(&f, "panic-reachability").iter().map(|f| f.line).collect();
+    assert_eq!(lines, [6, 10], "the expect after the guard and the unguarded callee: {f:?}");
+}
+
+/// A panic in a multi-line guarded closure is contained, in the spawned
+/// closure and in a function it calls alike.
+#[test]
+fn d13_panic_inside_a_guarded_closure_is_clean() {
+    let f = run(&[(
+        "crates/serve/src/pool.rs",
+        "apf-serve",
+        "fn start(q: Queue) {\n\
+             thread::spawn(move || {\n\
+                 let _ = catch_unwind(AssertUnwindSafe(|| {\n\
+                     q.pop().unwrap();\n\
+                 }));\n\
+                 worker(&q);\n\
+             });\n\
+         }\n\
+         fn worker(q: &Queue) {\n\
+             let _ = catch_unwind(|| {\n\
+                 q.pop().expect(\"queue open\");\n\
+             });\n\
+         }\n",
+    )]);
+    assert!(fired(&f, "panic-reachability").is_empty(), "both panics are guarded: {f:?}");
 }
 
 /// Spawns outside the worker crates (or in test sources) are exempt.

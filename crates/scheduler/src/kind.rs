@@ -48,6 +48,22 @@ impl SchedulerKind {
             SchedulerKind::RoundRobin,
         ]
     }
+
+    /// Lowercase wire label: how job specs and their canonical form spell
+    /// the kind.
+    pub fn label(self) -> &'static str {
+        match self {
+            SchedulerKind::Fsync => "fsync",
+            SchedulerKind::Ssync => "ssync",
+            SchedulerKind::Async => "async",
+            SchedulerKind::RoundRobin => "round_robin",
+        }
+    }
+
+    /// The kind a wire label names, the inverse of [`SchedulerKind::label`].
+    pub fn from_label(label: &str) -> Option<SchedulerKind> {
+        SchedulerKind::all().into_iter().find(|k| k.label() == label)
+    }
 }
 
 impl std::fmt::Display for SchedulerKind {
@@ -75,6 +91,14 @@ mod tests {
             assert!(!crate::next_batch(&mut *s, &idle).is_empty(), "{kind}");
             assert!(!s.name().is_empty());
         }
+    }
+
+    #[test]
+    fn labels_round_trip() {
+        for kind in SchedulerKind::all() {
+            assert_eq!(SchedulerKind::from_label(kind.label()), Some(kind));
+        }
+        assert_eq!(SchedulerKind::from_label("rr"), None);
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl ResultCache {
         stored.detail = None;
         if let Some(dir) = &self.cfg.dir {
             let body = Json::obj([
-                ("canonical", json::parse(&spec.canonical_json()).unwrap_or(Json::Null)),
+                ("canonical", spec.to_json()),
                 ("digest", Json::str(format!("{digest:016x}"))),
                 ("result", stored.to_json()),
             ])

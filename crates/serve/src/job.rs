@@ -19,7 +19,7 @@
 use crate::json::{self, Json};
 use crate::soak::{SoakOutcome, SoakSpec};
 use apf_bench::engine::{Campaign, CancelToken, LiveStats, StreamingAggregate};
-use apf_bench::spec::{scheduler_from_label, scheduler_label, CanonicalSpec, Generator};
+use apf_bench::spec::{CanonicalSpec, Generator, SchedulerKind};
 use apf_bench::RunResult;
 use apf_trace::PhaseKind;
 use std::sync::{Arc, Mutex};
@@ -84,7 +84,7 @@ impl JobSpec {
                 }
                 "scheduler" => {
                     spec.canonical.scheduler =
-                        value.as_str().and_then(scheduler_from_label).ok_or(
+                        value.as_str().and_then(SchedulerKind::from_label).ok_or(
                             "\"scheduler\" must be one of \"fsync\", \"ssync\", \"async\", \
                              \"round_robin\"",
                         )?;
@@ -111,9 +111,8 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Range-checks the spec (canonical core plus the shard range) and
-    /// verifies every trial's instance builds — after this, running the
-    /// campaign cannot fail validation.
+    /// Range-checks the spec: the canonical core
+    /// ([`CanonicalSpec::validate`]) plus the shard range.
     ///
     /// # Errors
     ///
@@ -149,27 +148,19 @@ impl JobSpec {
         self.range.is_none() && !self.detail
     }
 
-    /// The spec as response JSON (echoed in job status). Canonical fields
-    /// always; transport extensions only when set.
+    /// The spec as response JSON (echoed in job status): the canonical
+    /// form, plus the transport extensions when set.
     pub fn to_json(&self) -> Json {
-        let c = &self.canonical;
-        let mut members = vec![
-            ("name", Json::str(c.name.clone())),
-            ("seed", Json::u64(c.seed)),
-            ("trials", Json::u64(c.trials)),
-            ("n", Json::usize(c.n)),
-            ("rho", Json::usize(c.rho)),
-            ("generator", Json::str(c.generator.label())),
-            ("scheduler", Json::str(scheduler_label(c.scheduler))),
-            ("budget", Json::u64(c.budget)),
-        ];
-        if let Some((lo, hi)) = self.range {
-            members.push(("range", Json::Arr(vec![Json::u64(lo), Json::u64(hi)])));
+        let mut json = self.canonical.to_json();
+        if let Json::Obj(members) = &mut json {
+            if let Some((lo, hi)) = self.range {
+                members.insert("range".into(), Json::Arr(vec![Json::u64(lo), Json::u64(hi)]));
+            }
+            if self.detail {
+                members.insert("detail".into(), Json::Bool(true));
+            }
         }
-        if self.detail {
-            members.push(("detail", Json::Bool(true)));
-        }
-        Json::obj(members)
+        json
     }
 }
 

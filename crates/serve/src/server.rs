@@ -201,7 +201,7 @@ impl Shared {
     }
 
     fn lock_jobs(&self) -> MutexGuard<'_, JobTable> {
-        // apf-lint: allow(panic-policy) — poisoning means a handler panicked; propagate the bug
+        // apf-lint: allow(panic-policy, panic-reachability) — poisoning means a handler panicked mid-update of the job table; a worker must not run jobs from a half-updated table, so it dies with the bug
         self.jobs.lock().expect("job table lock poisoned")
     }
 
@@ -428,7 +428,7 @@ fn worker_loop(shared: &Shared) {
                 let (guard, _timeout) = shared
                     .queue_cv
                     .wait_timeout(t, Duration::from_millis(100))
-                    // apf-lint: allow(panic-policy) — poisoning means a handler panicked; propagate
+                    // apf-lint: allow(panic-policy, panic-reachability) — poisoning means a handler panicked mid-update of the job table; a worker must not run jobs from a half-updated table, so it dies with the bug
                     .expect("job table lock poisoned");
                 t = guard;
             }
@@ -443,9 +443,11 @@ fn worker_loop(shared: &Shared) {
         shared.metrics.job_queue_wait_seconds.observe(job.submitted.elapsed());
 
         shared.running.fetch_add(1, Ordering::Relaxed);
-        // The work was fully validated at submission, so execution cannot
-        // fail validation; catch_unwind turns any residual bug into a
-        // Failed job instead of a dead worker.
+        // Submission checked the spec's ranges and its generator's
+        // precondition; catch_unwind turns any residual bug, a trial the
+        // generator cannot build included, into a Failed job instead of a
+        // dead worker. Only `execute` is guarded: apf-lint's D13 checks the
+        // rest of this loop.
         let exec_t0 = Instant::now();
         let executed =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(shared, &job)));
@@ -757,10 +759,7 @@ fn route(shared: &Shared, req: &Request, peer: SocketAddr) -> Response {
                 200,
                 &Json::obj([
                     ("digest", Json::str(format!("{:016x}", spec.canonical.digest()))),
-                    (
-                        "canonical",
-                        crate::json::parse(&spec.canonical.canonical_json()).unwrap_or(Json::Null),
-                    ),
+                    ("canonical", spec.canonical.to_json()),
                     ("cacheable", Json::Bool(spec.cacheable())),
                 ]),
             ),

@@ -15,7 +15,7 @@
 //!    17 significant digits. The coordinator's shard merge and the cache
 //!    verifier both compare these bit for bit.
 
-use apf_bench::spec::{scheduler_from_label, CanonicalSpec, Generator};
+use apf_bench::spec::{CanonicalSpec, Generator, SchedulerKind};
 use apf_bench::RunResult;
 use apf_serve::json::{self, Json};
 use apf_serve::{JobOutcome, JobSpec, SoakOutcome};
@@ -75,7 +75,7 @@ fn valid_spec() -> impl Strategy<Value = CanonicalSpec> {
                 n,
                 rho,
                 generator: if gen == 0 { Generator::Symmetric } else { Generator::Asymmetric },
-                scheduler: scheduler_from_label(SCHEDULERS[sched])
+                scheduler: SchedulerKind::from_label(SCHEDULERS[sched])
                     .expect("label table matches the parser"),
                 budget,
             }
@@ -98,7 +98,7 @@ fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
 /// per-boundary whitespace — the degrees of freedom a client has that must
 /// NOT affect the canonical form.
 fn render_submission(spec: &CanonicalSpec, order: &[usize], pad: &str) -> String {
-    let scheduler = apf_bench::spec::scheduler_label(spec.scheduler);
+    let scheduler = spec.scheduler.label();
     let fields: [(&str, String); 8] = [
         ("name", Json::str(&spec.name).render()),
         ("seed", spec.seed.to_string()),

@@ -130,7 +130,10 @@ impl BitSource for NullBits {
 ///   *global* behavior is invariant under these (the simulator's
 ///   chirality-randomization tests exercise exactly this).
 pub trait RobotAlgorithm {
-    /// Computes this cycle's decision from a local-frame snapshot.
+    /// Computes this cycle's decision from a local-frame snapshot, tagged
+    /// with the algorithm phase that produced it (for per-phase metrics and
+    /// tracing). An algorithm without phases tags every decision
+    /// [`PhaseKind::Untagged`].
     ///
     /// # Errors
     ///
@@ -140,29 +143,7 @@ pub trait RobotAlgorithm {
         &self,
         snapshot: &Snapshot,
         bits: &mut dyn BitSource,
-    ) -> Result<Decision, ComputeError>;
-
-    /// Like [`RobotAlgorithm::compute`], additionally tagging the decision
-    /// with the algorithm phase that produced it (for per-phase metrics and
-    /// tracing). The default tags everything [`PhaseKind::Untagged`].
-    ///
-    /// Implementations overriding this must keep `compute` behaviorally
-    /// identical (same decisions, same randomness draws) — the engine uses
-    /// `compute_tagged` for real cycles and `compute` for side-effect-free
-    /// probes, and the two must agree. The easiest way is to put the logic
-    /// here and delegate `compute` to `self.compute_tagged(..).map(|(d, _)| d)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ComputeError`] when the snapshot violates the algorithm's
-    /// documented preconditions.
-    fn compute_tagged(
-        &self,
-        snapshot: &Snapshot,
-        bits: &mut dyn BitSource,
-    ) -> Result<(Decision, PhaseKind), ComputeError> {
-        Ok((self.compute(snapshot, bits)?, PhaseKind::Untagged))
-    }
+    ) -> Result<(Decision, PhaseKind), ComputeError>;
 
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;

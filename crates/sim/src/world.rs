@@ -350,7 +350,7 @@ impl World {
             let snapshot = self.begin_look(r);
             let result = self.algorithm.compute(&snapshot, &mut NullBits);
             self.end_look(r, snapshot);
-            match result? {
+            match result?.0 {
                 Decision::Stay => {}
                 Decision::Move(path) => {
                     if path.length() > self.config.tol.eps {
@@ -582,7 +582,7 @@ impl World {
         };
         let result = {
             let _compute_span = apf_trace::span::enter(apf_trace::SpanLabel::Compute);
-            self.algorithm.compute_tagged(&snapshot, &mut bits)
+            self.algorithm.compute(&snapshot, &mut bits)
         };
         let coin_free = !bits.drew;
         self.end_look(robot, snapshot);
@@ -678,13 +678,14 @@ mod tests {
             &self,
             snapshot: &Snapshot,
             _bits: &mut dyn BitSource,
-        ) -> Result<Decision, ComputeError> {
+        ) -> Result<(Decision, PhaseKind), ComputeError> {
             let c = apf_geometry::weber::centroid(snapshot.robots());
-            if c.dist(Point::ORIGIN) <= 1e-6 {
-                Ok(Decision::Stay)
+            let decision = if c.dist(Point::ORIGIN) <= 1e-6 {
+                Decision::Stay
             } else {
-                Ok(Decision::Move(Path::straight(Point::ORIGIN, c)))
-            }
+                Decision::Move(Path::straight(Point::ORIGIN, c))
+            };
+            Ok((decision, PhaseKind::Untagged))
         }
 
         fn name(&self) -> &'static str {
@@ -700,9 +701,9 @@ mod tests {
             &self,
             _snapshot: &Snapshot,
             bits: &mut dyn BitSource,
-        ) -> Result<Decision, ComputeError> {
+        ) -> Result<(Decision, PhaseKind), ComputeError> {
             let _ = bits.bit();
-            Ok(Decision::Stay)
+            Ok((Decision::Stay, PhaseKind::Untagged))
         }
 
         fn name(&self) -> &'static str {
@@ -813,8 +814,8 @@ mod tests {
         assert_eq!(m.random_bits(), 24);
         assert!((m.bits_per_cycle() - 1.0).abs() < 1e-12);
         assert_eq!(m.active_cycles(), 0);
-        // BitBurner does not override compute_tagged: everything lands in
-        // the Untagged bucket and totals round-trip it.
+        // BitBurner tags every decision Untagged: everything lands in that
+        // bucket and totals round-trip it.
         assert_eq!(m.phase(apf_trace::PhaseKind::Untagged).cycles, 24);
     }
 
@@ -939,10 +940,10 @@ mod tests {
             &self,
             _snapshot: &Snapshot,
             bits: &mut dyn BitSource,
-        ) -> Result<Decision, ComputeError> {
+        ) -> Result<(Decision, PhaseKind), ComputeError> {
             self.calls.set(self.calls.get() + 1);
             (self.draw)(bits);
-            Ok(Decision::Stay)
+            Ok((Decision::Stay, PhaseKind::Untagged))
         }
 
         fn name(&self) -> &'static str {
@@ -989,14 +990,15 @@ mod tests {
             &self,
             snapshot: &Snapshot,
             _bits: &mut dyn BitSource,
-        ) -> Result<Decision, ComputeError> {
+        ) -> Result<(Decision, PhaseKind), ComputeError> {
             self.calls.set(self.calls.get() + 1);
             let c = apf_geometry::weber::centroid(snapshot.robots());
-            if c.dist(Point::ORIGIN) > 2.0 {
-                Ok(Decision::Move(Path::straight(Point::ORIGIN, c)))
+            let decision = if c.dist(Point::ORIGIN) > 2.0 {
+                Decision::Move(Path::straight(Point::ORIGIN, c))
             } else {
-                Ok(Decision::Stay)
-            }
+                Decision::Stay
+            };
+            Ok((decision, PhaseKind::Untagged))
         }
 
         fn name(&self) -> &'static str {

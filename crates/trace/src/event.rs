@@ -9,7 +9,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[repr(u8)]
 pub enum PhaseKind {
-    /// The algorithm did not tag this cycle (default `compute_tagged`).
+    /// The algorithm did not tag this cycle (an algorithm without phases).
     #[default]
     Untagged = 0,
     /// The configuration is similar to the pattern: terminal stay.

@@ -57,7 +57,7 @@ fn every_robot_agrees_under_arbitrary_frames() {
             let local: Vec<Point> = pts.iter().map(|&p| frame.to_local(p)).collect();
             let snap = Snapshot::new(local, target.clone(), false, Tol::default());
             let mut bits = NullBits;
-            let d = alg.compute(&snap, &mut bits).expect("compute");
+            let d = alg.compute(&snap, &mut bits).expect("compute").0;
             // Map a movement decision back to a global destination.
             let dest = match &d {
                 Decision::Stay => None,

@@ -63,6 +63,14 @@ fn malformed_invocations_exit_nonzero_with_usage() {
     assert_usage_error(&["bogus-subcommand"]);
     assert_usage_error(&["--seed"]); // missing value
     assert_usage_error(&["--scheduler", "warp"]);
+    // The wire label parses like the aliases (10 steps form nothing: exit 1).
+    let run = |label| {
+        apf_cli(&["--n", "8", "--asym", "--budget", "10", "--quiet", "--scheduler", label])
+            .status
+            .code()
+    };
+    assert_ne!(run("rr"), Some(2));
+    assert_eq!(run("round_robin"), run("rr"));
     // Initial configurations the generators cannot build: rho not dividing
     // n, rho below 2, too few robots for asymmetry, and one orbit (a
     // regular polygon, which always has an axis of symmetry).
@@ -75,6 +83,8 @@ fn malformed_invocations_exit_nonzero_with_usage() {
     assert_usage_error(&["trace"]); // missing FILE
     assert_usage_error(&["trace", "--bogus"]);
     assert_usage_error(&["trace", "a.jsonl", "b.jsonl"]);
+    assert_usage_error(&["trace", "--robot", "x", "t.jsonl"]);
+    assert_usage_error(&["trace", "t.jsonl", "--bogus"]);
     // conformance
     assert_usage_error(&["conformance"]);
     assert_usage_error(&["conformance", "warp"]);
@@ -118,10 +128,18 @@ fn malformed_invocations_exit_nonzero_with_usage() {
     assert_usage_error(&["serve", "--jobs", "many"]); // not a number
     assert_usage_error(&["serve", "--jobs", "0"]);
     assert_usage_error(&["serve", "--queue-depth", "0"]);
-    // job-digest
+    assert_usage_error(&["serve", "--backend"]); // missing value
+                                                 // job-digest
     assert_usage_error(&["job-digest"]); // missing FILE
     assert_usage_error(&["job-digest", "--bogus"]);
     assert_usage_error(&["job-digest", "/nonexistent/spec.json"]);
+    // spec-digest
+    assert_usage_error(&["spec-digest", "--bogus"]);
+    assert_usage_error(&["spec-digest", "a.json", "b.json"]);
+    // profile
+    assert_usage_error(&["profile", "--bogus"]);
+    assert_usage_error(&["profile", "--jobs"]); // missing value
+    assert_usage_error(&["profile", "--kernels", "8", "--spec", "x.json"]);
 }
 
 #[test]
@@ -133,6 +151,9 @@ fn help_short_circuits_with_exit_zero() {
         vec!["lint", "--help"],
         vec!["serve", "--help"],
         vec!["job-digest", "--help"],
+        vec!["spec-digest", "--help"],
+        vec!["profile", "--help"],
+        vec!["conformance", "fuzz", "--help"],
     ] {
         let out = apf_cli(&args);
         assert_eq!(out.status.code(), Some(0), "apf-cli {args:?}: {}", stderr_of(&out));
